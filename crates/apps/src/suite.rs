@@ -157,6 +157,39 @@ mod tests {
     }
 
     #[test]
+    fn programs_share_the_cached_kernels() {
+        use std::sync::Arc;
+        use stream_sim::StreamInstr;
+        let m = Machine::baseline();
+        let opts = stream_sched::CompileOptions::default();
+        let cached: Vec<_> = AppId::Depth
+            .kernels(&m)
+            .iter()
+            .map(|k| {
+                stream_grid::global_cache()
+                    .get_or_compile(k, &m, &opts)
+                    .unwrap()
+            })
+            .collect();
+        let program = AppId::Depth.program(&m).program;
+        let mut calls = 0;
+        for instr in program.instrs() {
+            if let StreamInstr::Kernel { kernel, .. } = instr {
+                calls += 1;
+                let entry = cached
+                    .iter()
+                    .find(|c| c.name() == kernel.name())
+                    .expect("every call is to one of DEPTH's kernels");
+                assert!(Arc::ptr_eq(kernel, entry), "{} is a copy", kernel.name());
+                // Sharing is invisible to the `{:?}` rendering the tuner's
+                // identity pruning compares: `Arc` prints its contents.
+                assert_eq!(format!("{kernel:?}"), format!("{:?}", **entry));
+            }
+        }
+        assert!(calls > cached.len(), "DEPTH calls its kernels repeatedly");
+    }
+
+    #[test]
     fn strip_batched_programs_simulate() {
         let m = Machine::baseline();
         let sys = SystemParams::paper_2007();

@@ -16,6 +16,7 @@
 //! dependence graph), so a corrupted, stale, or truncated entry degrades to
 //! a recompute — never to a wrong schedule or a crash.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
@@ -172,6 +173,20 @@ impl DiskTier {
 
 type CacheSlot = Arc<OnceLock<Result<Arc<CompiledKernel>, ScheduleError>>>;
 
+thread_local! {
+    static THREAD_COMPILES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Scheduler runs any [`KernelCache`] has performed on the calling thread.
+///
+/// A caller that differences this around a piece of work counts exactly the
+/// compiles that work ran itself: a compile of a key another thread was
+/// already filling is counted once, on that thread, and compiles running
+/// concurrently elsewhere are never attributed to this one.
+pub fn thread_compiles() -> u64 {
+    THREAD_COMPILES.with(Cell::get)
+}
+
 /// A thread-safe compiled-kernel cache.
 ///
 /// Lookups return [`Arc<CompiledKernel>`] so cached schedules are shared,
@@ -263,6 +278,7 @@ impl KernelCache {
                 self.disk_misses.incr();
             }
             self.compiles.incr();
+            THREAD_COMPILES.with(|n| n.set(n.get() + 1));
             cache_span.arg("tier", "compile");
             let compiled = {
                 let mut compile_span = stream_trace::span("grid", "compile");
@@ -525,6 +541,33 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 7);
+    }
+
+    #[test]
+    fn thread_compiles_counts_only_this_threads_scheduler_runs() {
+        let cache = KernelCache::new();
+        let machine = Machine::baseline();
+        let before = thread_compiles();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache
+                    .get_or_compile(
+                        &toy_kernel("elsewhere", 3),
+                        &machine,
+                        &CompileOptions::new(),
+                    )
+                    .unwrap()
+            });
+        });
+        assert_eq!(thread_compiles(), before);
+        let k = toy_kernel("here", 3);
+        cache
+            .get_or_compile(&k, &machine, &CompileOptions::new())
+            .unwrap();
+        cache
+            .get_or_compile(&k, &machine, &CompileOptions::new())
+            .unwrap();
+        assert_eq!(thread_compiles(), before + 1);
     }
 
     /// A unique scratch directory (fresh per call, removed afterwards via

@@ -55,7 +55,8 @@ mod cache;
 mod engine;
 
 pub use cache::{
-    attach_global_disk, global_cache, CacheScope, CacheStats, DiskTier, KernelCache, ScopeCounters,
+    attach_global_disk, global_cache, thread_compiles, CacheScope, CacheStats, DiskTier,
+    KernelCache, ScopeCounters,
 };
 pub use engine::{Engine, Sweep, SweepStats};
 

@@ -144,13 +144,18 @@ impl Ddg {
             }
         }
 
+        Self::from_parts(nodes, edges)
+    }
+
+    /// Assembles a graph from its nodes and edges, indexing the edges by
+    /// endpoint.
+    pub(crate) fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Self {
         let mut succs = vec![Vec::new(); nodes.len()];
         let mut preds = vec![Vec::new(); nodes.len()];
         for (i, e) in edges.iter().enumerate() {
             succs[e.from].push(i);
             preds[e.to].push(i);
         }
-
         Self {
             nodes,
             edges,

@@ -53,56 +53,171 @@ pub fn res_mii_for(ddg: &Ddg, machine: &Machine, kind: FuKind) -> u32 {
 /// cycle has positive slack deficit, i.e. for every cycle,
 /// `sum(latency) <= ii * sum(distance)`.
 ///
-/// Uses a longest-path feasibility check (Bellman-Ford over edge weights
-/// `latency - ii * distance`; a positive cycle means `ii` is infeasible) and
-/// binary-searches the smallest feasible `ii`.
+/// Every cycle lies inside one strongly connected component, so the graph
+/// is split into SCCs (iterative Tarjan) and only components with an
+/// internal edge are checked: a longest-path feasibility test (Bellman-Ford
+/// over edge weights `latency - ii * distance`; a positive cycle means `ii`
+/// is infeasible) binary-searches each component's smallest feasible `ii`
+/// above the running maximum. The search range is capped at the sum of all
+/// latencies, which is what a component with a positive zero-distance
+/// cycle (infeasible at every `ii`) reports — the same value as a
+/// whole-graph search, which `stream-verify` keeps as the oracle.
 pub fn rec_mii(ddg: &Ddg) -> u32 {
-    // Upper bound: sum of all latencies is always feasible.
-    let hi: u64 = ddg.edges().iter().map(|e| u64::from(e.latency)).sum();
-    if hi == 0 {
+    let total: u64 = ddg.edges().iter().map(|e| u64::from(e.latency)).sum();
+    if total == 0 {
         return 1;
     }
-    let (mut lo, mut hi) = (1u64, hi.max(1));
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if feasible(ddg, mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    let mut best = 1u64;
+    for comp in cyclic_components(ddg) {
+        if comp.feasible(best) {
+            continue;
         }
-    }
-    lo as u32
-}
-
-/// True if no dependence cycle exceeds `ii`-paced slack (longest-path check).
-fn feasible(ddg: &Ddg, ii: u64) -> bool {
-    let n = ddg.nodes().len();
-    if n == 0 {
-        return true;
-    }
-    // Longest-path Bellman-Ford from a virtual source at distance 0 to all.
-    let mut dist = vec![0i64; n];
-    for _round in 0..n {
-        let mut changed = false;
-        for e in ddg.edges() {
-            let w = i64::from(e.latency) - (ii as i64) * i64::from(e.distance);
-            let cand = dist[e.from] + w;
-            if cand > dist[e.to] {
-                dist[e.to] = cand;
-                changed = true;
+        // Any cycle with distance >= 1 is feasible at its own latency sum.
+        let hi = comp.latency_sum();
+        if !comp.feasible(hi) {
+            return total as u32;
+        }
+        let (mut lo, mut hi) = (best + 1, hi);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if comp.feasible(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
-        if !changed {
-            return true;
+        best = lo;
+    }
+    best as u32
+}
+
+/// One strongly connected component that contains a cycle, as its internal
+/// edges over component-local node numbers.
+struct Component {
+    nodes: usize,
+    /// `(from, to, latency, distance)`.
+    edges: Vec<(usize, usize, i64, i64)>,
+}
+
+impl Component {
+    fn latency_sum(&self) -> u64 {
+        self.edges.iter().map(|e| e.2 as u64).sum()
+    }
+
+    /// True if no cycle exceeds `ii`-paced slack: longest-path Bellman-Ford
+    /// from a virtual source at distance 0 to every node; still relaxing
+    /// after `nodes` rounds means a positive cycle.
+    fn feasible(&self, ii: u64) -> bool {
+        let ii = ii as i64;
+        let mut dist = vec![0i64; self.nodes];
+        for _round in 0..self.nodes {
+            let mut changed = false;
+            for &(from, to, latency, distance) in &self.edges {
+                let cand = dist[from] + latency - ii * distance;
+                if cand > dist[to] {
+                    dist[to] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The SCCs of `ddg` that have at least one internal edge (a self-loop or a
+/// cycle), found with an iterative Tarjan pass.
+fn cyclic_components(ddg: &Ddg) -> Vec<Component> {
+    const UNSEEN: usize = usize::MAX;
+    let n = ddg.nodes().len();
+    let succs: Vec<Vec<usize>> = (0..n)
+        .map(|v| ddg.succ_edges(v).map(|e| e.to).collect())
+        .collect();
+    let mut index = vec![UNSEEN; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack = Vec::new();
+    // Component id and component-local number of each node.
+    let mut comp = vec![0usize; n];
+    let mut local = vec![0usize; n];
+    let mut sizes: Vec<usize> = Vec::new();
+    let mut next = 0usize;
+    // Explicit DFS stack of (node, next successor position).
+    let mut call: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        index[root] = next;
+        low[root] = next;
+        next += 1;
+        stack.push(root);
+        on_stack[root] = true;
+        call.push((root, 0));
+        while let Some((v, pos)) = call.last_mut() {
+            let v = *v;
+            if let Some(&w) = succs[v].get(*pos) {
+                *pos += 1;
+                if index[w] == UNSEEN {
+                    index[w] = next;
+                    low[w] = next;
+                    next += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    call.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            call.pop();
+            if let Some(&(parent, _)) = call.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let id = sizes.len();
+                let mut size = 0;
+                loop {
+                    let w = stack.pop().expect("v is on the stack");
+                    on_stack[w] = false;
+                    comp[w] = id;
+                    local[w] = size;
+                    size += 1;
+                    if w == v {
+                        break;
+                    }
+                }
+                sizes.push(size);
+            }
         }
     }
-    // Still relaxing after n rounds: positive cycle.
-    false
+    let mut comps: Vec<Component> = sizes
+        .into_iter()
+        .map(|nodes| Component {
+            nodes,
+            edges: Vec::new(),
+        })
+        .collect();
+    for e in ddg.edges() {
+        if comp[e.from] == comp[e.to] {
+            comps[comp[e.from]].edges.push((
+                local[e.from],
+                local[e.to],
+                i64::from(e.latency),
+                i64::from(e.distance),
+            ));
+        }
+    }
+    comps.retain(|c| !c.edges.is_empty());
+    comps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stream_ir::{KernelBuilder, Scalar, Ty};
     use stream_machine::Machine;
     use stream_vlsi::Shape;
@@ -180,6 +295,71 @@ mod tests {
         let m = Machine::baseline();
         // latency 4 over distance 2 -> RecMII = 2.
         assert_eq!(rec_mii(&ddg_for(&k, &m)), 2);
+    }
+
+    /// The verifier's whole-graph search, the oracle for [`rec_mii`].
+    fn oracle(ddg: &Ddg) -> u32 {
+        stream_verify::rec_mii(&crate::dep_graph(ddg))
+    }
+
+    /// A random graph from a byte script: forward distance-0 edges (the
+    /// acyclic part), loop-carried back edges that close rings into SCCs,
+    /// self-loops, and now and then a distance-0 back edge, which can make
+    /// a cycle no `ii` satisfies.
+    fn random_ddg(script: &[u8]) -> Ddg {
+        let n = 1 + usize::from(script[0] % 24);
+        let nodes = (0..n)
+            .map(|i| crate::Node {
+                value: stream_ir::ValueId(i as u32),
+                class: stream_machine::OpClass::FloatAdd,
+                latency: 1,
+            })
+            .collect();
+        let edges = script[1..]
+            .chunks_exact(4)
+            .map(|c| {
+                let (a, b) = (usize::from(c[0]) % n, usize::from(c[1]) % n);
+                let latency = u32::from(c[2] % 9);
+                let far = 1 + u32::from(c[3] / 16 % 3);
+                let (from, to, distance) = match c[3] % 16 {
+                    0..=6 if a == b => (a, b, far),
+                    0..=6 => (a.min(b), a.max(b), 0),
+                    7..=11 => (a, b, far),
+                    12..=14 => (a, a, far),
+                    _ => (a, b, 0),
+                };
+                crate::Edge {
+                    from,
+                    to,
+                    latency,
+                    distance,
+                    kind: crate::EdgeKind::Order,
+                }
+            })
+            .collect();
+        Ddg::from_parts(nodes, edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn per_scc_rec_mii_matches_the_whole_graph_oracle(
+            script in proptest::collection::vec(any::<u8>(), 1..160),
+        ) {
+            let ddg = random_ddg(&script);
+            prop_assert_eq!(rec_mii(&ddg), oracle(&ddg));
+        }
+    }
+
+    #[test]
+    fn zero_distance_cycle_reports_the_latency_sum() {
+        // a -> b -> a in one iteration can never be scheduled; both
+        // searches give up at the sum of all latencies (here 3 + 4 + 2).
+        let ddg = random_ddg(&[2, 0, 1, 3, 0, 1, 0, 4, 15, 0, 0, 2, 12]);
+        assert_eq!(ddg.edges().len(), 3);
+        assert_eq!(rec_mii(&ddg), 9);
+        assert_eq!(oracle(&ddg), 9);
     }
 
     #[test]

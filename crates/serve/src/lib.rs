@@ -375,4 +375,42 @@ mod tests {
         assert!(shutdown.starts_with("HTTP/1.1 200"), "{shutdown}");
         handle.join();
     }
+
+    /// RENDER's default strips overflow the SRF of a C=8, N=2 machine: the
+    /// tuner has no baseline there, which is a 422 (memoized like any
+    /// verdict), and the daemon keeps serving.
+    #[test]
+    fn untunable_point_is_a_422_and_the_daemon_survives() {
+        let handle = start(&ServerConfig {
+            addr: None,
+            workers: Some(1),
+            cache_root: None,
+        })
+        .unwrap();
+        let addr = handle.addr();
+        let fetch = |request: &str| -> String {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(request.as_bytes()).unwrap();
+            let mut wire = String::new();
+            conn.read_to_string(&mut wire).unwrap();
+            wire
+        };
+        let get_req =
+            |path: &str| format!("GET {path} HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n");
+        let body = |wire: &str| wire.split("\r\n\r\n").nth(1).unwrap().to_string();
+
+        let tune = get_req("/v1/tune?app=render&clusters=8&alus_per_cluster=2");
+        let first = fetch(&tune);
+        assert!(first.starts_with("HTTP/1.1 422"), "{first}");
+        let error = json::parse(&body(&first)).unwrap();
+        let message = error.get("error").and_then(|v| v.as_str()).unwrap();
+        assert!(message.contains("srf overflow"), "{message}");
+        assert_eq!(body(&fetch(&tune)), body(&first));
+
+        let health = fetch(&get_req("/health"));
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        let shutdown = fetch("POST /v1/shutdown HTTP/1.1\r\nhost: x\r\ncontent-length: 0\r\n\r\n");
+        assert!(shutdown.starts_with("HTTP/1.1 200"), "{shutdown}");
+        handle.join();
+    }
 }

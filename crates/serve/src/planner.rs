@@ -41,16 +41,17 @@ pub struct Cell {
 }
 
 type CellSlot = Arc<OnceLock<Arc<Cell>>>;
-type TuneSlot = Arc<OnceLock<Arc<stream_tune::Tuned>>>;
+type TuneSlot = Arc<OnceLock<Result<Arc<stream_tune::Tuned>, stream_tune::TuneError>>>;
 
 /// Deduplicating, disk-backed cell planner. Cheap to share behind an `Arc`.
 #[derive(Debug)]
 pub struct Planner {
     engine: Engine,
     cells: Mutex<HashMap<ExperimentId, CellSlot>>,
-    /// Tuning results, keyed by `(app, clusters, alus_per_cluster)` —
-    /// the same coalescing slot pattern as experiment cells, so concurrent
-    /// clients tuning the same point share one search.
+    /// Tuning results (or the error a point cannot be tuned with), keyed
+    /// by `(app, clusters, alus_per_cluster)` — the same coalescing slot
+    /// pattern as experiment cells, so concurrent clients tuning the same
+    /// point share one search.
     tuned: Mutex<HashMap<(stream_apps::AppId, u32, u32), TuneSlot>>,
     disk: Option<DiskStore>,
     lookups: Counter,
@@ -144,27 +145,30 @@ impl Planner {
     /// machine, searched at most once per daemon lifetime per point.
     /// `stream-tune` itself rehydrates validated winners from the shared
     /// cache root (attached in `start`), so a restarted daemon answers
-    /// warm points without re-searching.
+    /// warm points without re-searching. A point that cannot be tuned
+    /// memoizes its error the same way.
+    ///
+    /// # Errors
+    ///
+    /// As [`stream_tune::try_tune_app`].
     pub fn tuned(
         &self,
         app: stream_apps::AppId,
         clusters: u32,
         alus: u32,
-    ) -> Arc<stream_tune::Tuned> {
+    ) -> Result<Arc<stream_tune::Tuned>, stream_tune::TuneError> {
         let slot: TuneSlot = {
             let mut tuned = self.tuned.lock().expect("planner poisoned");
             Arc::clone(tuned.entry((app, clusters, alus)).or_default())
         };
-        Arc::clone(slot.get_or_init(|| {
+        slot.get_or_init(|| {
             let mut span = stream_trace::span("serve", "tune");
             span.arg("app", app.name());
             let machine = stream_machine::Machine::paper(stream_vlsi::Shape::new(clusters, alus));
-            Arc::new(stream_tune::tune_app(
-                app,
-                &machine,
-                &stream_machine::SystemParams::paper_2007(),
-            ))
-        }))
+            stream_tune::try_tune_app(app, &machine, &stream_machine::SystemParams::paper_2007())
+                .map(Arc::new)
+        })
+        .clone()
     }
 
     /// Current planner counters.

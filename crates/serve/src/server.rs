@@ -460,7 +460,8 @@ fn query_response(request: &Request) -> Response {
 /// default vs tuned cycle counts and the winning configuration. Shape
 /// defaults to the paper baseline (C=8, N=5); results are memoized per
 /// daemon and persisted under the cache root, so repeated queries are
-/// reads, not searches.
+/// reads, not searches. A shape the application's default program does not
+/// fit (its strips overflow the SRF) answers 422.
 fn tune_response(request: &Request, planner: &Planner) -> Response {
     let Some(name) = request.query_param("app") else {
         return error_response(400, "missing `app` query parameter", None);
@@ -496,7 +497,10 @@ fn tune_response(request: &Request, planner: &Planner) -> Response {
         Ok(n) => n,
         Err(resp) => return resp,
     };
-    let t = planner.tuned(app, clusters, alus);
+    let t = match planner.tuned(app, clusters, alus) {
+        Ok(t) => t,
+        Err(e) => return error_response(422, &e.to_string(), None),
+    };
     let winner = object([
         (
             "unroll_factors",

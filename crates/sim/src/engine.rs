@@ -320,10 +320,11 @@ pub fn fits_in_srf(machine: &Machine, words: u64, slack: f64) -> bool {
 mod tests {
     use super::*;
     use crate::ProgramBuilder;
+    use std::sync::Arc;
     use stream_ir::{KernelBuilder, Ty};
     use stream_sched::CompiledKernel;
 
-    fn work_kernel(machine: &Machine, flops: usize) -> CompiledKernel {
+    fn work_kernel(machine: &Machine, flops: usize) -> Arc<CompiledKernel> {
         let mut kb = KernelBuilder::new("work");
         let s = kb.in_stream(Ty::F32);
         let o = kb.out_stream(Ty::F32);
@@ -333,7 +334,7 @@ mod tests {
             acc = kb.add(acc, x);
         }
         kb.write(o, acc);
-        CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap()
+        Arc::new(CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap())
     }
 
     fn simple_program(machine: &Machine, words: u64, flops: usize) -> StreamProgram {

@@ -5,6 +5,7 @@
 //! what the host processor issues to the stream controller (Section 2.2).
 
 use std::fmt;
+use std::sync::Arc;
 use stream_sched::CompiledKernel;
 
 /// The DRAM access pattern of a memory transfer. The streaming memory
@@ -33,10 +34,6 @@ impl fmt::Display for StreamVar {
 }
 
 /// One stream instruction.
-// Kernel invocations carry their compiled schedule, which dwarfs the other
-// variants; programs hold few instructions relative to their cost, so the
-// padding is irrelevant.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum StreamInstr {
     /// Declare a stream already resident in the SRF at time zero (no
@@ -68,8 +65,10 @@ pub enum StreamInstr {
     },
     /// Run a compiled kernel over input streams, producing output streams.
     Kernel {
-        /// The compiled kernel (timing comes from its schedule).
-        kernel: CompiledKernel,
+        /// The compiled kernel (timing comes from its schedule), shared
+        /// with every other call of the same kernel and with the cache that
+        /// compiled it.
+        kernel: Arc<CompiledKernel>,
         /// SRF streams consumed.
         inputs: Vec<StreamVar>,
         /// SRF streams produced, with their sizes in words.
@@ -143,6 +142,7 @@ impl StreamProgram {
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use stream_sim::ProgramBuilder;
 /// use stream_machine::Machine;
 /// use stream_sched::CompiledKernel;
@@ -154,7 +154,7 @@ impl StreamProgram {
 /// let o = kb.out_stream(Ty::I32);
 /// let x = kb.read(s);
 /// kb.write(o, x);
-/// let kernel = CompiledKernel::compile_default(&kb.finish()?, &machine)?;
+/// let kernel = Arc::new(CompiledKernel::compile_default(&kb.finish()?, &machine)?);
 ///
 /// let mut p = ProgramBuilder::new();
 /// let input = p.load("pixels", 4096);
@@ -212,10 +212,11 @@ impl ProgramBuilder {
     }
 
     /// Runs `kernel` over `inputs`, producing one stream per entry of
-    /// `output_words`; `records` is the stream length in records.
+    /// `output_words`; `records` is the stream length in records. The
+    /// program shares `kernel` rather than copying its schedule.
     pub fn kernel(
         &mut self,
-        kernel: &CompiledKernel,
+        kernel: &Arc<CompiledKernel>,
         inputs: &[StreamVar],
         output_words: &[u64],
         records: u64,
@@ -226,7 +227,7 @@ impl ProgramBuilder {
             .collect();
         let vars: Vec<StreamVar> = outputs.iter().map(|&(v, _)| v).collect();
         self.program.instrs.push(StreamInstr::Kernel {
-            kernel: kernel.clone(),
+            kernel: Arc::clone(kernel),
             inputs: inputs.to_vec(),
             outputs,
             records,
@@ -258,14 +259,16 @@ mod tests {
     use stream_ir::{KernelBuilder, Ty};
     use stream_machine::Machine;
 
-    fn copy_kernel() -> CompiledKernel {
+    fn copy_kernel() -> Arc<CompiledKernel> {
         let mut kb = KernelBuilder::new("copy");
         let s = kb.in_stream(Ty::I32);
         let o = kb.out_stream(Ty::I32);
         let x = kb.read(s);
         let y = kb.add(x, x);
         kb.write(o, y);
-        CompiledKernel::compile_default(&kb.finish().unwrap(), &Machine::baseline()).unwrap()
+        Arc::new(
+            CompiledKernel::compile_default(&kb.finish().unwrap(), &Machine::baseline()).unwrap(),
+        )
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! panic, obey causality, and respond monotonically to resources.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use stream_ir::{KernelBuilder, Ty};
 use stream_machine::{Machine, SystemParams};
 use stream_sched::CompiledKernel;
 use stream_sim::{simulate, ProgramBuilder, StreamProgram, StreamVar};
 
-fn work_kernel(machine: &Machine, flops: usize) -> CompiledKernel {
+fn work_kernel(machine: &Machine, flops: usize) -> Arc<CompiledKernel> {
     let mut kb = KernelBuilder::new("work");
     let s = kb.in_stream(Ty::F32);
     let o = kb.out_stream(Ty::F32);
@@ -17,7 +18,7 @@ fn work_kernel(machine: &Machine, flops: usize) -> CompiledKernel {
         acc = kb.add(acc, x);
     }
     kb.write(o, acc);
-    CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap()
+    Arc::new(CompiledKernel::compile_default(&kb.finish().unwrap(), machine).unwrap())
 }
 
 /// A random but well-formed program: a chain of load -> kernel -> ...

@@ -79,13 +79,14 @@ pub use persist::attach_global_disk;
 pub use space::{search_enabled, Candidate, TapeTier, TuneSpace};
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Once;
 
 use stream_apps::AppId;
 use stream_ir::{Kernel, Tape};
 use stream_machine::{Machine, SystemParams};
 use stream_sched::{CompileOptions, SearchMemo};
-use stream_sim::{simulate, StreamInstr, StreamProgram};
+use stream_sim::{simulate, SimError, StreamInstr, StreamProgram};
 use stream_trace::Counter;
 
 /// Work floor below which the native tier would refuse to engage anyway
@@ -155,9 +156,35 @@ pub struct Tuned {
     pub pruned: u64,
     /// Candidates simulated in this call (0 when rehydrated/disabled).
     pub evaluated: u64,
-    /// Scheduler compiles the global cache attributed to this call.
+    /// Scheduler runs this call performed (on its own thread).
     pub sched_compiles: u64,
 }
+
+/// Why [`try_tune_app`] could not tune an application.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TuneError {
+    /// The default configuration's program does not simulate on the
+    /// machine (e.g. its strips overflow a small SRF), so there is no
+    /// baseline to search from.
+    DefaultInfeasible {
+        /// The application.
+        app: AppId,
+        /// The simulator's verdict on its default program.
+        error: SimError,
+    },
+}
+
+impl fmt::Display for TuneError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TuneError::DefaultInfeasible { app, error } => {
+                write!(f, "{app}: default program does not simulate: {error}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TuneError {}
 
 impl Tuned {
     /// Tuned-over-default speedup; `>= 1.0` by construction (the default
@@ -293,11 +320,16 @@ fn pick_tier(kernels: &[Kernel], program: &StreamProgram) -> (TapeTier, bool) {
     (best, native_auto)
 }
 
-fn default_report(id: AppId, machine: &Machine, sys: &SystemParams) -> (StreamProgram, u64) {
+fn default_report(
+    id: AppId,
+    machine: &Machine,
+    sys: &SystemParams,
+) -> Result<(StreamProgram, u64), TuneError> {
     let app = id.program_with(machine, &CompileOptions::default(), 1);
-    let report = simulate(&app.program, machine, sys)
-        .unwrap_or_else(|e| panic!("{id}: default program must simulate: {e}"));
-    (app.program, report.cycles)
+    match simulate(&app.program, machine, sys) {
+        Ok(report) => Ok((app.program, report.cycles)),
+        Err(error) => Err(TuneError::DefaultInfeasible { app: id, error }),
+    }
 }
 
 /// Validates a stored winner: both the default and the winning program
@@ -308,8 +340,7 @@ fn revalidate(
     sys: &SystemParams,
     stored: &persist::StoredTuned,
 ) -> bool {
-    let (_, default_cycles) = default_report(id, machine, sys);
-    if default_cycles != stored.default_cycles {
+    if !matches!(default_report(id, machine, sys), Ok((_, c)) if c == stored.default_cycles) {
         return false;
     }
     let app = id.program_with(
@@ -320,6 +351,15 @@ fn revalidate(
     matches!(simulate(&app.program, machine, sys), Ok(r) if r.cycles == stored.tuned_cycles)
 }
 
+/// Tunes `id` for `machine` under `sys` (see [`try_tune_app`]).
+///
+/// # Panics
+///
+/// If the default program does not simulate on `machine`.
+pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
+    try_tune_app(id, machine, sys).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Tunes `id` for `machine` under `sys`: returns the fastest found
 /// configuration, never slower than the default (which is always
 /// evaluated first and wins ties).
@@ -328,15 +368,20 @@ fn revalidate(
 /// candidate order is fixed, the objective is the analytic simulator, and
 /// no wall-clock measurement is involved — so results are identical at
 /// any `--jobs` level and across runs.
-pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
+///
+/// # Errors
+///
+/// [`TuneError::DefaultInfeasible`] if the default program does not
+/// simulate on `machine`.
+pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<Tuned, TuneError> {
     ensure_registered();
-    let compiles_before = stream_grid::global_cache().stats().compiles;
+    let compiles_before = stream_grid::thread_compiles();
 
     if !search_enabled() {
-        let (program, default_cycles) = default_report(id, machine, sys);
+        let (program, default_cycles) = default_report(id, machine, sys)?;
         let kernels = id.kernels(machine);
         let (tape, native_auto) = pick_tier(&kernels, &program);
-        return Tuned {
+        return Ok(Tuned {
             app: id,
             candidate: Candidate {
                 tape,
@@ -348,8 +393,8 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
             from_disk: false,
             pruned: 0,
             evaluated: 0,
-            sched_compiles: stream_grid::global_cache().stats().compiles - compiles_before,
-        };
+            sched_compiles: stream_grid::thread_compiles() - compiles_before,
+        });
     }
 
     let space = TuneSpace::from_env();
@@ -357,9 +402,9 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
     if let Some(stored) = persist::load(id.name(), machine, &space) {
         if revalidate(id, machine, sys, &stored) {
             REHYDRATED.incr();
-            let delta = stream_grid::global_cache().stats().compiles - compiles_before;
+            let delta = stream_grid::thread_compiles() - compiles_before;
             SCHED_COMPILES.add(delta);
-            return Tuned {
+            return Ok(Tuned {
                 app: id,
                 candidate: stored.winner,
                 default_cycles: stored.default_cycles,
@@ -368,12 +413,12 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
                 pruned: 0,
                 evaluated: 0,
                 sched_compiles: delta,
-            };
+            });
         }
     }
 
+    let (default_program, default_cycles) = default_report(id, machine, sys)?;
     SEARCHES.incr();
-    let (default_program, default_cycles) = default_report(id, machine, sys);
     CANDIDATES.incr();
 
     let totals = kernel_record_totals(&default_program);
@@ -476,7 +521,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
         ..best
     };
 
-    let delta = stream_grid::global_cache().stats().compiles - compiles_before;
+    let delta = stream_grid::thread_compiles() - compiles_before;
     SCHED_COMPILES.add(delta);
 
     persist::save(
@@ -490,7 +535,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
         },
     );
 
-    Tuned {
+    Ok(Tuned {
         app: id,
         candidate: winner,
         default_cycles,
@@ -499,7 +544,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
         pruned,
         evaluated,
         sched_compiles: delta,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -525,6 +570,22 @@ mod tests {
             assert!(t.speedup() >= 1.0, "{id}");
             assert!(t.evaluated >= 1, "{id}");
         }
+    }
+
+    #[test]
+    fn default_that_overflows_the_srf_is_an_error() {
+        let m = Machine::paper(Shape::new(8, 2));
+        let err = try_tune_app(AppId::Render, &m, &sys()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TuneError::DefaultInfeasible {
+                    app: AppId::Render,
+                    error: SimError::SrfOverflow { .. }
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -560,7 +621,7 @@ mod tests {
         // subset, the subset compiles identically. Check it directly — the
         // default set's picks, offered alone, rebuild the same program.
         let m = Machine::baseline();
-        let (default_program, _) = default_report(AppId::Depth, &m, &sys());
+        let (default_program, _) = default_report(AppId::Depth, &m, &sys()).unwrap();
         let picks: Vec<u32> = unroll_picks(&default_program).into_values().collect();
         let mut factors = picks.clone();
         factors.sort_unstable();
@@ -577,7 +638,7 @@ mod tests {
     #[test]
     fn lower_bound_is_below_observed_cycles() {
         let m = Machine::baseline();
-        let (program, cycles) = default_report(AppId::Conv, &m, &sys());
+        let (program, cycles) = default_report(AppId::Conv, &m, &sys()).unwrap();
         let totals = kernel_record_totals(&program);
         let mut bounds: Vec<KernelBound> = AppId::Conv
             .kernels(&m)

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::sync::Arc;
 use stream_ir::{KernelBuilder, Ty};
 use stream_scaling::machine::{Machine, SystemParams};
 use stream_scaling::vlsi::{CostModel, Shape};
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut p = ProgramBuilder::new();
     let x_stream = p.load("x", n);
     let y_stream = p.load("y", n);
-    let outs = p.kernel(&c, &[x_stream, y_stream], &[n], n);
+    let outs = p.kernel(&Arc::new(c), &[x_stream, y_stream], &[n], n);
     p.store(outs[0]);
     let report = simulate(&p.finish(), &machine, &SystemParams::paper_2007())?;
     println!("\n== stream program on {} ==", machine);

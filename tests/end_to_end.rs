@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from kernel source to
 //! simulated application, exercised the way a user of the library would.
 
+use std::sync::Arc;
 use stream_scaling::apps::{self, AppId};
 use stream_scaling::ir::{execute, ExecConfig, KernelBuilder, Scalar, Ty};
 use stream_scaling::kernels::KernelId;
@@ -40,7 +41,8 @@ fn write_verify_compile_simulate() {
     let mut last_cycles = u64::MAX;
     for shape in [Shape::new(8, 5), Shape::new(32, 5), Shape::new(128, 10)] {
         let machine = Machine::paper(shape);
-        let compiled = CompiledKernel::compile_default(&kernel, &machine).expect("schedules");
+        let compiled =
+            Arc::new(CompiledKernel::compile_default(&kernel, &machine).expect("schedules"));
         // Sized so input + output fit the baseline machine's 44k-word SRF.
         let n = 1 << 14;
         let mut p = ProgramBuilder::new();

@@ -586,3 +586,46 @@ fn suite_kernels_round_trip_as_text() {
         }
     }
 }
+
+/// The scheduler's per-SCC RecMII equals the verifier's independent
+/// whole-graph search on every suite and application kernel, on every
+/// Figure 13/14 machine, at every unroll factor the tuner can offer.
+/// Shapes that only change latencies the graph does not use build the same
+/// graph, so the (slow) oracle runs once per distinct graph.
+#[test]
+fn rec_mii_matches_the_verifier_oracle() {
+    use std::collections::HashMap;
+    use stream_scaling::apps::AppId;
+    use stream_scaling::kernels::KernelId;
+    use stream_scaling::repro::{FIG13_NS, FIG14_CS};
+    use stream_scaling::sched::{dep_graph, rec_mii};
+    let mut oracle: HashMap<Vec<(usize, usize, u32, u32)>, u32> = HashMap::new();
+    for c in FIG14_CS {
+        for n in FIG13_NS {
+            let machine = Machine::paper(Shape::new(c, n));
+            let mut kernels: Vec<Kernel> =
+                KernelId::ALL.iter().map(|id| id.build(&machine)).collect();
+            for app in AppId::ALL {
+                for k in app.kernels(&machine) {
+                    if !kernels.contains(&k) {
+                        kernels.push(k);
+                    }
+                }
+            }
+            for k in &kernels {
+                for u in [1u32, 2, 3, 4, 6, 8, 12, 16] {
+                    let ddg = Ddg::build(&unroll(k, u).unwrap(), &machine);
+                    let key = ddg
+                        .edges()
+                        .iter()
+                        .map(|e| (e.from, e.to, e.latency, e.distance))
+                        .collect();
+                    let want = *oracle
+                        .entry(key)
+                        .or_insert_with(|| stream_scaling::verify::rec_mii(&dep_graph(&ddg)));
+                    assert_eq!(rec_mii(&ddg), want, "{} x{u} at C={c} N={n}", k.name());
+                }
+            }
+        }
+    }
+}
