@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
-use stream_ir::{execute_legacy, ExecConfig, Kernel, NativeMode, Scalar, Tape, TapeConfig, Ty};
+use stream_ir::{execute_legacy, ExecConfig, Kernel, Scalar, Tape, TapeConfig, Ty};
 use stream_kernels::{convolve, KernelId};
 use stream_machine::Machine;
 
@@ -99,15 +99,11 @@ fn time_paths<const N: usize>(mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
     best
 }
 
-/// Self-times all four paths (legacy tree-walk, PR-3 tape v1 baseline,
-/// tape v2 with fusion and lane specialization, and the tier-3 native
-/// backend) and writes `BENCH_interp.json` at the repo root.
-/// `tape_<case>` is always the current default interpreter tape, so the
-/// original `speedup` gate keeps meaning "tape over legacy";
-/// `speedup_v2_over_v1` and `speedup_native_over_v2` isolate each tier's
-/// gain. The v1/v2 tapes pin `NativeMode::Off` so the hot timing loops
-/// cannot auto-promote them; the native tape is forced and pre-warmed so
-/// the one-time `rustc` build never lands inside a timing window.
+/// Self-times all three paths (legacy tree-walk, the tape v1 baseline,
+/// and tape v2 with fusion and lane specialization) and writes
+/// `BENCH_interp.json` at the repo root. `tape_<case>` is always the
+/// default tape, so the `speedup` gate means "tape over legacy";
+/// `speedup_v2_over_v1` isolates the v2 specializations' gain.
 /// `recorder_overhead` times the v2 tape with the flight recorder off vs
 /// on and gates the ratio, so "always-on" observability stays cheap enough
 /// to actually leave always on.
@@ -115,15 +111,13 @@ fn emit_json(cases: &[Case]) {
     let mut bench_entries = Vec::new();
     let mut speedup_entries = Vec::new();
     let mut v2_entries = Vec::new();
-    let mut native_entries = Vec::new();
     let mut recorder_entries = Vec::new();
     for case in cases {
         let tape_v1 = Tape::compile_with(&case.kernel, TapeConfig::v1_baseline());
-        let tape_v2 = Tape::compile(&case.kernel).with_native_mode(NativeMode::Off);
-        let tape_native = Tape::compile(&case.kernel).with_native_mode(NativeMode::Force);
+        let tape_v2 = Tape::compile(&case.kernel);
         let expect = execute_legacy(&case.kernel, &case.params, &case.inputs, &case.cfg)
             .expect("legacy path executes");
-        for (label, tape) in [("v1", &tape_v1), ("v2", &tape_v2), ("native", &tape_native)] {
+        for (label, tape) in [("v1", &tape_v1), ("v2", &tape_v2)] {
             assert_eq!(
                 tape.execute(&case.params, &case.inputs, &case.cfg)
                     .expect("tape path executes"),
@@ -133,15 +127,8 @@ fn emit_json(cases: &[Case]) {
                 case.name
             );
         }
-        let built = stream_ir::native_stats();
-        assert_eq!(
-            built.fallbacks, 0,
-            "native backend fell back on {}; the native column would silently \
-             time the interpreter",
-            case.name
-        );
 
-        let [legacy_ns, v1_ns, v2_ns, native_ns] = time_paths([
+        let [legacy_ns, v1_ns, v2_ns] = time_paths([
             &mut || {
                 execute_legacy(&case.kernel, &case.params, &case.inputs, &case.cfg).unwrap();
             },
@@ -152,11 +139,6 @@ fn emit_json(cases: &[Case]) {
             },
             &mut || {
                 tape_v2
-                    .execute(&case.params, &case.inputs, &case.cfg)
-                    .unwrap();
-            },
-            &mut || {
-                tape_native
                     .execute(&case.params, &case.inputs, &case.cfg)
                     .unwrap();
             },
@@ -195,39 +177,26 @@ fn emit_json(cases: &[Case]) {
 
         let speedup = legacy_ns / v2_ns;
         let v2_over_v1 = v1_ns / v2_ns;
-        let native_over_v2 = v2_ns / native_ns;
         println!(
             "interp/{}: legacy {:.0} ns, tape v1 {:.0} ns, tape v2 {:.0} ns, \
-             native {:.0} ns, v2/legacy {:.2}x, v2/v1 {:.2}x, native/v2 {:.2}x, \
-             recorder on/off {:.3}x",
-            case.name,
-            legacy_ns,
-            v1_ns,
-            v2_ns,
-            native_ns,
-            speedup,
-            v2_over_v1,
-            native_over_v2,
-            recorder_ratio
+             v2/legacy {:.2}x, v2/v1 {:.2}x, recorder on/off {:.3}x",
+            case.name, legacy_ns, v1_ns, v2_ns, speedup, v2_over_v1, recorder_ratio
         );
         bench_entries.push(format!(
             "    \"legacy_{0}\": {{\"mean_ns\": {1:.1}}},\n    \
              \"tape_v1_{0}\": {{\"mean_ns\": {2:.1}}},\n    \
-             \"tape_{0}\": {{\"mean_ns\": {3:.1}}},\n    \
-             \"tape_native_{0}\": {{\"mean_ns\": {4:.1}}}",
-            case.name, legacy_ns, v1_ns, v2_ns, native_ns
+             \"tape_{0}\": {{\"mean_ns\": {3:.1}}}",
+            case.name, legacy_ns, v1_ns, v2_ns
         ));
         speedup_entries.push(format!("    \"{}\": {:.3}", case.name, speedup));
         v2_entries.push(format!("    \"{}\": {:.3}", case.name, v2_over_v1));
-        native_entries.push(format!("    \"{}\": {:.3}", case.name, native_over_v2));
         recorder_entries.push(format!("    \"{}\": {:.3}", case.name, recorder_ratio));
     }
     let json = format!
-        ("{{\n  \"bench\": \"interp\",\n  \"unit\": \"ns_per_call\",\n  \"benchmarks\": {{\n{}\n  }},\n  \"speedup\": {{\n{}\n  }},\n  \"speedup_v2_over_v1\": {{\n{}\n  }},\n  \"speedup_native_over_v2\": {{\n{}\n  }},\n  \"recorder_overhead\": {{\n{}\n  }}\n}}\n",
+        ("{{\n  \"bench\": \"interp\",\n  \"unit\": \"ns_per_call\",\n  \"benchmarks\": {{\n{}\n  }},\n  \"speedup\": {{\n{}\n  }},\n  \"speedup_v2_over_v1\": {{\n{}\n  }},\n  \"recorder_overhead\": {{\n{}\n  }}\n}}\n",
         bench_entries.join(",\n"),
         speedup_entries.join(",\n"),
         v2_entries.join(",\n"),
-        native_entries.join(",\n"),
         recorder_entries.join(",\n")
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_interp.json");
@@ -239,17 +208,9 @@ fn bench_interp(c: &mut Criterion) {
     let cases = cases();
     emit_json(&cases);
     for case in &cases {
-        let tape = Tape::compile(&case.kernel).with_native_mode(NativeMode::Off);
-        let native = Tape::compile(&case.kernel).with_native_mode(NativeMode::Force);
+        let tape = Tape::compile(&case.kernel);
         c.bench_function(&format!("interp/tape_{}", case.name), |b| {
             b.iter(|| tape.execute(&case.params, &case.inputs, &case.cfg).unwrap())
-        });
-        c.bench_function(&format!("interp/tape_native_{}", case.name), |b| {
-            b.iter(|| {
-                native
-                    .execute(&case.params, &case.inputs, &case.cfg)
-                    .unwrap()
-            })
         });
         c.bench_function(&format!("interp/legacy_{}", case.name), |b| {
             b.iter(|| execute_legacy(&case.kernel, &case.params, &case.inputs, &case.cfg).unwrap())

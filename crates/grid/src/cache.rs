@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use stream_ir::{to_text, Kernel};
 use stream_machine::{Machine, MachineConfig};
 use stream_sched::{CompileOptions, CompiledKernel, ScheduleError, ScheduleRecipe};
-use stream_store::{DiskStore, Key};
+use stream_store::{fnv1a, DiskStore, Key};
 use stream_trace::Counter;
 
 /// Cache key: the kernel's identity (name plus a fingerprint of its exact
@@ -47,15 +47,6 @@ impl CacheKey {
             opts: opts.clone(),
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Version of the on-disk schedule payload. Bump whenever the key blob or

@@ -63,11 +63,8 @@ pub use interp::{
 pub use kernel::{Kernel, KernelBuilder, KernelStats, StreamDecl};
 pub use op::{Op, Opcode, StreamDir, StreamId, ValueId};
 pub use scalar::{Scalar, Ty};
-pub use tape::native::{attach_disk as attach_native_disk, stats as native_stats, NativeStats};
-pub use tape::{LaneMode, NativeMode, StripMode, Tape, TapeCheckKind, TapeConfig, TapeFinding};
+pub use tape::{LaneMode, StripMode, Tape, TapeCheckKind, TapeConfig, TapeFinding};
 
-#[doc(hidden)]
-#[doc(hidden)]
 #[doc(hidden)]
 pub use tape::probe_planned_strips;
 #[doc(hidden)]

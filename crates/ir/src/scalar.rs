@@ -26,10 +26,10 @@ impl fmt::Display for Ty {
 ///
 /// The `#[repr(u32)]` makes the layout a guarantee (RFC 2195): a `u32`
 /// discriminant (`I32 = 0`, `F32 = 1`) followed by the 4-byte payload —
-/// 8 bytes total, no padding, payload at offset 4. The native tape
-/// backend relies on this to read and write scalar buffers directly as
-/// `(tag, payload)` `u32` pairs across the FFI boundary, skipping the
-/// tagged→untagged marshalling the interpreter tiers pay per call.
+/// 8 bytes total, no padding, payload at offset 4, so an all-zero word
+/// is `Scalar::I32(0)`. No code reinterprets scalar buffers; the layout
+/// stays pinned by the compile-time asserts below and by
+/// `repr_is_tag_payload_pair`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(u32)]
 pub enum Scalar {
@@ -39,7 +39,7 @@ pub enum Scalar {
     F32(f32) = 1,
 }
 
-/// Compile-time checks of the layout contract the native backend uses.
+/// Compile-time checks of the layout contract.
 const _: () = {
     assert!(std::mem::size_of::<Scalar>() == 8);
     assert!(std::mem::align_of::<Scalar>() == 4);
@@ -142,8 +142,7 @@ mod tests {
 
     #[test]
     fn repr_is_tag_payload_pair() {
-        // The native backend reads/writes Scalars as (tag, payload) u32
-        // pairs; this pins the exact bit layout it assumes.
+        // Pins the exact (tag, payload) bit layout the repr guarantees.
         let i: [u32; 2] = unsafe { std::mem::transmute(Scalar::I32(0x1234_5678)) };
         assert_eq!(i, [0, 0x1234_5678]);
         let f: [u32; 2] = unsafe { std::mem::transmute(Scalar::F32(1.5)) };

@@ -25,7 +25,7 @@
 //! classifies each fallible site as provably-in-bounds (dead check,
 //! [`TapeCheckKind::DeadCheck`]) or provably-faulting
 //! ([`TapeCheckKind::StaticFault`]) — the groundwork for check elimination
-//! in a native-codegen tape v3.
+//! in the executor.
 //!
 //! Soundness argument, in brief: the reference and the tape are compared
 //! as functions of the same uninterpreted leaves (stream words, params,
@@ -78,10 +78,6 @@ pub enum TapeCheckKind {
     /// E209: a conditional stream's ordered (predicate, source) sequence
     /// diverges from the reference.
     CondStreamMismatch,
-    /// E210: a planar-layout access is inconsistent (raw access to a
-    /// planarized stream, planar access on a non-planar tape, or a plane
-    /// index outside every stream's range).
-    PlanarMap,
     /// E211: a stream access disagrees with the stream declaration
     /// (stream index, record width, in-record offset, or conditionality).
     AccessShape,
@@ -89,7 +85,7 @@ pub enum TapeCheckKind {
     /// (strip or batch), leaving performance on the table.
     MissedEligibility,
     /// W202: a bounds check is provably dead (the access is in range for
-    /// every input) — a check-elimination candidate for tape v3.
+    /// every input) — a check-elimination candidate.
     DeadCheck,
     /// W203: an access provably faults on every input reaching it.
     StaticFault,
@@ -97,7 +93,7 @@ pub enum TapeCheckKind {
 
 impl TapeCheckKind {
     /// Every kind, in catalog order.
-    pub const ALL: [TapeCheckKind; 14] = [
+    pub const ALL: [TapeCheckKind; 13] = [
         TapeCheckKind::WriteMismatch,
         TapeCheckKind::WriteCoverage,
         TapeCheckKind::ErrorOrder,
@@ -107,7 +103,6 @@ impl TapeCheckKind {
         TapeCheckKind::HoistedEffect,
         TapeCheckKind::FlagOverclaim,
         TapeCheckKind::CondStreamMismatch,
-        TapeCheckKind::PlanarMap,
         TapeCheckKind::AccessShape,
         TapeCheckKind::MissedEligibility,
         TapeCheckKind::DeadCheck,
@@ -137,7 +132,6 @@ impl TapeCheckKind {
             TapeCheckKind::HoistedEffect => "hoisted-effect",
             TapeCheckKind::FlagOverclaim => "flag-overclaim",
             TapeCheckKind::CondStreamMismatch => "cond-stream-mismatch",
-            TapeCheckKind::PlanarMap => "planar-map",
             TapeCheckKind::AccessShape => "access-shape",
             TapeCheckKind::MissedEligibility => "missed-eligibility",
             TapeCheckKind::DeadCheck => "dead-check",
@@ -607,32 +601,10 @@ struct TapeExec<'t> {
     cond_seq: Vec<u32>,
     sp_epoch: u32,
     findings: Vec<TapeFinding>,
-    /// Planar tapes: plane index -> (output stream, in-record offset).
-    out_planes: Vec<Option<(u32, u32)>>,
 }
 
 impl<'t> TapeExec<'t> {
     fn new(tape: &'t Tape, zero: ExprId) -> Self {
-        let n_out_planes: usize = tape
-            .out_plane_base
-            .iter()
-            .zip(tape.kernel.outputs())
-            .filter(|&(&b, _)| b != u32::MAX)
-            .map(|(_, d)| d.record_width as usize)
-            .sum();
-        let mut out_planes = vec![None; n_out_planes];
-        for (s, (&base, d)) in tape
-            .out_plane_base
-            .iter()
-            .zip(tape.kernel.outputs())
-            .enumerate()
-        {
-            if base != u32::MAX {
-                for o in 0..d.record_width {
-                    out_planes[(base + o) as usize] = Some((s as u32, o));
-                }
-            }
-        }
         Self {
             tape,
             env: vec![zero; tape.n_vals],
@@ -643,7 +615,6 @@ impl<'t> TapeExec<'t> {
             cond_seq: vec![0u32; tape.kernel.inputs().len()],
             sp_epoch: 0,
             findings: Vec::new(),
-            out_planes,
         }
     }
 
@@ -728,44 +699,8 @@ impl<'t> TapeExec<'t> {
                         ),
                     );
                 }
-                if self.tape.planar && self.tape.in_plane_base[stream as usize] != u32::MAX {
-                    self.push(
-                        TapeCheckKind::PlanarMap,
-                        format!("raw read of planarized input stream s{stream}"),
-                    );
-                }
             }
         }
-        self.events.push(Event::ReadBounds { stream, offset });
-        ar.intern(Node::Read { stream, offset })
-    }
-
-    /// Validates a planar input access and returns its leaf expression
-    /// (the same `Read` leaf a raw access would produce — the bounds
-    /// condition is layout-invariant).
-    fn plane_read(&mut self, ar: &mut Arena, stream: u32, plane: u32) -> ExprId {
-        let base = self
-            .tape
-            .in_plane_base
-            .get(stream as usize)
-            .copied()
-            .unwrap_or(u32::MAX);
-        let width = self
-            .tape
-            .kernel
-            .inputs()
-            .get(stream as usize)
-            .map_or(0, |d| d.record_width);
-        if !self.tape.planar || base == u32::MAX || plane < base || plane - base >= width.max(1) {
-            self.push(
-                TapeCheckKind::PlanarMap,
-                format!("plane {plane} is not a plane of input stream s{stream}"),
-            );
-            let offset = plane.saturating_sub(base.min(plane));
-            self.events.push(Event::ReadBounds { stream, offset });
-            return ar.intern(Node::Read { stream, offset });
-        }
-        let offset = plane - base;
         self.events.push(Event::ReadBounds { stream, offset });
         ar.intern(Node::Read { stream, offset })
     }
@@ -794,12 +729,6 @@ impl<'t> TapeExec<'t> {
                         ),
                     );
                 }
-                if self.tape.planar {
-                    self.push(
-                        TapeCheckKind::PlanarMap,
-                        format!("raw write to s{stream} on a planar tape"),
-                    );
-                }
             }
         }
         if self.writes.insert((stream, offset), e).is_some() {
@@ -807,32 +736,6 @@ impl<'t> TapeExec<'t> {
                 TapeCheckKind::WriteCoverage,
                 format!("output word s{stream}[{offset}] written more than once"),
             );
-        }
-    }
-
-    /// Resolves a planar output write to its (stream, offset) and records
-    /// it.
-    fn plane_write(&mut self, plane: u32, e: ExprId) {
-        if !self.tape.planar {
-            self.push(
-                TapeCheckKind::PlanarMap,
-                format!("planar write to plane {plane} on a non-planar tape"),
-            );
-            return;
-        }
-        match self.out_planes.get(plane as usize).copied().flatten() {
-            None => self.push(
-                TapeCheckKind::PlanarMap,
-                format!("plane {plane} is not a plane of any output stream"),
-            ),
-            Some((stream, offset)) => {
-                if self.writes.insert((stream, offset), e).is_some() {
-                    self.push(
-                        TapeCheckKind::WriteCoverage,
-                        format!("output word s{stream}[{offset}] written more than once"),
-                    );
-                }
-            }
         }
     }
 
@@ -925,29 +828,6 @@ impl<'t> TapeExec<'t> {
                 let ea = self.input_read(ar, sa, wa, oa);
                 self.define(da, ea);
                 let eb = self.input_read(ar, sb, wb, ob);
-                self.define(db, eb);
-            }
-            PRead { dst, stream, plane } => {
-                let e = self.plane_read(ar, stream, plane);
-                self.define(dst, e);
-            }
-            PRead2 {
-                da,
-                sa,
-                pa,
-                db,
-                sb,
-                pb,
-            } => {
-                if da == db {
-                    self.push(
-                        TapeCheckKind::OperandOrder,
-                        format!("paired planar read defines v{da} twice"),
-                    );
-                }
-                let ea = self.plane_read(ar, sa, pa);
-                self.define(da, ea);
-                let eb = self.plane_read(ar, sb, pb);
                 self.define(db, eb);
             }
             CondRead { dst, pred, stream } => {
@@ -1312,27 +1192,6 @@ impl<'t> TapeExec<'t> {
                 let sub = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), ea, eb));
                 self.output_write(add_stream, add_width, add_offset, add);
                 self.output_write(sub_stream, sub_width, sub_offset, sub);
-            }
-            PWrite { src, plane } => {
-                let e = self.opnd(src, None);
-                self.plane_write(plane, e);
-            }
-            PBinW { op, a, b, plane } => {
-                let (ea, eb) = (self.opnd(a, None), self.opnd(b, None));
-                let e = ar.intern(Node::Bin(BinKind::Op(op), ea, eb));
-                self.plane_write(plane, e);
-            }
-            PBflyWF {
-                a,
-                b,
-                add_plane,
-                sub_plane,
-            } => {
-                let (ea, eb) = (self.opnd(a, None), self.opnd(b, None));
-                let add = ar.intern(Node::Bin(BinKind::Op(BinOp::AddF), ea, eb));
-                let sub = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), ea, eb));
-                self.plane_write(add_plane, add);
-                self.plane_write(sub_plane, sub);
             }
         }
     }
@@ -1797,8 +1656,6 @@ pub enum TapeMutation {
     /// Swap the first conditional write's predicate and source →
     /// `CondStreamMismatch`.
     SwapCondWriteOperands,
-    /// Bump the first planar write's plane index → `PlanarMap`.
-    ShiftPlanarPlane,
 }
 
 impl Tape {
@@ -1808,10 +1665,6 @@ impl Tape {
     #[doc(hidden)]
     pub fn corrupted(&self, mutation: TapeMutation) -> Tape {
         let mut t = self.clone();
-        // The clone shares the original's native cell; the mutated body no
-        // longer matches any compiled module, so give the corrupt tape a
-        // fresh, undecided cell of its own.
-        t.native = std::sync::Arc::new(super::native::NativeCell::new());
         let applied = match mutation {
             TapeMutation::SwapSubOperands => t.body.iter_mut().any(|ins| match ins {
                 Instr::SubF { a, b, .. } => {
@@ -1819,12 +1672,6 @@ impl Tape {
                     true
                 }
                 Instr::BinW {
-                    op: BinOp::SubF,
-                    a,
-                    b,
-                    ..
-                }
-                | Instr::PBinW {
                     op: BinOp::SubF,
                     a,
                     b,
@@ -1980,12 +1827,10 @@ impl Tape {
                 }
             }
             TapeMutation::DropWrite => {
-                let i = t.body.iter().position(|ins| {
-                    matches!(
-                        ins,
-                        Instr::Write { .. } | Instr::BinW { .. } | Instr::PWrite { .. }
-                    )
-                });
+                let i = t
+                    .body
+                    .iter()
+                    .position(|ins| matches!(ins, Instr::Write { .. } | Instr::BinW { .. }));
                 match i {
                     Some(i) => {
                         t.body.remove(i);
@@ -2031,13 +1876,6 @@ impl Tape {
             TapeMutation::SwapCondWriteOperands => t.body.iter_mut().any(|ins| match ins {
                 Instr::CondWrite { pred, src, .. } => {
                     std::mem::swap(pred, src);
-                    true
-                }
-                _ => false,
-            }),
-            TapeMutation::ShiftPlanarPlane => t.body.iter_mut().any(|ins| match ins {
-                Instr::PWrite { plane, .. } => {
-                    *plane += 1;
                     true
                 }
                 _ => false,
@@ -2134,29 +1972,13 @@ mod tests {
         }
     }
 
-    fn planar() -> TapeConfig {
-        TapeConfig {
-            planar: true,
-            ..TapeConfig::default()
-        }
-    }
-
     fn errors(findings: &[TapeFinding]) -> Vec<&TapeFinding> {
         findings.iter().filter(|f| f.kind.is_error()).collect()
     }
 
     #[test]
     fn trunk_tapes_validate_clean_under_every_config() {
-        let configs = [
-            TapeConfig::default(),
-            TapeConfig::v1_baseline(),
-            no_fuse(),
-            planar(),
-            TapeConfig {
-                fuse: false,
-                ..planar()
-            },
-        ];
+        let configs = [TapeConfig::default(), TapeConfig::v1_baseline(), no_fuse()];
         for k in [saxpy(), gap(), fsub(), accum(), copy()] {
             for cfg in configs {
                 let t = Tape::compile_with(&k, cfg);
@@ -2234,17 +2056,6 @@ mod tests {
                 M::SwapCondWriteOperands,
                 Tape::compile(&accum()),
                 K::CondStreamMismatch,
-            ),
-            (
-                M::ShiftPlanarPlane,
-                Tape::compile_with(
-                    &copy(),
-                    TapeConfig {
-                        fuse: false,
-                        ..planar()
-                    },
-                ),
-                K::PlanarMap,
             ),
         ];
         for (mutation, tape, want) in cases {
@@ -2329,11 +2140,11 @@ mod tests {
 
     #[test]
     fn kinds_catalog_is_total() {
-        assert_eq!(TapeCheckKind::ALL.len(), 14);
+        assert_eq!(TapeCheckKind::ALL.len(), 13);
         for k in TapeCheckKind::ALL {
             assert!(!k.name().is_empty());
         }
         let errors = TapeCheckKind::ALL.iter().filter(|k| k.is_error()).count();
-        assert_eq!(errors, 11);
+        assert_eq!(errors, 10);
     }
 }

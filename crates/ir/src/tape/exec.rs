@@ -32,9 +32,8 @@
 //! counts `tape.strip_fallback`.
 
 use super::instr::{
-    bits_of, fill, for_binop, row, scalar_of, split2, split3, split_dst, split_dst2, BinOp, Instr,
+    bits_of, fill, for_binop, row, split2, split3, split_dst, split_dst2, BinOp, Instr,
 };
-use super::native;
 use super::scratch::Scratchpad;
 use super::{LaneMode, StripMode, Tape};
 use crate::interp::ExecConfig;
@@ -187,7 +186,6 @@ pub(super) fn run(
     iterations: usize,
     params: &[Scalar],
     in_bits: &[Vec<u32>],
-    in_planes: &[Vec<u32>],
     sp: &mut Scratchpad,
     cfg: &ExecConfig,
 ) -> Result<Vec<Vec<Scalar>>, IrError> {
@@ -201,44 +199,27 @@ pub(super) fn run(
 
     // Unconditional outputs are written in place at exact offsets;
     // conditional outputs are push-only and kept in separate storage.
-    // Planar tapes hold one plane per (plain stream, word offset); legacy
-    // layout holds one record-major vector per stream.
-    let mut plain_store: Vec<Vec<u32>> = if tape.planar {
-        outs.iter()
-            .flat_map(|d| {
-                let n = if d.conditional {
-                    0
-                } else {
-                    d.record_width as usize
-                };
-                std::iter::repeat_with(move || vec![0u32; iterations * c]).take(n)
-            })
-            .collect()
-    } else {
-        outs.iter()
-            .map(|d| {
-                if d.conditional {
-                    Vec::new()
-                } else {
-                    vec![0u32; iterations * c * d.record_width as usize]
-                }
-            })
-            .collect()
-    };
+    let mut plain_store: Vec<Vec<u32>> = outs
+        .iter()
+        .map(|d| {
+            if d.conditional {
+                Vec::new()
+            } else {
+                vec![0u32; iterations * c * d.record_width as usize]
+            }
+        })
+        .collect();
     // Words each plain_store entry holds per iteration, for strip slicing.
-    let per_iter: Vec<usize> = if tape.planar {
-        vec![c; plain_store.len()]
-    } else {
-        outs.iter()
-            .map(|d| {
-                if d.conditional {
-                    0
-                } else {
-                    c * d.record_width as usize
-                }
-            })
-            .collect()
-    };
+    let per_iter: Vec<usize> = outs
+        .iter()
+        .map(|d| {
+            if d.conditional {
+                0
+            } else {
+                c * d.record_width as usize
+            }
+        })
+        .collect();
     let mut cond_store: Vec<Vec<u32>> = outs
         .iter()
         .map(|d| {
@@ -260,7 +241,6 @@ pub(super) fn run(
             sp_words,
             &params_bits,
             in_bits,
-            in_planes,
             &mut plain,
             &mut cond_store,
             sp,
@@ -295,7 +275,6 @@ pub(super) fn run(
                             sp_words,
                             params_bits,
                             in_bits,
-                            in_planes,
                             &mut plain,
                             &mut cond,
                             &mut strip_sp,
@@ -328,32 +307,18 @@ pub(super) fn run(
         .iter()
         .enumerate()
         .map(|(i, d)| {
-            if d.conditional {
-                return scalars_of(&cond_store[i], d.ty);
-            }
-            if !tape.planar {
-                return scalars_of(&plain_store[i], d.ty);
-            }
-            // Transpose the stream's planes back to record-major order.
-            let base = tape.out_plane_base[i] as usize;
-            let w = d.record_width as usize;
-            if w == 1 {
-                return scalars_of(&plain_store[base], d.ty);
-            }
-            let planes = &plain_store[base..base + w];
-            let mut out = Vec::with_capacity(iterations * c * w);
-            for k in 0..iterations * c {
-                for p in planes {
-                    out.push(scalar_of(p[k], d.ty));
-                }
-            }
-            out
+            let bits = if d.conditional {
+                &cond_store[i]
+            } else {
+                &plain_store[i]
+            };
+            scalars_of(bits, d.ty)
         })
         .collect())
 }
 
 /// Serial execution with iteration macro-batching. For lane-topology
-/// neutral tapes ([`Tape::batchable`]), [`BATCH`] consecutive iterations
+/// neutral tapes (the `batchable` flag), `BATCH` consecutive iterations
 /// execute as a single dispatch over `BATCH * c` lanes: the flattened
 /// stream index formula `(iter * lanes + lane) * width + offset` under
 /// `iter = block, lanes = BATCH * c` enumerates exactly the words the
@@ -374,7 +339,6 @@ fn run_serial(
     sp_words: usize,
     params: &[u32],
     in_bits: &[Vec<u32>],
-    in_planes: &[Vec<u32>],
     plain: &mut [&mut [u32]],
     cond: &mut [Vec<u32>],
     sp: &mut Scratchpad,
@@ -400,7 +364,6 @@ fn run_serial(
                 sp_words,
                 params,
                 in_bits,
-                in_planes,
                 plain,
                 cond,
                 sp,
@@ -409,7 +372,7 @@ fn run_serial(
                 if blocks * batch == iterations {
                     return Ok(());
                 }
-                // Tail iterations that don't fill a block run at native
+                // Tail iterations that don't fill a block run at the unbatched
                 // width; out_base 0 keeps their write offsets absolute.
                 return dispatch(
                     tape,
@@ -420,7 +383,6 @@ fn run_serial(
                     sp_words,
                     params,
                     in_bits,
-                    in_planes,
                     plain,
                     cond,
                     sp,
@@ -429,7 +391,7 @@ fn run_serial(
         }
     }
     dispatch(
-        tape, 0, iterations, 0, c, sp_words, params, in_bits, in_planes, plain, cond, sp,
+        tape, 0, iterations, 0, c, sp_words, params, in_bits, plain, cond, sp,
     )
 }
 
@@ -467,167 +429,6 @@ fn split_strips<'a, T>(
         }
     }
     strips
-}
-
-/// An all-zero scalar vector via `alloc_zeroed`. `vec![Scalar::I32(0); n]`
-/// is a fill loop (the calloc specialization only covers primitives), but
-/// the zero word is all-zero *bytes* under `Scalar`'s guaranteed repr, so
-/// zeroed pages are already valid scalars — this gets the same free-page
-/// path the interpreter's `vec![0u32; n]` buffers enjoy.
-fn zeroed_scalars(n: usize) -> Vec<Scalar> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let layout = std::alloc::Layout::array::<Scalar>(n).expect("output buffer size overflow");
-    // SAFETY: layout is non-zero-sized; the pointer is checked; length,
-    // capacity, and layout match exactly what Vec's own allocation would
-    // use, and all-zero bytes are a valid `Scalar::I32(0)`.
-    unsafe {
-        let p = std::alloc::alloc_zeroed(layout);
-        if p.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(p.cast::<Scalar>(), n, n)
-    }
-}
-
-/// Runs a compiled tape through its native module. The whole path stays
-/// in the host's tagged [`Scalar`] representation: inputs are passed as
-/// `(tag, payload)` pairs the module reads payloads from, and outputs
-/// come back already tagged — no conversion pass on either side (the
-/// big fixed per-call cost the interpreter tiers pay; see
-/// `Tape::execute_with_inner`, which validates input tags before
-/// dispatching here). The module runs iteration-at-a-time, so its
-/// errors are exact without a serial rerun, and strip partitioning
-/// reuses the same planner and disjoint-window splitting as the
-/// interpreter path for bit-identical scheduling.
-pub(super) fn run_native(
-    tape: &Tape,
-    m: &native::NativeModule,
-    iterations: usize,
-    params: &[Scalar],
-    inputs: &[Vec<Scalar>],
-    sp: &mut Scratchpad,
-    cfg: &ExecConfig,
-) -> Result<Vec<Vec<Scalar>>, IrError> {
-    let mut run_span = stream_trace::span("tape", "run");
-    run_span.arg("iterations", iterations);
-    run_span.arg("clusters", cfg.clusters);
-    run_span.arg("native", true);
-    let c = cfg.clusters;
-    let sp_words = cfg.sp_words;
-    let params_bits: Vec<u32> = params.iter().map(|&p| bits_of(p)).collect();
-    let outs = tape.kernel.outputs();
-
-    // Unconditional outputs are written in place at exact offsets;
-    // conditional outputs are push-only, sized by the FFI shim and
-    // truncated to the module's reported push counts.
-    let mut plain_store: Vec<Vec<Scalar>> = outs
-        .iter()
-        .map(|d| {
-            if d.conditional {
-                Vec::new()
-            } else {
-                zeroed_scalars(iterations * c * d.record_width as usize)
-            }
-        })
-        .collect();
-    let per_iter: Vec<usize> = outs
-        .iter()
-        .map(|d| {
-            if d.conditional {
-                0
-            } else {
-                c * d.record_width as usize
-            }
-        })
-        .collect();
-    let mut cond_store: Vec<Vec<Scalar>> = vec![Vec::new(); outs.len()];
-
-    let (nstrips, permits) = plan_strips(tape, iterations, c);
-    if nstrips <= 1 {
-        let mut plain: Vec<&mut [Scalar]> = plain_store.iter_mut().map(Vec::as_mut_slice).collect();
-        native::call(
-            m,
-            0,
-            iterations,
-            0,
-            c,
-            sp_words,
-            &params_bits,
-            inputs,
-            &mut plain,
-            &mut cond_store,
-            sp,
-        )
-        .map_err(|(_, e)| e)?;
-    } else {
-        run_span.arg("strips", nstrips);
-        stream_trace::count("tape.strips", nstrips as u64);
-
-        let bounds = strip_bounds(iterations, nstrips);
-        let strip_plain = split_strips(&mut plain_store, &per_iter, &bounds);
-
-        let n_outs = outs.len();
-        let results: Vec<Result<(), (usize, IrError)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
-                .iter()
-                .zip(strip_plain)
-                .map(|(&(blo, bhi), mut plain)| {
-                    // Strip eligibility guarantees no SP writes, so the
-                    // cloned scratchpad is a read-only snapshot.
-                    let mut strip_sp = sp.clone();
-                    let params_bits = &params_bits;
-                    scope.spawn(move || {
-                        let mut cond: Vec<Vec<Scalar>> = vec![Vec::new(); n_outs];
-                        native::call(
-                            m,
-                            blo,
-                            bhi,
-                            blo,
-                            c,
-                            sp_words,
-                            params_bits,
-                            inputs,
-                            &mut plain,
-                            &mut cond,
-                            &mut strip_sp,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("strip worker panicked"))
-                .collect()
-        });
-        if permits > 0 {
-            stream_pool::global().give(permits);
-        }
-        // Strips cover disjoint iteration ranges, so the minimum failing
-        // iteration is exactly the error the serial schedule hits first.
-        if let Some((_, e)) = results
-            .into_iter()
-            .filter_map(Result::err)
-            .min_by_key(|&(iter, _)| iter)
-        {
-            return Err(e);
-        }
-    }
-
-    // No conversion pass: plain outputs were written tagged in place,
-    // conditional outputs were pushed tagged and truncated by the shim.
-    Ok(outs
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            if d.conditional {
-                std::mem::take(&mut cond_store[i])
-            } else {
-                std::mem::take(&mut plain_store[i])
-            }
-        })
-        .collect())
 }
 
 /// Constant-stride gather: `dst[lane] = src[first + lane * w]`. The
@@ -721,7 +522,6 @@ fn dispatch(
     sp_words: usize,
     params: &[u32],
     in_bits: &[Vec<u32>],
-    in_planes: &[Vec<u32>],
     plain: &mut [&mut [u32]],
     cond: &mut [Vec<u32>],
     sp: &mut Scratchpad,
@@ -729,7 +529,7 @@ fn dispatch(
     macro_rules! go {
         ($C:literal) => {
             run_range::<$C>(
-                tape, lo, hi, out_base, c, sp_words, params, in_bits, in_planes, plain, cond, sp,
+                tape, lo, hi, out_base, c, sp_words, params, in_bits, plain, cond, sp,
             )
         };
     }
@@ -760,7 +560,6 @@ fn run_range<const C: usize>(
     sp_words: usize,
     params: &[u32],
     in_bits: &[Vec<u32>],
-    in_planes: &[Vec<u32>],
     plain: &mut [&mut [u32]],
     cond: &mut [Vec<u32>],
     sp: &mut Scratchpad,
@@ -784,7 +583,6 @@ fn run_range<const C: usize>(
             &recur,
             params,
             in_bits,
-            in_planes,
             plain,
             cond,
             sp,
@@ -804,7 +602,6 @@ fn run_range<const C: usize>(
                 &recur,
                 params,
                 in_bits,
-                in_planes,
                 plain,
                 cond,
                 sp,
@@ -931,7 +728,6 @@ fn step<const C: usize>(
     recur: &[u32],
     params: &[u32],
     in_bits: &[Vec<u32>],
-    in_planes: &[Vec<u32>],
     plain: &mut [&mut [u32]],
     cond: &mut [Vec<u32>],
     sp: &mut Scratchpad,
@@ -1392,85 +1188,6 @@ fn step<const C: usize>(
             let first_sub = ((iter - out_base) * c) * sw + sub_offset as usize;
             let out = &mut *plain[sub_stream as usize];
             scatter_f(out, first_sub, sw, xs, ys, |x, y| x - y);
-        }
-        // ---- planar stream access ----
-        Instr::PRead { dst, stream, plane } => {
-            let p = &in_planes[plane as usize];
-            let first = iter * c;
-            if first + c > p.len() {
-                return Err(IrError::StreamExhausted {
-                    stream: StreamId(stream),
-                    iteration: iter,
-                });
-            }
-            let d = dst as usize * c;
-            vals[d..d + c].copy_from_slice(&p[first..first + c]);
-        }
-        Instr::PRead2 {
-            da,
-            sa,
-            pa,
-            db,
-            sb,
-            pb,
-        } => {
-            let first = iter * c;
-            let p_a = &in_planes[pa as usize];
-            if first + c > p_a.len() {
-                return Err(IrError::StreamExhausted {
-                    stream: StreamId(sa),
-                    iteration: iter,
-                });
-            }
-            let p_b = &in_planes[pb as usize];
-            if first + c > p_b.len() {
-                return Err(IrError::StreamExhausted {
-                    stream: StreamId(sb),
-                    iteration: iter,
-                });
-            }
-            let d = da as usize * c;
-            vals[d..d + c].copy_from_slice(&p_a[first..first + c]);
-            let d = db as usize * c;
-            vals[d..d + c].copy_from_slice(&p_b[first..first + c]);
-        }
-        Instr::PWrite { src, plane } => {
-            let first = (iter - out_base) * c;
-            let s = src as usize * c;
-            plain[plane as usize][first..first + c].copy_from_slice(&vals[s..s + c]);
-        }
-        Instr::PBinW { op, a, b, plane } => {
-            let first = (iter - out_base) * c;
-            let out = &mut plain[plane as usize][first..first + c];
-            let xs = &vals[a as usize * c..a as usize * c + c];
-            let ys = &vals[b as usize * c..b as usize * c + c];
-            macro_rules! go {
-                ($f:expr) => {{
-                    let f = $f;
-                    for (o, (&x, &y)) in out.iter_mut().zip(xs.iter().zip(ys)) {
-                        *o = f(x, y);
-                    }
-                }};
-            }
-            for_binop!(op, go);
-        }
-        Instr::PBflyWF {
-            a,
-            b,
-            add_plane,
-            sub_plane,
-        } => {
-            let first = (iter - out_base) * c;
-            let xs = &vals[a as usize * c..a as usize * c + c];
-            let ys = &vals[b as usize * c..b as usize * c + c];
-            let out = &mut plain[add_plane as usize][first..first + c];
-            for (o, (&x, &y)) in out.iter_mut().zip(xs.iter().zip(ys)) {
-                *o = (f32::from_bits(x) + f32::from_bits(y)).to_bits();
-            }
-            let out = &mut plain[sub_plane as usize][first..first + c];
-            for (o, (&x, &y)) in out.iter_mut().zip(xs.iter().zip(ys)) {
-                *o = (f32::from_bits(x) - f32::from_bits(y)).to_bits();
-            }
         }
     }
     Ok(())

@@ -95,10 +95,7 @@ pub(crate) fn def_of(ins: &Instr) -> Option<u32> {
         BinW { .. } => None,
         // Pair-fused forms define two slots; they are only created after
         // the def/use maps are built, so no single answer is ever needed.
-        // Planar forms are created even later, by the layout rewrite.
         CMulF { .. } | BflyF { .. } | BflyWF { .. } | Read2 { .. } => None,
-        PRead { dst, .. } => Some(dst),
-        PRead2 { .. } | PWrite { .. } | PBinW { .. } | PBflyWF { .. } => None,
     }
 }
 
@@ -207,12 +204,7 @@ pub(crate) fn for_each_operand(ins: &Instr, mut f: impl FnMut(u32)) {
             f(a);
             f(b);
         }
-        Read2 { .. } | PRead { .. } | PRead2 { .. } => {}
-        PWrite { src, .. } => f(src),
-        PBinW { a, b, .. } | PBflyWF { a, b, .. } => {
-            f(a);
-            f(b);
-        }
+        Read2 { .. } => {}
     }
 }
 

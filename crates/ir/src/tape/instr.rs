@@ -477,48 +477,6 @@ pub(crate) enum Instr {
         sub_width: u32,
         sub_offset: u32,
     },
-    // ---- planar stream access (layout rewrite, applied post-fusion) ----
-    /// Read `c` contiguous words at `iter * c` from an input plane — the
-    /// per-(stream, offset) transposed copy built at call entry for
-    /// streams touched only by plain reads. `stream` is kept solely for
-    /// error attribution.
-    PRead {
-        dst: u32,
-        stream: u32,
-        plane: u32,
-    },
-    /// Two planar reads, bounds-checked in program order (`a` first) so a
-    /// starved run reports exactly the error the serial tape would.
-    PRead2 {
-        da: u32,
-        sa: u32,
-        pa: u32,
-        db: u32,
-        sb: u32,
-        pb: u32,
-    },
-    /// Write `c` contiguous words to an output plane at
-    /// `(iter - out_base) * c`. Plain outputs always planarize: they are
-    /// only ever written at exact per-iteration offsets.
-    PWrite {
-        src: u32,
-        plane: u32,
-    },
-    /// `plane[(iter - out_base) * c ..] = a op b`, lane-wise.
-    PBinW {
-        op: BinOp,
-        a: u32,
-        b: u32,
-        plane: u32,
-    },
-    /// [`Instr::BflyWF`] with planar destinations: `a + b` into
-    /// `add_plane`, `a - b` into `sub_plane`.
-    PBflyWF {
-        a: u32,
-        b: u32,
-        add_plane: u32,
-        sub_plane: u32,
-    },
 }
 
 impl Instr {
@@ -529,8 +487,6 @@ impl Instr {
             self,
             Instr::Read { .. }
                 | Instr::Read2 { .. }
-                | Instr::PRead { .. }
-                | Instr::PRead2 { .. }
                 | Instr::CondRead { .. }
                 | Instr::SpRead { .. }
                 | Instr::SpWrite { .. }
@@ -548,14 +504,6 @@ pub(crate) fn bits_of(s: Scalar) -> u32 {
     match s {
         Scalar::I32(v) => v as u32,
         Scalar::F32(v) => v.to_bits(),
-    }
-}
-
-#[inline(always)]
-pub(crate) fn scalar_of(bits: u32, ty: Ty) -> Scalar {
-    match ty {
-        Ty::I32 => Scalar::I32(bits as i32),
-        Ty::F32 => Scalar::F32(f32::from_bits(bits)),
     }
 }
 

@@ -42,7 +42,6 @@ mod check;
 mod exec;
 mod fuse;
 mod instr;
-pub(crate) mod native;
 mod scratch;
 
 use crate::interp::{execute_with_legacy, infer_iterations_decls, ExecConfig, ExecOptions};
@@ -106,23 +105,6 @@ pub enum StripMode {
     Force,
 }
 
-/// Whether hot tapes may be compiled to native code (tier 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NativeMode {
-    /// Compile a tape natively once it has proven hot (enough executes,
-    /// enough work per call) and it passes translation validation; fall
-    /// back to the interpreter otherwise. The default. The
-    /// `STREAM_TAPE_NATIVE` environment variable (`on`/`force` or `off`)
-    /// overrides Auto only, mirroring `STREAM_TAPE_VALIDATE`.
-    Auto,
-    /// Never invoke the native backend.
-    Off,
-    /// Build at first execute, bypassing the warm-up gate (build/load
-    /// failures still fall back, diagnosed once). For determinism and
-    /// benchmark testing.
-    Force,
-}
-
 /// Compile- and run-time knobs for [`Tape::compile_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeConfig {
@@ -135,16 +117,6 @@ pub struct TapeConfig {
     /// Allow serial macro-batching (several iterations per dispatch) for
     /// lane-topology-neutral kernels.
     pub batch: bool,
-    /// Rewrite plain stream accesses to a planar (structure-of-arrays)
-    /// layout: inputs touched only by plain reads are transposed into
-    /// per-(stream, offset) planes at call entry, turning strided lane
-    /// gathers and scatters into contiguous row copies. Off by default:
-    /// on strips that fit in L1 the edge transposes cost more than the
-    /// strided gathers they replace (measured ~3.7us loss on fft_1k), so
-    /// this only pays for wide-record kernels whose working set spills.
-    pub planar: bool,
-    /// Native (tier-3) backend policy.
-    pub native: NativeMode,
 }
 
 impl Default for TapeConfig {
@@ -154,8 +126,6 @@ impl Default for TapeConfig {
             lanes: LaneMode::Specialized,
             strips: StripMode::Auto,
             batch: true,
-            planar: false,
-            native: NativeMode::Auto,
         }
     }
 }
@@ -170,8 +140,6 @@ impl TapeConfig {
             lanes: LaneMode::Generic,
             strips: StripMode::Serial,
             batch: false,
-            planar: false,
-            native: NativeMode::Off,
         }
     }
 }
@@ -221,19 +189,7 @@ pub struct Tape {
     /// cluster index/count, iteration number, comm topology, or scratchpad,
     /// so consecutive iterations may execute as one wide dispatch.
     batchable: bool,
-    /// Planar layout rewrite applied ([`TapeConfig::planar`]).
-    planar: bool,
-    /// Per input stream: base index of its planes in the call-entry planar
-    /// input store, or `u32::MAX` if the stream keeps its raw layout.
-    in_plane_base: Vec<u32>,
-    n_in_planes: usize,
-    /// Per output stream: base plane index for plain outputs, `u32::MAX`
-    /// for conditional ones (which use push-only storage).
-    out_plane_base: Vec<u32>,
     config: TapeConfig,
-    /// Native-backend state, shared by clones of this compile (warm-up
-    /// counter plus the once-decided module-or-fallback slot).
-    native: std::sync::Arc<native::NativeCell>,
 }
 
 impl Tape {
@@ -574,152 +530,6 @@ impl Tape {
         // the lane topology apart.
         let strip_eligible = fuse::derive_strip_eligible(&body, recurs.len());
         let batchable = config.batch && fuse::derive_batchable(&prologue, &body, strip_eligible);
-        // Planar layout rewrite. Input streams touched only by plain reads
-        // get transposed at call entry into per-(stream, offset) planes
-        // indexed `iter * c + lane`, so their reads become contiguous row
-        // copies. Streams feeding cond reads (shared-cursor semantics) or
-        // read-into-op fusions keep the raw record-major layout. Plain
-        // outputs always qualify: they are only written at exact
-        // per-iteration offsets and transposed back after the run.
-        let mut in_plane_base = vec![u32::MAX; kernel.inputs().len()];
-        let mut n_in_planes = 0usize;
-        let mut out_plane_base = vec![u32::MAX; kernel.outputs().len()];
-        if config.planar {
-            let mut needs_raw = vec![false; kernel.inputs().len()];
-            for ins in prologue.iter().chain(body.iter()) {
-                match *ins {
-                    Instr::CondRead { stream, .. }
-                    | Instr::BinRL { stream, .. }
-                    | Instr::BinRR { stream, .. } => needs_raw[stream as usize] = true,
-                    _ => {}
-                }
-            }
-            for (s, d) in kernel.inputs().iter().enumerate() {
-                if !needs_raw[s] {
-                    in_plane_base[s] = n_in_planes as u32;
-                    n_in_planes += d.record_width as usize;
-                }
-            }
-            let mut n_out_planes = 0u32;
-            for (s, d) in kernel.outputs().iter().enumerate() {
-                if !d.conditional {
-                    out_plane_base[s] = n_out_planes;
-                    n_out_planes += d.record_width;
-                }
-            }
-            let mut planar_body = Vec::with_capacity(body.len());
-            for ins in body.drain(..) {
-                match ins {
-                    Instr::Read {
-                        dst,
-                        stream,
-                        offset,
-                        ..
-                    } if in_plane_base[stream as usize] != u32::MAX => {
-                        planar_body.push(Instr::PRead {
-                            dst,
-                            stream,
-                            plane: in_plane_base[stream as usize] + offset,
-                        });
-                    }
-                    Instr::Read2 {
-                        da,
-                        sa,
-                        wa,
-                        oa,
-                        db,
-                        sb,
-                        wb,
-                        ob,
-                    } if in_plane_base[sa as usize] != u32::MAX
-                        || in_plane_base[sb as usize] != u32::MAX =>
-                    {
-                        if in_plane_base[sa as usize] != u32::MAX
-                            && in_plane_base[sb as usize] != u32::MAX
-                        {
-                            planar_body.push(Instr::PRead2 {
-                                da,
-                                sa,
-                                pa: in_plane_base[sa as usize] + oa,
-                                db,
-                                sb,
-                                pb: in_plane_base[sb as usize] + ob,
-                            });
-                        } else {
-                            // Mixed planarity: one half's stream was
-                            // planarized (its raw buffer is empty at run
-                            // time), the other stayed raw. Split the pair
-                            // back into its two program-order reads so each
-                            // half addresses its own layout; both bounds
-                            // checks keep their original order.
-                            for (dst, stream, width, offset) in [(da, sa, wa, oa), (db, sb, wb, ob)]
-                            {
-                                let base = in_plane_base[stream as usize];
-                                planar_body.push(if base != u32::MAX {
-                                    Instr::PRead {
-                                        dst,
-                                        stream,
-                                        plane: base + offset,
-                                    }
-                                } else {
-                                    Instr::Read {
-                                        dst,
-                                        stream,
-                                        width,
-                                        offset,
-                                    }
-                                });
-                            }
-                        }
-                    }
-                    Instr::Write {
-                        src,
-                        stream,
-                        width: _,
-                        offset,
-                    } => {
-                        planar_body.push(Instr::PWrite {
-                            src,
-                            plane: out_plane_base[stream as usize] + offset,
-                        });
-                    }
-                    Instr::BinW {
-                        op,
-                        a,
-                        b,
-                        stream,
-                        width: _,
-                        offset,
-                    } => {
-                        planar_body.push(Instr::PBinW {
-                            op,
-                            a,
-                            b,
-                            plane: out_plane_base[stream as usize] + offset,
-                        });
-                    }
-                    Instr::BflyWF {
-                        a,
-                        b,
-                        add_stream,
-                        add_width: _,
-                        add_offset,
-                        sub_stream,
-                        sub_width: _,
-                        sub_offset,
-                    } => {
-                        planar_body.push(Instr::PBflyWF {
-                            a,
-                            b,
-                            add_plane: out_plane_base[add_stream as usize] + add_offset,
-                            sub_plane: out_plane_base[sub_stream as usize] + sub_offset,
-                        });
-                    }
-                    other => planar_body.push(other),
-                }
-            }
-            body = planar_body;
-        }
         compile_span.arg("fused", fused);
         compile_span.arg("strip_eligible", strip_eligible);
 
@@ -733,12 +543,7 @@ impl Tape {
             fused,
             strip_eligible,
             batchable,
-            planar: config.planar,
-            in_plane_base,
-            n_in_planes,
-            out_plane_base,
             config,
-            native: std::sync::Arc::new(native::NativeCell::new()),
         };
         if validate_on_compile() {
             let errors: Vec<_> = tape
@@ -780,19 +585,9 @@ impl Tape {
         findings
     }
 
-    /// Returns the tape with its strip policy replaced. The native-backend
-    /// cell is shared with the original: strip policy does not change the
-    /// generated code, so both variants reuse one compiled module.
+    /// Returns the tape with its strip policy replaced.
     pub fn with_strip_mode(mut self, strips: StripMode) -> Self {
         self.config.strips = strips;
-        self
-    }
-
-    /// Returns the tape with its native-backend policy replaced. Keeps the
-    /// shared native cell — the policy gates *whether* the module runs,
-    /// not what code it contains.
-    pub fn with_native_mode(mut self, native: NativeMode) -> Self {
-        self.config.native = native;
         self
     }
 
@@ -821,14 +616,6 @@ impl Tape {
     /// candidate for strip-parallel execution.
     pub fn strip_eligible(&self) -> bool {
         self.strip_eligible
-    }
-
-    /// Whether consecutive iterations may execute as one wide dispatch
-    /// (strip-independent *and* lane-topology neutral) — the precondition
-    /// for [`TapeConfig::batch`] to have any effect. The auto-tuner's
-    /// static tier cost reads this to decide whether macro-batching pays.
-    pub fn batchable(&self) -> bool {
-        self.batchable
     }
 
     /// The configuration this tape was compiled with.
@@ -936,41 +723,11 @@ impl Tape {
             return execute_with_legacy(&self.kernel, opts, inputs, cfg);
         }
 
-        // Native tier: a compiled module runs straight from the tagged
-        // input buffers (no bit-lane marshalling at all — see the codegen
-        // module docs), so it gets first pick. Input tags are validated
-        // here exactly like the interpreter path below: an ill-typed word
-        // means the legacy oracle defines behavior, never the module.
-        if let Some(m) = native::resolve(self, iterations, cfg.clusters) {
-            let ill_typed = self
-                .kernel
-                .inputs()
-                .iter()
-                .zip(inputs)
-                .any(|(decl, words)| !well_typed(decl.ty, words));
-            if ill_typed {
-                stream_trace::count("tape.fallback", 1);
-                exec_span.arg("fallback", "ill_typed_input");
-                return execute_with_legacy(&self.kernel, opts, inputs, cfg);
-            }
-            let mut sp = self.build_scratchpad(opts, cfg)?;
-            return exec::run_native(self, &m, iterations, opts.params, inputs, &mut sp, cfg);
-        }
-
         // Convert inputs to untagged bit lanes. The legacy interpreter
         // types stream words dynamically; if any word disagrees with its
-        // declaration, it — not the tape — defines the behavior. Planar
-        // streams are transposed into per-offset planes instead of raw
-        // record-major vectors (their raw slot stays empty).
+        // declaration, it — not the tape — defines the behavior.
         let mut in_bits: Vec<Vec<u32>> = Vec::with_capacity(inputs.len());
-        let mut in_planes: Vec<Vec<u32>> = vec![Vec::new(); self.n_in_planes];
-        for ((decl, words), &base) in self
-            .kernel
-            .inputs()
-            .iter()
-            .zip(inputs)
-            .zip(&self.in_plane_base)
-        {
+        for (decl, words) in self.kernel.inputs().iter().zip(inputs) {
             // Validate, then convert, as two separate exitless passes
             // (see [`well_typed`]); the convert pass's per-tag branches
             // collapse (both variants store their payload bits) into a
@@ -983,36 +740,16 @@ impl Tape {
                 exec_span.arg("fallback", "ill_typed_input");
                 return execute_with_legacy(&self.kernel, opts, inputs, cfg);
             }
-            let bits: Vec<u32> = words.iter().map(|&w| bits_of(w)).collect();
-            if base == u32::MAX {
-                in_bits.push(bits);
-                continue;
-            }
-            let w = decl.record_width as usize;
-            for (o, plane) in in_planes[base as usize..base as usize + w]
-                .iter_mut()
-                .enumerate()
-            {
-                *plane = bits.iter().skip(o).step_by(w).copied().collect();
-            }
-            in_bits.push(Vec::new());
+            in_bits.push(words.iter().map(|&w| bits_of(w)).collect());
         }
 
         let mut sp = self.build_scratchpad(opts, cfg)?;
 
-        exec::run(
-            self,
-            iterations,
-            opts.params,
-            &in_bits,
-            &in_planes,
-            &mut sp,
-            cfg,
-        )
+        exec::run(self, iterations, opts.params, &in_bits, &mut sp, cfg)
     }
 
     /// Allocates (or skips) the scratchpad for one execution and seeds it
-    /// from `sp_init`. Shared by the native and interpreter paths.
+    /// from `sp_init`.
     fn build_scratchpad(
         &self,
         opts: &ExecOptions<'_>,
@@ -1202,47 +939,6 @@ mod tests {
             let want = execute_legacy(&k, &params, &inputs, &cfg(c)).unwrap();
             assert_eq!(fused.execute(&params, &inputs, &cfg(c)).unwrap(), want);
             assert_eq!(unfused.execute(&params, &inputs, &cfg(c)).unwrap(), want);
-        }
-    }
-
-    #[test]
-    fn planar_layout_rewrites_and_matches_oracle() {
-        let planar_cfg = TapeConfig {
-            planar: true,
-            ..TapeConfig::default()
-        };
-        let k = saxpy_kernel();
-        let t = Tape::compile_with(&k, planar_cfg);
-        assert!(
-            t.body.iter().any(|i| matches!(
-                i,
-                Instr::PRead { .. }
-                    | Instr::PRead2 { .. }
-                    | Instr::PWrite { .. }
-                    | Instr::PBinW { .. }
-                    | Instr::PBflyWF { .. }
-            )),
-            "planar config must rewrite stream access"
-        );
-        let params = [Scalar::F32(2.5)];
-        for c in [1usize, 3, 4, 8] {
-            let inputs = saxpy_inputs(5, c);
-            let want = execute_legacy(&k, &params, &inputs, &cfg(c)).unwrap();
-            assert_eq!(t.execute(&params, &inputs, &cfg(c)).unwrap(), want, "C={c}");
-        }
-        // The busy kernel mixes planarizable streams with ones that must
-        // stay raw (conditional reads, read-into-op fusions).
-        let k = busy_kernel();
-        let t = Tape::compile_with(&k, planar_cfg);
-        for c in [1usize, 2, 4, 8] {
-            let inputs = busy_inputs(6, c);
-            let params = [Scalar::F32(1.5)];
-            let want = execute_legacy(&k, &params, &inputs, &cfg(c)).unwrap();
-            assert_eq!(
-                t.execute(&params, &inputs, &cfg(c)).unwrap(),
-                want,
-                "busy C={c}"
-            );
         }
     }
 

@@ -69,12 +69,6 @@ impl Scratchpad {
         }
     }
 
-    /// Raw storage views for the native backend's FFI boundary: the word
-    /// array plus the initialized and is-f32 bitmask words, in that order.
-    pub(super) fn raw_parts_mut(&mut self) -> (&mut [u32], &mut [u64], &mut [u64]) {
-        (&mut self.bits, &mut self.init, &mut self.f32s)
-    }
-
     /// Broadcasts one word across every cluster's copy of `addr` — a single
     /// contiguous fill in the addr-major layout.
     pub(super) fn broadcast(&mut self, addr: usize, clusters: usize, bits: u32, ty: Ty) {

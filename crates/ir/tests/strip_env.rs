@@ -17,6 +17,10 @@ fn eligible_tape() -> Tape {
     Tape::compile(&b.finish().unwrap())
 }
 
+/// Printed by a `count` child whose host cannot run 3 strips, so the
+/// parent knows to expect the out-of-range diagnostic.
+const REJECTED_MARKER: &str = "strip-env: override rejected";
+
 fn rerun_self(strips_value: &str, expect: &str) -> std::process::Output {
     let exe = std::env::current_exe().expect("test binary path");
     Command::new(exe)
@@ -36,12 +40,16 @@ fn strip_override_env_handling() {
         match expect.as_str() {
             "count" => {
                 // The parent asked for 3 strips; honored whenever this
-                // host's permit pool can cover 2 extra workers.
+                // host's permit pool can cover 2 extra workers. Otherwise
+                // the count is out of range: it is ignored (never clamped)
+                // and Auto planning resumes within what the pool grants.
                 let max = stream_pool::global().available() + 1;
                 if max >= 3 {
                     assert_eq!(strips, 3, "exact numeric override must be honored");
                 } else {
-                    assert_eq!(strips, 1, "underprovisioned host must reject, not clamp");
+                    assert_ne!(strips, 3, "underprovisioned host must reject, not honor");
+                    assert!(strips <= max, "Auto planning exceeded the pool: {strips}");
+                    println!("{REJECTED_MARKER}");
                 }
             }
             "ignored" => {
@@ -57,11 +65,17 @@ fn strip_override_env_handling() {
 
     // Parent mode: drive one child process per env value.
     let ok = rerun_self("3", "count");
+    let stderr = String::from_utf8_lossy(&ok.stderr);
     assert!(
         ok.status.success(),
-        "numeric override child failed:\n{}",
-        String::from_utf8_lossy(&ok.stderr)
+        "numeric override child failed:\n{stderr}"
     );
+    if cfg!(debug_assertions) && String::from_utf8_lossy(&ok.stdout).contains(REJECTED_MARKER) {
+        assert!(
+            stderr.contains("out of range"),
+            "a rejected STREAM_TAPE_STRIPS=3 must be diagnosed, got:\n{stderr}"
+        );
+    }
 
     for (value, needle) in [
         ("0", "out of range"),

@@ -140,13 +140,8 @@ fn main() -> ExitCode {
             eprintln!("failed to open schedule cache at {dir}: {e}");
             return ExitCode::FAILURE;
         }
-        // The same root also hosts the native-backend artifact tier, so a
-        // warm cache directory restarts with zero rustc invocations.
-        if let Err(e) = stream_ir::attach_native_disk(std::path::Path::new(dir)) {
-            eprintln!("failed to open native artifact cache at {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-        // And the auto-tuner's results tier, so a warm directory replays
+        // The same root also hosts the auto-tuner's results tier, so a warm
+        // directory replays
         // validated tuning winners with zero searches.
         if let Err(e) = stream_tune::attach_global_disk(std::path::Path::new(dir)) {
             eprintln!("failed to open tuning results cache at {dir}: {e}");
@@ -181,11 +176,9 @@ fn main() -> ExitCode {
         // populated cache directory is the "zero schedule compiles" check
         // CI asserts.
         let s = stream_grid::global_cache().stats();
-        let n = stream_ir::native_stats();
         eprintln!(
-            "# cache: compiles={} disk_hits={} disk_misses={} \
-             native_compiles={} native_disk_hits={} native_fallbacks={}",
-            s.compiles, s.disk_hits, s.disk_misses, n.compiles, n.disk_hits, n.fallbacks
+            "# cache: compiles={} disk_hits={} disk_misses={}",
+            s.compiles, s.disk_hits, s.disk_misses
         );
         // `searches=0` on a warm directory is the zero-search restart
         // check CI asserts (rehydrated winners are re-validated, so
@@ -212,7 +205,6 @@ fn main() -> ExitCode {
         // point-in-time gauges, make sure the always-on families are
         // registered, then render the registry.
         stream_grid::sample_gauges();
-        let _ = stream_ir::native_stats();
         let _ = stream_tune::stats();
         if let Err(e) = std::fs::write(&path, stream_trace::render_prometheus()) {
             eprintln!("failed to write metrics to {path}: {e}");

@@ -6,9 +6,9 @@
 //!
 //! A clean run is the evidence that the scheduler's output is legal by an
 //! implementation that shares none of its code — the paper's results rest
-//! on these schedules being real — and that the tape compiler's fused,
-//! batched, and planarized code is provably equivalent to the kernel IR it
-//! was compiled from.
+//! on these schedules being real — and that the tape compiler's fused
+//! and batched code is provably equivalent to the kernel IR it was
+//! compiled from.
 
 use crate::kernel_figs::{FIG13_NS, FIG14_CS};
 use crate::sweep::Ctx;
@@ -22,17 +22,10 @@ use stream_verify::lint_kernel;
 use stream_vlsi::Shape;
 
 /// The tape compiler configurations every kernel is validated under: the
-/// current default (fused), the v1 baseline (unfused, unbatched), and the
-/// planarized layout — the three codegen strategies `repro` measures.
-fn tape_configs() -> [TapeConfig; 3] {
-    [
-        TapeConfig::default(),
-        TapeConfig::v1_baseline(),
-        TapeConfig {
-            planar: true,
-            ..TapeConfig::default()
-        },
-    ]
+/// current default (fused, batched) and the v1 baseline (unfused,
+/// unbatched).
+fn tape_configs() -> [TapeConfig; 2] {
+    [TapeConfig::default(), TapeConfig::v1_baseline()]
 }
 
 /// Verifies every suite kernel's schedule and IR across the full

@@ -35,7 +35,7 @@
 //!
 //! Every response carries an `X-Request-Id` header; the same id annotates
 //! (`req=<id>`) every span the request produced, down to grid jobs and
-//! tape/native execution, so one slow sweep is traceable end to end. See
+//! tape execution, so one slow sweep is traceable end to end. See
 //! `docs/serve_api.md` for the wire schemas and a curl quickstart, and
 //! `docs/metrics.md` for the exported metric catalogue.
 
@@ -266,10 +266,10 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert!(resp.content_type.starts_with("text/plain; version=0.0.4"));
         // The always-on families are present regardless of the tracing
-        // flag: consolidated cache counters, native tier, serve gauges.
+        // flag: consolidated cache counters, tuner counters, serve gauges.
         for series in [
             "# TYPE cache_compiles counter",
-            "# TYPE native_fallbacks counter",
+            "# TYPE tune_searches counter",
             "# TYPE serve_planner_cells gauge",
             "# TYPE pool_permits_capacity gauge",
             "# TYPE cache_entries gauge",

@@ -122,11 +122,8 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
         // Never fails on an already-attached tier: a second server in the
         // same process simply shares the first one's schedule cache.
         stream_grid::attach_global_disk(root)?;
-        // Share the same root with the native-backend artifact tier so a
-        // restarted daemon serves hot kernels without re-running rustc.
-        stream_ir::attach_native_disk(root)?;
-        // And with the auto-tuner's results tier, so `/v1/tune` answers
-        // warm points with zero searches after a restart.
+        // Share the same root with the auto-tuner's results tier, so
+        // `/v1/tune` answers warm points with zero searches after a restart.
         stream_tune::attach_global_disk(root)?;
     }
     let planner = Arc::new(Planner::new(
@@ -196,7 +193,7 @@ fn accept_loop(
 fn handle_connection(mut conn: TcpStream, addr: SocketAddr, planner: &Planner, stop: &AtomicBool) {
     // Every request gets a process-unique id, correlated with all work
     // done on its behalf: spans opened under this scope — including grid
-    // jobs and tape/native execution on engine worker threads — carry a
+    // jobs and tape execution on engine worker threads — carry a
     // `req=<id>` annotation, and the response echoes `X-Request-Id`.
     let request_id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
     let _correlation = stream_trace::request_scope(Some(request_id));
@@ -516,8 +513,6 @@ fn tune_response(request: &Request, planner: &Planner) -> Response {
             "strip_scale",
             Value::Number(f64::from(t.candidate.strip_scale)),
         ),
-        ("tape", Value::String(t.candidate.tape.name().to_string())),
-        ("native_auto", Value::Bool(t.candidate.native_auto)),
         ("describe", Value::String(t.candidate.describe())),
     ]);
     Response::json(
@@ -556,12 +551,11 @@ fn tune_response(request: &Request, planner: &Planner) -> Response {
 /// `GET /metrics`: Prometheus text exposition over the whole registry.
 /// Scraping samples current state first — pool occupancy, cache
 /// residency, disk bytes, planner cells — so gauges are fresh as of this
-/// response, and touches the cache/native counter registrations so their
+/// response, and touches the tuner's counter registrations so their
 /// series exist even on a daemon that has not compiled anything yet.
 fn metrics_response(planner: &Planner) -> Response {
     ensure_serve_metrics();
     stream_grid::sample_gauges();
-    let _ = stream_ir::native_stats(); // registers the native.* series
     let _ = stream_tune::stats(); // registers the tune.* series
     let p = planner.stats();
     // Planner counters are per-instance (a process can host several
@@ -577,7 +571,6 @@ fn metrics_response(planner: &Planner) -> Response {
 fn stats_response(planner: &Planner) -> Response {
     let p = planner.stats();
     let k = stream_grid::global_cache().stats();
-    let n = stream_ir::native_stats();
     let t = stream_tune::stats();
     Response::json(
         200,
@@ -598,14 +591,6 @@ fn stats_response(planner: &Planner) -> Response {
                     ("compiles", Value::Number(k.compiles as f64)),
                     ("disk_hits", Value::Number(k.disk_hits as f64)),
                     ("disk_misses", Value::Number(k.disk_misses as f64)),
-                ]),
-            ),
-            (
-                "native",
-                object([
-                    ("compiles", Value::Number(n.compiles as f64)),
-                    ("disk_hits", Value::Number(n.disk_hits as f64)),
-                    ("fallbacks", Value::Number(n.fallbacks as f64)),
                 ]),
             ),
             (

@@ -47,7 +47,6 @@ pub fn code_for(kind: TapeCheckKind) -> Code {
         TapeCheckKind::HoistedEffect => Code::TapeHoistedEffect,
         TapeCheckKind::FlagOverclaim => Code::TapeFlagOverclaim,
         TapeCheckKind::CondStreamMismatch => Code::TapeCondStream,
-        TapeCheckKind::PlanarMap => Code::TapePlanarMap,
         TapeCheckKind::AccessShape => Code::TapeAccessShape,
         TapeCheckKind::MissedEligibility => Code::TapeMissedEligibility,
         TapeCheckKind::DeadCheck => Code::TapeDeadCheck,

@@ -283,9 +283,9 @@ mod tests {
     #[test]
     fn missing_required_prefix_is_an_error() {
         let text = "# TYPE a counter\na 1\n";
-        assert!(check(text, &["native_".into()])
+        assert!(check(text, &["tune_".into()])
             .iter()
-            .any(|e| e.contains("native_")));
+            .any(|e| e.contains("tune_")));
         assert!(check(text, &["a".into()]).is_empty());
     }
 }

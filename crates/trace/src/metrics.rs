@@ -7,7 +7,7 @@
 //! The registry has two tiers. The *gated* tier is what [`count`] /
 //! [`record`] feed: no-ops while tracing is off. The *always-on* tier is
 //! entered via [`register_counter`]: a consumer that owns an always-exact
-//! standalone [`Counter`] (the kernel cache, the native tier) registers
+//! standalone [`Counter`] (the kernel cache, the tuner) registers
 //! that same counter under its metric name, making the registry the
 //! single source of truth without any mirror writes on the hot path.
 

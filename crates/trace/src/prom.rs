@@ -47,10 +47,6 @@ fn help_for(name: &str) -> &'static str {
             "cache.",
             "Kernel schedule cache activity (process-global cache).",
         ),
-        (
-            "native.",
-            "Native (tier-3) backend build/cache/fallback activity.",
-        ),
         ("grid.", "Sweep engine job and work-stealing activity."),
         ("pool.", "Global thread-permit pool state."),
         ("store.", "Persistent on-disk store state."),

@@ -1,5 +1,5 @@
 //! `stream-tune`: cost-guided per-application auto-tuning of unroll
-//! factor × strip batching × tape tier × native policy.
+//! factor × strip batching.
 //!
 //! The paper fixes one scheduling recipe for every application; this crate
 //! searches a small configuration space per `(app, machine)` instead and
@@ -11,10 +11,6 @@
 //! * **Strip batching** — how many natural strips each stream-level kernel
 //!   call covers ([`stream_apps::AppId::program_with`]), trading SRF
 //!   residency for fill/drain amortization.
-//! * **Tape tier** ([`TapeTier`]) and the tier-3 native-backend policy —
-//!   functional-execution knobs that cannot change results (every tier is
-//!   differential-tested bit-exact), chosen by a static cost model over
-//!   the compiled tapes.
 //!
 //! The objective is deterministic: analytic simulated cycles of the
 //! candidate's stream program ([`stream_sim::simulate`]), ties broken
@@ -76,23 +72,18 @@ mod persist;
 mod space;
 
 pub use persist::attach_global_disk;
-pub use space::{search_enabled, Candidate, TapeTier, TuneSpace};
+pub use space::{search_enabled, Candidate, TuneSpace};
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Once;
 
 use stream_apps::AppId;
-use stream_ir::{Kernel, Tape};
+use stream_ir::Kernel;
 use stream_machine::{Machine, SystemParams};
 use stream_sched::{CompileOptions, SearchMemo};
 use stream_sim::{simulate, SimError, StreamInstr, StreamProgram};
 use stream_trace::Counter;
-
-/// Work floor below which the native tier would refuse to engage anyway
-/// (mirrors the native backend's own `MIN_WORK` gate): per-call records ×
-/// tape loop length.
-const NATIVE_WORK_FLOOR: u64 = 1 << 14;
 
 static SEARCHES: Counter = Counter::new();
 static REHYDRATED: Counter = Counter::new();
@@ -259,67 +250,6 @@ fn lower_bound(bounds: &mut [KernelBound], machine: &Machine, set: &[u32]) -> Op
     Some(lb)
 }
 
-/// Static cost of running `kernels` on `tier`, in scaled "interpreter
-/// steps": loop ops weigh 8× hoisted ops (they run every iteration),
-/// macro-batching earns a 7/8 discount on kernels it can legally batch,
-/// and the planar rewrite pays a 9/8 penalty (the measured edge-transpose
-/// loss on strips that fit in cache — see `TapeConfig::planar`).
-fn tier_cost(kernels: &[Kernel], tier: TapeTier) -> u64 {
-    let cfg = tier.config(false);
-    kernels
-        .iter()
-        .map(|k| {
-            let tape = Tape::compile_with(k, cfg);
-            let mut c = (8 * tape.loop_len() + tape.hoisted_len()) as u64 * 8;
-            if cfg.batch && tape.batchable() {
-                c = c * 7 / 8;
-            }
-            if cfg.planar {
-                c = c * 9 / 8;
-            }
-            c
-        })
-        .sum()
-}
-
-/// Picks the cheapest tape tier (ties to the earlier tier in
-/// [`TapeTier::ALL`]) and decides the native policy: allow tier 3 only if
-/// some call's work (records × loop length) clears the native tier's own
-/// minimum-work gate — below that the attempt would just burn a `rustc`
-/// invocation to then fall back.
-fn pick_tier(kernels: &[Kernel], program: &StreamProgram) -> (TapeTier, bool) {
-    let mut best = TapeTier::ALL[0];
-    let mut best_cost = u64::MAX;
-    for tier in TapeTier::ALL {
-        let cost = tier_cost(kernels, tier);
-        if cost < best_cost {
-            best = tier;
-            best_cost = cost;
-        }
-    }
-    let loop_lens: BTreeMap<&str, u64> = kernels
-        .iter()
-        .map(|k| {
-            (
-                k.name(),
-                Tape::compile_with(k, TapeTier::V2.config(false)).loop_len() as u64,
-            )
-        })
-        .collect();
-    let native_auto = program.instrs().iter().any(|i| {
-        if let StreamInstr::Kernel {
-            kernel, records, ..
-        } = i
-        {
-            let len = loop_lens.get(kernel.name()).copied().unwrap_or(0);
-            records.saturating_mul(len) >= NATIVE_WORK_FLOOR
-        } else {
-            false
-        }
-    });
-    (best, native_auto)
-}
-
 fn default_report(
     id: AppId,
     machine: &Machine,
@@ -378,16 +308,10 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
     let compiles_before = stream_grid::thread_compiles();
 
     if !search_enabled() {
-        let (program, default_cycles) = default_report(id, machine, sys)?;
-        let kernels = id.kernels(machine);
-        let (tape, native_auto) = pick_tier(&kernels, &program);
+        let (_, default_cycles) = default_report(id, machine, sys)?;
         return Ok(Tuned {
             app: id,
-            candidate: Candidate {
-                tape,
-                native_auto,
-                ..Candidate::default_point()
-            },
+            candidate: Candidate::default_point(),
             default_cycles,
             tuned_cycles: default_cycles,
             from_disk: false,
@@ -451,7 +375,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         strips: vec![1],
     }];
 
-    for cand in space.schedule_candidates().into_iter().skip(1) {
+    for cand in space.candidates().into_iter().skip(1) {
         if evaluated >= space.budget as u64 {
             break;
         }
@@ -513,14 +437,6 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         }
     }
 
-    let kernels: Vec<Kernel> = bounds.into_iter().map(|b| b.kernel).collect();
-    let (tape, native_auto) = pick_tier(&kernels, &default_program);
-    let winner = Candidate {
-        tape,
-        native_auto,
-        ..best
-    };
-
     let delta = stream_grid::thread_compiles() - compiles_before;
     SCHED_COMPILES.add(delta);
 
@@ -529,7 +445,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         machine,
         &space,
         &persist::StoredTuned {
-            winner: winner.clone(),
+            winner: best.clone(),
             default_cycles,
             tuned_cycles: best_cycles,
         },
@@ -537,7 +453,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
 
     Ok(Tuned {
         app: id,
-        candidate: winner,
+        candidate: best,
         default_cycles,
         tuned_cycles: best_cycles,
         from_disk: false,
@@ -658,18 +574,6 @@ mod tests {
             "bound {lb} exceeds observed {cycles} cycles"
         );
         assert!(lb > 0.0);
-    }
-
-    #[test]
-    fn tier_choice_differentiates_apps() {
-        let m = Machine::baseline();
-        // CONV's convolve kernel uses COMM ops, which are not batchable;
-        // RENDER's pipeline has batchable stages. The static tier cost must
-        // see that difference.
-        let conv = tune_app(AppId::Conv, &m, &sys());
-        let render = tune_app(AppId::Render, &m, &sys());
-        assert_eq!(conv.candidate.tape, TapeTier::V2);
-        assert_eq!(render.candidate.tape, TapeTier::V2Batch);
     }
 
     #[test]

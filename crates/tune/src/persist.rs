@@ -20,7 +20,9 @@ use crate::space::{Candidate, TuneSpace};
 
 /// Bump when the payload layout or its semantics change; stale versions
 /// land in a different namespace directory and are simply never read.
-const FORMAT_VERSION: u32 = 1;
+/// Version 2 dropped the tape-tier and native-policy bytes from the
+/// candidate encoding.
+const FORMAT_VERSION: u32 = 2;
 
 /// Namespace carries the crate version, like the serve planner's results
 /// tier: a rebuilt binary never replays winners tuned by another build.
@@ -134,15 +136,13 @@ pub(crate) fn save(app: &str, machine: &Machine, space: &TuneSpace, stored: &Sto
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::TapeTier;
+    use proptest::prelude::*;
 
     fn sample() -> StoredTuned {
         StoredTuned {
             winner: Candidate {
                 unroll_factors: vec![1, 2, 4],
                 strip_scale: 2,
-                tape: TapeTier::V2Batch,
-                native_auto: true,
             },
             default_cycles: 123_456,
             tuned_cycles: 98_765,
@@ -183,5 +183,45 @@ mod tests {
             ..TuneSpace::default()
         };
         assert_ne!(base, key_material("CONV", &Machine::baseline(), &narrowed));
+    }
+
+    /// A payload header carrying `material`, so fuzzed tails reach the
+    /// candidate decoder instead of failing the key comparison.
+    fn framed(material: &[u8], tail: &[u8]) -> Vec<u8> {
+        let mut payload = (material.len() as u32).to_le_bytes().to_vec();
+        payload.extend_from_slice(material);
+        payload.extend_from_slice(tail);
+        payload
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let material = key_material("CONV", &Machine::baseline(), &TuneSpace::default());
+            // Whole payload arbitrary, including its length prefix.
+            let _ = decode(&bytes, &material);
+            // Valid header, arbitrary candidate and cycle bytes.
+            let _ = decode(&framed(&material, &bytes), &material);
+        }
+
+        #[test]
+        fn decode_inverts_encode_for_random_candidates(
+            unroll_factors in proptest::collection::vec(any::<u32>(), 0..65),
+            strip_scale in any::<u32>(),
+            default_cycles in any::<u64>(),
+            tuned_cycles in any::<u64>(),
+        ) {
+            let material = key_material("QRD", &Machine::baseline(), &TuneSpace::default());
+            let stored = StoredTuned {
+                winner: Candidate { unroll_factors, strip_scale },
+                default_cycles,
+                tuned_cycles,
+            };
+            prop_assert_eq!(decode(&encode(&material, &stored), &material), Some(stored));
+        }
     }
 }

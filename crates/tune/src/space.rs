@@ -1,96 +1,7 @@
-//! The tuner's candidate space: unroll policies × strip batching × tape
-//! tier × native policy, plus the `STREAM_TUNE_*` environment overrides
-//! that bound it.
+//! The tuner's candidate space: unroll policies × strip batching, plus the
+//! `STREAM_TUNE_*` environment overrides that bound it.
 
-use stream_ir::{LaneMode, NativeMode, StripMode, TapeConfig};
 use stream_sched::CompileOptions;
-
-/// Execution-tier choice for an application's kernels. The tiers mirror the
-/// repo's tape generations: the tier only affects *functional* execution
-/// throughput, never results (every tier is differential-tested bit-exact
-/// against the legacy interpreter), so the tuner picks one with a static
-/// cost model over the compiled tapes rather than by timing runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TapeTier {
-    /// Fused superinstructions + lane-specialized dispatch (tape v2).
-    V2,
-    /// v2 plus serial iteration macro-batching where provably legal.
-    V2Batch,
-    /// v2 plus the planar (structure-of-arrays) input rewrite.
-    V2Planar,
-    /// The unfused, generic-lane v1 baseline.
-    V1,
-}
-
-impl TapeTier {
-    /// All tiers in deterministic preference order (ties in the static
-    /// cost go to the earlier tier).
-    pub const ALL: [TapeTier; 4] = [
-        TapeTier::V2,
-        TapeTier::V2Batch,
-        TapeTier::V2Planar,
-        TapeTier::V1,
-    ];
-
-    /// Stable display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TapeTier::V2 => "v2",
-            TapeTier::V2Batch => "v2-batch",
-            TapeTier::V2Planar => "v2-planar",
-            TapeTier::V1 => "v1",
-        }
-    }
-
-    /// The [`TapeConfig`] this tier compiles with; `native_auto` selects
-    /// the tier-3 native backend policy (V1 keeps native off — it *is* the
-    /// baseline).
-    pub fn config(&self, native_auto: bool) -> TapeConfig {
-        let native = if native_auto && *self != TapeTier::V1 {
-            NativeMode::Auto
-        } else {
-            NativeMode::Off
-        };
-        match self {
-            TapeTier::V2 => TapeConfig {
-                fuse: true,
-                lanes: LaneMode::Specialized,
-                strips: StripMode::Auto,
-                batch: false,
-                planar: false,
-                native,
-            },
-            TapeTier::V2Batch => TapeConfig {
-                batch: true,
-                ..TapeTier::V2.config(native_auto)
-            },
-            TapeTier::V2Planar => TapeConfig {
-                planar: true,
-                ..TapeTier::V2.config(native_auto)
-            },
-            TapeTier::V1 => TapeConfig::v1_baseline(),
-        }
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            TapeTier::V2 => 0,
-            TapeTier::V2Batch => 1,
-            TapeTier::V2Planar => 2,
-            TapeTier::V1 => 3,
-        }
-    }
-
-    fn decode(b: u8) -> Option<Self> {
-        Some(match b {
-            0 => TapeTier::V2,
-            1 => TapeTier::V2Batch,
-            2 => TapeTier::V2Planar,
-            3 => TapeTier::V1,
-            _ => return None,
-        })
-    }
-}
 
 /// One point of the search space. `unroll_factors` is the set the scheduler
 /// may pick from (always containing 1, so candidate compiles never fail
@@ -102,22 +13,16 @@ pub struct Candidate {
     pub unroll_factors: Vec<u32>,
     /// Natural strips batched per kernel call (1 = the default program).
     pub strip_scale: u32,
-    /// Execution tier for the application's kernels.
-    pub tape: TapeTier,
-    /// Whether the tier-3 native backend is allowed to engage.
-    pub native_auto: bool,
 }
 
 impl Candidate {
-    /// The baseline: default scheduler options, no strip batching, default
-    /// execution tier. Always evaluated first; the winner must beat it
-    /// strictly or the tuner returns it unchanged.
+    /// The baseline: default scheduler options, no strip batching. Always
+    /// evaluated first; the winner must beat it strictly or the tuner
+    /// returns it unchanged.
     pub fn default_point() -> Self {
         Self {
             unroll_factors: CompileOptions::default().unroll_factors,
             strip_scale: 1,
-            tape: TapeTier::V2Batch,
-            native_auto: true,
         }
     }
 
@@ -126,13 +31,12 @@ impl Candidate {
         CompileOptions::default().unroll_factors(self.unroll_factors.clone())
     }
 
-    /// Whether the schedule-relevant axes match the default program's.
-    pub fn is_schedule_default(&self) -> bool {
-        let d = Candidate::default_point();
-        self.unroll_factors == d.unroll_factors && self.strip_scale == 1
+    /// Whether this is the default program's point.
+    pub fn is_default(&self) -> bool {
+        *self == Candidate::default_point()
     }
 
-    /// One-line display, e.g. `unroll<=4 strip=2 tape=v2-batch native=auto`.
+    /// One-line display, e.g. `unroll=<=4 strip=2`.
     pub fn describe(&self) -> String {
         let cap = self.unroll_factors.iter().copied().max().unwrap_or(1);
         let unroll = if self.unroll_factors == Candidate::default_point().unroll_factors {
@@ -140,12 +44,7 @@ impl Candidate {
         } else {
             format!("<={cap}")
         };
-        format!(
-            "unroll={unroll} strip={} tape={} native={}",
-            self.strip_scale,
-            self.tape.name(),
-            if self.native_auto { "auto" } else { "off" }
-        )
+        format!("unroll={unroll} strip={}", self.strip_scale)
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -154,8 +53,6 @@ impl Candidate {
             out.extend_from_slice(&u.to_le_bytes());
         }
         out.extend_from_slice(&self.strip_scale.to_le_bytes());
-        out.push(self.tape.encode());
-        out.push(u8::from(self.native_auto));
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Option<(Self, usize)> {
@@ -174,16 +71,10 @@ impl Candidate {
             unroll.push(u32::from_le_bytes(take4(&mut at)?));
         }
         let strip = u32::from_le_bytes(take4(&mut at)?);
-        let tape = TapeTier::decode(*bytes.get(at)?)?;
-        at += 1;
-        let native_auto = *bytes.get(at)? != 0;
-        at += 1;
         Some((
             Self {
                 unroll_factors: unroll,
                 strip_scale: strip,
-                tape,
-                native_auto,
             },
             at,
         ))
@@ -281,20 +172,16 @@ impl TuneSpace {
         space
     }
 
-    /// Schedule-relevant candidates in deterministic evaluation order,
-    /// default point first. (Tape tier and native policy are chosen by the
-    /// static tier cost afterwards — they do not affect simulated cycles,
-    /// so enumerating them here would multiply compiles for nothing.)
-    pub fn schedule_candidates(&self) -> Vec<Candidate> {
+    /// Candidates in deterministic evaluation order, default point first.
+    pub fn candidates(&self) -> Vec<Candidate> {
         let mut out = vec![Candidate::default_point()];
         for set in &self.unroll_sets {
             for &strip in &self.strip_scales {
                 let c = Candidate {
                     unroll_factors: set.clone(),
                     strip_scale: strip,
-                    ..Candidate::default_point()
                 };
-                if !c.is_schedule_default() {
+                if !c.is_default() {
                     out.push(c);
                 }
             }
@@ -347,9 +234,9 @@ mod tests {
     #[test]
     fn default_point_is_first_and_unique() {
         let space = TuneSpace::default();
-        let cands = space.schedule_candidates();
-        assert!(cands[0].is_schedule_default());
-        assert_eq!(cands.iter().filter(|c| c.is_schedule_default()).count(), 1);
+        let cands = space.candidates();
+        assert!(cands[0].is_default());
+        assert_eq!(cands.iter().filter(|c| c.is_default()).count(), 1);
         // 7 unroll sets x 3 strips = 21 points, one of which is default.
         assert_eq!(cands.len(), 21);
     }
@@ -366,8 +253,6 @@ mod tests {
         let c = Candidate {
             unroll_factors: vec![1, 2, 4, 6],
             strip_scale: 4,
-            tape: TapeTier::V2Planar,
-            native_auto: false,
         };
         let mut bytes = Vec::new();
         c.encode(&mut bytes);
@@ -375,17 +260,6 @@ mod tests {
         assert_eq!(back, c);
         assert_eq!(used, bytes.len());
         assert!(Candidate::decode(&bytes[..bytes.len() - 1]).is_none());
-    }
-
-    #[test]
-    fn tier_configs_differ_where_expected() {
-        let v2 = TapeTier::V2.config(true);
-        assert!(v2.fuse && !v2.batch && !v2.planar);
-        assert!(TapeTier::V2Batch.config(true).batch);
-        assert!(TapeTier::V2Planar.config(true).planar);
-        let v1 = TapeTier::V1.config(true);
-        assert!(!v1.fuse);
-        assert_eq!(v1, stream_ir::TapeConfig::v1_baseline());
     }
 
     #[test]

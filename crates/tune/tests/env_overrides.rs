@@ -33,14 +33,13 @@ fn env_overrides_narrow_disable_and_budget_the_search() {
     assert_eq!(full.strip_scales, vec![1, 2, 4]);
 
     // STREAM_TUNE_SEARCH=off: the tuner returns the default configuration
-    // without evaluating a single candidate (the tape tier is still chosen
-    // — it never changes simulated cycles).
+    // without evaluating a single candidate.
     std::env::set_var("STREAM_TUNE_SEARCH", "off");
     assert!(!search_enabled());
     let t = tune_app(stream_apps::AppId::Conv, &machine, &sys);
     assert_eq!(t.evaluated, 0, "disabled search evaluated a candidate");
     assert_eq!(t.tuned_cycles, t.default_cycles);
-    assert!(t.candidate.is_schedule_default());
+    assert!(t.candidate.is_default());
     std::env::remove_var("STREAM_TUNE_SEARCH");
 
     // Narrowing: one extra unroll set, one extra strip factor. The default
@@ -51,7 +50,7 @@ fn env_overrides_narrow_disable_and_budget_the_search() {
     assert_eq!(narrowed.unroll_sets, vec![vec![1, 2, 4, 8], vec![1]]);
     assert_eq!(narrowed.strip_scales, vec![1, 2]);
     // 2 sets x 2 strips, minus the default point counted once up front.
-    assert_eq!(narrowed.schedule_candidates().len(), 4);
+    assert_eq!(narrowed.candidates().len(), 4);
     // A narrowed space persists under a different key than the full one.
     assert_ne!(narrowed.fingerprint(), full.fingerprint());
     let t = tune_app(stream_apps::AppId::Conv, &machine, &sys);
@@ -77,7 +76,7 @@ fn env_overrides_narrow_disable_and_budget_the_search() {
     let t = tune_app(stream_apps::AppId::Depth, &machine, &sys);
     assert_eq!(t.evaluated, 1, "{t:?}");
     assert_eq!(t.tuned_cycles, t.default_cycles);
-    assert!(t.candidate.is_schedule_default());
+    assert!(t.candidate.is_default());
     // A budget of 0 is clamped up: the default must always be evaluated.
     std::env::set_var("STREAM_TUNE_BUDGET", "0");
     assert_eq!(TuneSpace::from_env().budget, 1);

@@ -103,9 +103,7 @@ pub enum Code {
     /// E209: a conditional stream's (predicate, source) sequence diverges
     /// from the kernel.
     TapeCondStream,
-    /// E210: a planar-layout access is inconsistent with the tape's plane
-    /// mapping.
-    TapePlanarMap,
+    // E210 is retired (see docs/lint_codes.md); the number is not reused.
     /// E211: a stream access disagrees with the stream declaration
     /// (index, record width, offset, conditionality).
     TapeAccessShape,
@@ -120,7 +118,7 @@ pub enum Code {
 
 impl Code {
     /// All codes, in catalog order.
-    pub const ALL: [Code; 34] = [
+    pub const ALL: [Code; 33] = [
         Code::UndefinedValue,
         Code::TypeMismatch,
         Code::UnknownOpcode,
@@ -150,7 +148,6 @@ impl Code {
         Code::TapeHoistedEffect,
         Code::TapeFlagOverclaim,
         Code::TapeCondStream,
-        Code::TapePlanarMap,
         Code::TapeAccessShape,
         Code::TapeMissedEligibility,
         Code::TapeDeadCheck,
@@ -189,7 +186,6 @@ impl Code {
             Code::TapeHoistedEffect => "E207",
             Code::TapeFlagOverclaim => "E208",
             Code::TapeCondStream => "E209",
-            Code::TapePlanarMap => "E210",
             Code::TapeAccessShape => "E211",
             Code::TapeMissedEligibility => "W201",
             Code::TapeDeadCheck => "W202",
@@ -237,7 +233,6 @@ impl Code {
             Code::TapeHoistedEffect => "fallible or per-iteration instruction hoisted to prologue",
             Code::TapeFlagOverclaim => "eligibility flag claims more than the predicates derive",
             Code::TapeCondStream => "conditional stream sequence diverges from the kernel",
-            Code::TapePlanarMap => "planar-layout access inconsistent with the plane mapping",
             Code::TapeAccessShape => "stream access disagrees with the stream declaration",
             Code::TapeMissedEligibility => "tape forgoes a provable strip/batch eligibility",
             Code::TapeDeadCheck => "bounds check is provably dead (always in range)",

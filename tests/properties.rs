@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use stream_scaling::grid::KernelCache;
 use stream_scaling::ir::{
     execute, execute_with_legacy, parse_kernel, to_text, unroll, ExecConfig, ExecOptions, Kernel,
-    KernelBuilder, NativeMode, Scalar, StripMode, Tape, TapeConfig, Ty, ValueId,
+    KernelBuilder, Scalar, StripMode, Tape, TapeConfig, Ty, ValueId,
 };
 use stream_scaling::kernels::fft::{dft_reference, fft_reference, C32};
 use stream_scaling::kernels::split::{gather_words, max_chain, scatter_words, split_plan};
@@ -191,73 +191,14 @@ proptest! {
             .with_strip_mode(StripMode::Force)
             .execute_with(&opts, &inputs, &cfg)
             .map(output_bits);
-        let planar = Tape::compile_with(
-            &k,
-            TapeConfig {
-                planar: true,
-                ..TapeConfig::default()
-            },
-        )
-        .execute_with(&opts, &inputs, &cfg)
-        .map(output_bits);
         prop_assert_eq!(&legacy, &v1);
         prop_assert_eq!(&legacy, &v2);
         prop_assert_eq!(&legacy, &stripped);
-        prop_assert_eq!(&legacy, &planar);
-    }
-
-    /// Every tape configuration on the auto-tuner's tier axis
-    /// (`tune::TapeTier::ALL` × the native policy — exactly the configs
-    /// `tune_app` can select as winners) is observationally identical to
-    /// the legacy tree-walk interpreter on random valid kernels and random
-    /// inputs: a tuning winner may change cycle counts, never results.
-    #[test]
-    fn tuner_tape_tiers_match_legacy_interpreter(
-        script in proptest::collection::vec(any::<u8>(), 1..24),
-        kind in 0u8..3,
-        clusters in prop_oneof![Just(1usize), Just(4), Just(8)],
-    ) {
-        let k = match kind {
-            0 => elementwise_kernel(&script),
-            1 => structured_kernel(&script, clusters as u32),
-            _ => condstream_kernel(&script),
-        };
-        let iters = 3usize;
-        let inputs: Vec<Vec<Scalar>> = k
-            .inputs()
-            .iter()
-            .map(|d| {
-                let words = iters * clusters * d.record_width as usize;
-                (0..words)
-                    .map(|i| match d.ty {
-                        Ty::I32 => Scalar::I32((i as i32 * 29) % 89 - 44),
-                        Ty::F32 => Scalar::F32(i as f32 * 0.25 - 3.0),
-                    })
-                    .collect()
-            })
-            .collect();
-        let cfg = ExecConfig::with_clusters(clusters);
-        let opts = ExecOptions::default();
-        let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
-        for tier in stream_scaling::tune::TapeTier::ALL {
-            for native_auto in [false, true] {
-                let got = Tape::compile_with(&k, tier.config(native_auto))
-                    .execute_with(&opts, &inputs, &cfg)
-                    .map(output_bits);
-                prop_assert_eq!(
-                    &legacy,
-                    &got,
-                    "tier {} native_auto={} diverged from the legacy interpreter",
-                    tier.name(),
-                    native_auto
-                );
-            }
-        }
     }
 
     /// The translation validator accepts every tape the compiler produces
-    /// for random valid kernels — under the v1 baseline, the fused default,
-    /// and the planar layout — and every validator-accepted tape is
+    /// for random valid kernels — under the v1 baseline and the fused
+    /// default — and every validator-accepted tape is
     /// observationally bit-exact against the legacy tree-walk interpreter.
     /// This is the soundness contract from the other side: acceptance is
     /// not vacuous (trunk tapes pass) and acceptance implies equivalence
@@ -269,9 +210,6 @@ proptest! {
         clusters in prop_oneof![Just(1usize), Just(4), Just(8)],
     ) {
         use stream_scaling::tapecheck::validate_tape;
-        // Native modules are bit-exact at every LLVM opt level; -O0 builds
-        // these large random bodies ~15x faster than the -O3 default.
-        std::env::set_var("STREAM_TAPE_NATIVE_OPT", "0");
         let k = match kind {
             0 => elementwise_kernel(&script),
             1 => structured_kernel(&script, clusters as u32),
@@ -294,12 +232,7 @@ proptest! {
         let cfg = ExecConfig::with_clusters(clusters);
         let opts = ExecOptions::default();
         let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
-        for config in [
-            TapeConfig::v1_baseline(),
-            TapeConfig::default(),
-            TapeConfig { planar: true, ..TapeConfig::default() },
-            TapeConfig { native: NativeMode::Force, ..TapeConfig::default() },
-        ] {
+        for config in [TapeConfig::v1_baseline(), TapeConfig::default()] {
             let tape = Tape::compile_with(&k, config);
             let report = validate_tape(&tape);
             prop_assert!(
@@ -513,62 +446,6 @@ proptest! {
         prop_assert!(more_c.area.total() > base.area.total());
         prop_assert!(more_n.area.total() > base.area.total());
         prop_assert!(more_c.energy.total_per_cycle() > base.energy.total_per_cycle());
-    }
-}
-
-proptest! {
-    // Each fresh case costs one external `rustc` invocation (~0.5s), so
-    // this block runs fewer cases than the interpreter-only properties;
-    // the module registry dedupes repeat scripts by source fingerprint.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The native (tier-3) backend is observationally identical to the
-    /// legacy tree-walk interpreter for random valid kernels — with
-    /// recurrences, scratchpad traffic, COMM, and conditional streams —
-    /// at C in {1, 3, 4, 8, 16}, serially and under forced strip
-    /// parallelism (which shares the serially-built module), on both
-    /// successful runs and starved-input error runs.
-    #[test]
-    fn native_tier_matches_legacy_interpreter(
-        script in proptest::collection::vec(any::<u8>(), 1..32),
-        kind in 0u8..3,
-        clusters in prop_oneof![Just(1usize), Just(3), Just(4), Just(8), Just(16)],
-        starve in any::<bool>(),
-    ) {
-        // Bit-exactness is opt-level independent; -O0 keeps each fresh
-        // case's build in the low hundreds of milliseconds.
-        std::env::set_var("STREAM_TAPE_NATIVE_OPT", "0");
-        let k = match kind {
-            0 => elementwise_kernel(&script),
-            1 => structured_kernel(&script, clusters as u32),
-            _ => condstream_kernel(&script),
-        };
-        let iters = 3usize;
-        let inputs: Vec<Vec<Scalar>> = k
-            .inputs()
-            .iter()
-            .map(|d| {
-                let words = iters * clusters * d.record_width as usize;
-                (0..words)
-                    .map(|i| match d.ty {
-                        Ty::I32 => Scalar::I32((i as i32 * 37) % 101 - 50),
-                        Ty::F32 => Scalar::F32(i as f32 * 0.375 - 4.0),
-                    })
-                    .collect()
-            })
-            .collect();
-        let cfg = ExecConfig::with_clusters(clusters);
-        let opts = ExecOptions {
-            iterations: starve.then_some(iters + 2),
-            ..ExecOptions::default()
-        };
-        let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
-        let tape = Tape::compile(&k).with_native_mode(NativeMode::Force);
-        let striped = tape.clone().with_strip_mode(StripMode::Force);
-        let native = tape.execute_with(&opts, &inputs, &cfg).map(output_bits);
-        let native_strips = striped.execute_with(&opts, &inputs, &cfg).map(output_bits);
-        prop_assert_eq!(&legacy, &native);
-        prop_assert_eq!(&legacy, &native_strips);
     }
 }
 
