@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
-use stream_ir::{execute_legacy, ExecConfig, Kernel, Scalar, Tape, TapeConfig, Ty};
+use stream_ir::{execute_legacy, ExecConfig, Kernel, Scalar, Tape, Ty};
 use stream_kernels::{convolve, KernelId};
 use stream_machine::Machine;
 
@@ -99,52 +99,37 @@ fn time_paths<const N: usize>(mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
     best
 }
 
-/// Self-times all three paths (legacy tree-walk, the tape v1 baseline,
-/// and tape v2 with fusion and lane specialization) and writes
-/// `BENCH_interp.json` at the repo root. `tape_<case>` is always the
-/// default tape, so the `speedup` gate means "tape over legacy";
-/// `speedup_v2_over_v1` isolates the v2 specializations' gain.
-/// `recorder_overhead` times the v2 tape with the flight recorder off vs
-/// on and gates the ratio, so "always-on" observability stays cheap enough
-/// to actually leave always on.
+/// Self-times both paths (legacy tree-walk and the compiled tape) and
+/// writes `BENCH_interp.json` at the repo root; the `speedup` gate means
+/// "tape over legacy". `recorder_overhead` times the tape with the flight
+/// recorder off vs on and gates the ratio, so "always-on" observability
+/// stays cheap enough to actually leave always on.
 fn emit_json(cases: &[Case]) {
     let mut bench_entries = Vec::new();
     let mut speedup_entries = Vec::new();
-    let mut v2_entries = Vec::new();
     let mut recorder_entries = Vec::new();
     for case in cases {
-        let tape_v1 = Tape::compile_with(&case.kernel, TapeConfig::v1_baseline());
-        let tape_v2 = Tape::compile(&case.kernel);
+        let tape = Tape::compile(&case.kernel);
         let expect = execute_legacy(&case.kernel, &case.params, &case.inputs, &case.cfg)
             .expect("legacy path executes");
-        for (label, tape) in [("v1", &tape_v1), ("v2", &tape_v2)] {
-            assert_eq!(
-                tape.execute(&case.params, &case.inputs, &case.cfg)
-                    .expect("tape path executes"),
-                expect,
-                "tape {} and legacy outputs diverge on {}",
-                label,
-                case.name
-            );
-        }
+        assert_eq!(
+            tape.execute(&case.params, &case.inputs, &case.cfg)
+                .expect("tape path executes"),
+            expect,
+            "tape and legacy outputs diverge on {}",
+            case.name
+        );
 
-        let [legacy_ns, v1_ns, v2_ns] = time_paths([
+        let [legacy_ns, tape_ns] = time_paths([
             &mut || {
                 execute_legacy(&case.kernel, &case.params, &case.inputs, &case.cfg).unwrap();
             },
             &mut || {
-                tape_v1
-                    .execute(&case.params, &case.inputs, &case.cfg)
-                    .unwrap();
-            },
-            &mut || {
-                tape_v2
-                    .execute(&case.params, &case.inputs, &case.cfg)
-                    .unwrap();
+                tape.execute(&case.params, &case.inputs, &case.cfg).unwrap();
             },
         ]);
-        // Flight-recorder overhead guard: the same tape-v2 hot loop with
-        // the always-on recorder off vs on. Each closure re-asserts its own
+        // Flight-recorder overhead guard: the same tape hot loop with the
+        // always-on recorder off vs on. Each closure re-asserts its own
         // recorder state (one relaxed RMW, symmetric across both paths) so
         // the interleaved windows can share the process-global bit. The
         // ratio is a hard bench gate: the recorder's pitch is "cheap enough
@@ -152,15 +137,11 @@ fn emit_json(cases: &[Case]) {
         let [rec_off_ns, rec_on_ns] = time_paths([
             &mut || {
                 stream_trace::disable_flight_recorder();
-                tape_v2
-                    .execute(&case.params, &case.inputs, &case.cfg)
-                    .unwrap();
+                tape.execute(&case.params, &case.inputs, &case.cfg).unwrap();
             },
             &mut || {
                 stream_trace::enable_flight_recorder();
-                tape_v2
-                    .execute(&case.params, &case.inputs, &case.cfg)
-                    .unwrap();
+                tape.execute(&case.params, &case.inputs, &case.cfg).unwrap();
             },
         ]);
         stream_trace::disable_flight_recorder();
@@ -175,28 +156,24 @@ fn emit_json(cases: &[Case]) {
             rec_on_ns
         );
 
-        let speedup = legacy_ns / v2_ns;
-        let v2_over_v1 = v1_ns / v2_ns;
+        let speedup = legacy_ns / tape_ns;
         println!(
-            "interp/{}: legacy {:.0} ns, tape v1 {:.0} ns, tape v2 {:.0} ns, \
-             v2/legacy {:.2}x, v2/v1 {:.2}x, recorder on/off {:.3}x",
-            case.name, legacy_ns, v1_ns, v2_ns, speedup, v2_over_v1, recorder_ratio
+            "interp/{}: legacy {:.0} ns, tape {:.0} ns, tape/legacy {:.2}x, \
+             recorder on/off {:.3}x",
+            case.name, legacy_ns, tape_ns, speedup, recorder_ratio
         );
         bench_entries.push(format!(
             "    \"legacy_{0}\": {{\"mean_ns\": {1:.1}}},\n    \
-             \"tape_v1_{0}\": {{\"mean_ns\": {2:.1}}},\n    \
-             \"tape_{0}\": {{\"mean_ns\": {3:.1}}}",
-            case.name, legacy_ns, v1_ns, v2_ns
+             \"tape_{0}\": {{\"mean_ns\": {2:.1}}}",
+            case.name, legacy_ns, tape_ns
         ));
         speedup_entries.push(format!("    \"{}\": {:.3}", case.name, speedup));
-        v2_entries.push(format!("    \"{}\": {:.3}", case.name, v2_over_v1));
         recorder_entries.push(format!("    \"{}\": {:.3}", case.name, recorder_ratio));
     }
     let json = format!
-        ("{{\n  \"bench\": \"interp\",\n  \"unit\": \"ns_per_call\",\n  \"benchmarks\": {{\n{}\n  }},\n  \"speedup\": {{\n{}\n  }},\n  \"speedup_v2_over_v1\": {{\n{}\n  }},\n  \"recorder_overhead\": {{\n{}\n  }}\n}}\n",
+        ("{{\n  \"bench\": \"interp\",\n  \"unit\": \"ns_per_call\",\n  \"benchmarks\": {{\n{}\n  }},\n  \"speedup\": {{\n{}\n  }},\n  \"recorder_overhead\": {{\n{}\n  }}\n}}\n",
         bench_entries.join(",\n"),
         speedup_entries.join(",\n"),
-        v2_entries.join(",\n"),
         recorder_entries.join(",\n")
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_interp.json");

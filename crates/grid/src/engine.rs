@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 use stream_pool::PermitPool;
-use stream_trace::{Counter, TraceConfig};
+use stream_trace::Counter;
 
 /// A boxed sweep job.
 pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
@@ -33,7 +33,6 @@ pub struct Engine {
     workers: usize,
     permits: PermitPool,
     cache: &'static KernelCache,
-    trace: TraceConfig,
 }
 
 /// The outcome of one sweep: ordered results plus timing statistics.
@@ -91,18 +90,7 @@ impl Engine {
             workers,
             permits: PermitPool::new(workers - 1),
             cache: global_cache(),
-            trace: TraceConfig::default(),
         }
-    }
-
-    /// Sets this engine's trace policy. The global `stream_trace` flag is
-    /// the master switch; this lets one engine opt its own spans/counters
-    /// out even while the process is tracing (benchmarks use it to skip
-    /// thousands of per-job spans).
-    #[must_use]
-    pub fn with_trace_config(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
     }
 
     /// Creates an engine sized to the host's available parallelism.
@@ -143,8 +131,9 @@ impl Engine {
         }
 
         // Flag reads happen once per run, never per job; job spans are
-        // gated on the bool captured here.
-        let job_spans = self.trace.spans_active();
+        // gated on the bool captured here. `active` also covers the flight
+        // recorder, so it keeps seeing job spans while tracing is off.
+        let job_spans = stream_trace::active();
         let mut run_span = if job_spans {
             stream_trace::span("grid", "run")
         } else {
@@ -154,10 +143,8 @@ impl Engine {
 
         let want = self.workers.min(n) - 1;
         let extra = self.take_permits(want);
-        if self.trace.counters_active() {
-            stream_trace::count("grid.jobs", n as u64);
-            stream_trace::count("grid.permit_shortfall", (want - extra) as u64);
-        }
+        stream_trace::count("grid.jobs", n as u64);
+        stream_trace::count("grid.permit_shortfall", (want - extra) as u64);
         run_span.arg("threads", extra + 1);
 
         let results = if extra == 0 {
@@ -178,9 +165,7 @@ impl Engine {
             let steals = Counter::new();
             let parallel = self.run_stealing(jobs, extra + 1, job_spans, &steals);
             self.give_permits(extra);
-            if self.trace.counters_active() {
-                stream_trace::count("grid.steals", steals.get());
-            }
+            stream_trace::count("grid.steals", steals.get());
             let mut out = Vec::with_capacity(n);
             for (i, value, micros) in parallel {
                 job_micros[i] = micros;

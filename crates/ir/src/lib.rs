@@ -63,10 +63,8 @@ pub use interp::{
 pub use kernel::{Kernel, KernelBuilder, KernelStats, StreamDecl};
 pub use op::{Op, Opcode, StreamDir, StreamId, ValueId};
 pub use scalar::{Scalar, Ty};
-pub use tape::{LaneMode, StripMode, Tape, TapeCheckKind, TapeConfig, TapeFinding};
+pub use tape::{Tape, TapeCheckKind, TapeFinding};
 
-#[doc(hidden)]
-pub use tape::probe_planned_strips;
 #[doc(hidden)]
 pub use tape::TapeMutation;
 pub use text::{parse_kernel, to_text, ParseError};

@@ -15,8 +15,8 @@
 //!   input;
 //! * recurrence slots are wired to the same initial bits and feed
 //!   expressions;
-//! * the strip/batch eligibility flags match an independent re-derivation
-//!   through the shared predicates in [`super::fuse`];
+//! * the batch eligibility flag matches an independent re-derivation
+//!   through the shared predicate in [`super::fuse`];
 //! * every instruction respects the SSA slot layout the const-generic
 //!   executor's `split_*` helpers rely on (operands strictly below the
 //!   destination, each slot defined before use and at most once).
@@ -72,8 +72,8 @@ pub enum TapeCheckKind {
     /// E207: a fallible or per-iteration instruction was hoisted into the
     /// once-per-call prologue.
     HoistedEffect,
-    /// E208: a strip/batch eligibility flag claims more than the shared
-    /// soundness predicates re-derive from the instruction stream.
+    /// E208: the batch eligibility flag claims more than the shared
+    /// soundness predicate re-derives from the instruction stream.
     FlagOverclaim,
     /// E209: a conditional stream's ordered (predicate, source) sequence
     /// diverges from the reference.
@@ -81,8 +81,8 @@ pub enum TapeCheckKind {
     /// E211: a stream access disagrees with the stream declaration
     /// (stream index, record width, in-record offset, or conditionality).
     AccessShape,
-    /// W201: the tape forgoes an eligibility the predicates re-derive
-    /// (strip or batch), leaving performance on the table.
+    /// W201: the tape forgoes batching the predicate re-derives, leaving
+    /// performance on the table.
     MissedEligibility,
     /// W202: a bounds check is provably dead (the access is in range for
     /// every input) — a check-elimination candidate.
@@ -1346,26 +1346,12 @@ pub(crate) fn check_tape(tape: &Tape) -> Vec<TapeFinding> {
         }
     }
 
-    // Eligibility flags vs the shared predicates' independent re-derivation.
-    let strip = fuse::derive_strip_eligible(&tape.body, tape.recurs.len());
-    let batch = tape.config.batch && fuse::derive_batchable(&tape.prologue, &tape.body, strip);
-    if tape.strip_eligible && !strip {
-        findings.push(TapeFinding {
-            kind: TapeCheckKind::FlagOverclaim,
-            message: "tape claims strip eligibility the body's instructions refute".into(),
-        });
-    }
+    // The batching flag vs the shared predicate's independent re-derivation.
+    let batch = fuse::derive_batchable(&tape.prologue, &tape.body, tape.recurs.len());
     if tape.batchable && !batch {
         findings.push(TapeFinding {
             kind: TapeCheckKind::FlagOverclaim,
             message: "tape claims batch eligibility the instruction stream refutes".into(),
-        });
-    }
-    if !tape.strip_eligible && strip {
-        findings.push(TapeFinding {
-            kind: TapeCheckKind::MissedEligibility,
-            message: "iterations are provably independent but the tape is not strip-eligible"
-                .into(),
         });
     }
     if !tape.batchable && batch {
@@ -1637,14 +1623,11 @@ pub enum TapeMutation {
     RewireRecurrence,
     /// Flip the first recurrence's initial bits → `RecurrenceWiring`.
     CorruptRecurrenceInit,
-    /// Claim strip eligibility on an iteration-coupled tape →
-    /// `FlagOverclaim`.
-    ClaimStripEligible,
-    /// Claim batch eligibility on a topology-sensitive tape →
-    /// `FlagOverclaim`.
+    /// Claim batch eligibility on an iteration-coupled or
+    /// topology-sensitive tape → `FlagOverclaim`.
     ClaimBatchable,
-    /// Clear strip eligibility on an eligible tape → `MissedEligibility`.
-    ClearStripEligible,
+    /// Clear batch eligibility on a batchable tape → `MissedEligibility`.
+    ClearBatchable,
     /// Delete the first output write → `WriteCoverage`.
     DropWrite,
     /// Delete the first defining body instruction whose value is used
@@ -1801,31 +1784,8 @@ impl Tape {
                 }
                 None => false,
             },
-            TapeMutation::ClaimStripEligible => {
-                if t.strip_eligible {
-                    false
-                } else {
-                    t.strip_eligible = true;
-                    true
-                }
-            }
-            TapeMutation::ClaimBatchable => {
-                if t.batchable {
-                    false
-                } else {
-                    t.batchable = true;
-                    true
-                }
-            }
-            TapeMutation::ClearStripEligible => {
-                if t.strip_eligible {
-                    t.strip_eligible = false;
-                    t.batchable = false;
-                    true
-                } else {
-                    false
-                }
-            }
+            TapeMutation::ClaimBatchable => !std::mem::replace(&mut t.batchable, true),
+            TapeMutation::ClearBatchable => std::mem::replace(&mut t.batchable, false),
             TapeMutation::DropWrite => {
                 let i = t
                     .body
@@ -1891,7 +1851,7 @@ impl Tape {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Tape, TapeConfig};
+    use super::super::Tape;
     use super::*;
     use crate::{KernelBuilder, Scalar};
 
@@ -1911,18 +1871,20 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// A single-use read whose consumer sits past another fallible read:
-    /// the shape the fuser must never fuse across.
+    /// A single-use read whose consumer sits past a fallible divide: the
+    /// shape the fuser must never fuse across. The consumer's value has
+    /// two uses, so the compiled tape keeps the plain read, the divide,
+    /// and the plain add these fixtures mutate.
     fn gap() -> Kernel {
         let mut b = KernelBuilder::new("gap");
         let sa = b.in_stream(Ty::I32);
-        let sb = b.in_stream(Ty::I32);
         let out = b.out_stream(Ty::I32);
+        let p = b.param(Ty::I32);
         let x = b.read(sa);
-        let y = b.read(sb);
-        let s = b.add(y, y);
-        let r = b.add(x, s);
-        b.write(out, r);
+        let q = b.div(p, p);
+        let r = b.add(x, q);
+        let sq = b.mul(r, r);
+        b.write(out, sq);
         b.finish().unwrap()
     }
 
@@ -1938,7 +1900,7 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Recurrence + conditional output: strip-ineligible, with every
+    /// Recurrence + conditional output: not batchable, with every
     /// recurrence- and cond-stream-shaped mutation site.
     fn accum() -> Kernel {
         let mut b = KernelBuilder::new("accum");
@@ -1965,39 +1927,28 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn no_fuse() -> TapeConfig {
-        TapeConfig {
-            fuse: false,
-            ..TapeConfig::default()
-        }
-    }
-
     fn errors(findings: &[TapeFinding]) -> Vec<&TapeFinding> {
         findings.iter().filter(|f| f.kind.is_error()).collect()
     }
 
     #[test]
-    fn trunk_tapes_validate_clean_under_every_config() {
-        let configs = [TapeConfig::default(), TapeConfig::v1_baseline(), no_fuse()];
+    fn trunk_tapes_validate_clean() {
         for k in [saxpy(), gap(), fsub(), accum(), copy()] {
-            for cfg in configs {
-                let t = Tape::compile_with(&k, cfg);
-                let findings = t.validate();
-                assert!(
-                    errors(&findings).is_empty(),
-                    "kernel `{}` under {cfg:?}: {findings:?}",
-                    k.name()
-                );
-                // No missed-eligibility warnings either: the flags come
-                // from the same predicates the validator re-runs.
-                assert!(
-                    !findings
-                        .iter()
-                        .any(|f| f.kind == TapeCheckKind::MissedEligibility),
-                    "kernel `{}` under {cfg:?}: {findings:?}",
-                    k.name()
-                );
-            }
+            let findings = Tape::compile(&k).validate();
+            assert!(
+                errors(&findings).is_empty(),
+                "kernel `{}`: {findings:?}",
+                k.name()
+            );
+            // No missed-eligibility warnings either: the flag comes from
+            // the same predicate the validator re-runs.
+            assert!(
+                !findings
+                    .iter()
+                    .any(|f| f.kind == TapeCheckKind::MissedEligibility),
+                "kernel `{}`: {findings:?}",
+                k.name()
+            );
         }
     }
 
@@ -2010,7 +1961,7 @@ mod tests {
             (M::SwapPairedReads, Tape::compile(&saxpy()), K::ErrorOrder),
             (
                 M::FuseReadAcrossFallible,
-                Tape::compile_with(&gap(), no_fuse()),
+                Tape::compile(&gap()),
                 K::ErrorOrder,
             ),
             (M::HoistFallible, Tape::compile(&gap()), K::HoistedEffect),
@@ -2030,28 +1981,15 @@ mod tests {
                 Tape::compile(&accum()),
                 K::RecurrenceWiring,
             ),
-            (
-                M::ClaimStripEligible,
-                Tape::compile(&accum()),
-                K::FlagOverclaim,
-            ),
             (M::ClaimBatchable, Tape::compile(&accum()), K::FlagOverclaim),
             (
-                M::ClearStripEligible,
+                M::ClearBatchable,
                 Tape::compile(&saxpy()),
                 K::MissedEligibility,
             ),
             (M::DropWrite, Tape::compile(&saxpy()), K::WriteCoverage),
-            (
-                M::DropDef,
-                Tape::compile_with(&gap(), no_fuse()),
-                K::UndefinedSlot,
-            ),
-            (
-                M::SelfOperand,
-                Tape::compile_with(&gap(), no_fuse()),
-                K::OperandOrder,
-            ),
+            (M::DropDef, Tape::compile(&gap()), K::UndefinedSlot),
+            (M::SelfOperand, Tape::compile(&gap()), K::OperandOrder),
             (
                 M::SwapCondWriteOperands,
                 Tape::compile(&accum()),

@@ -245,9 +245,8 @@ pub(crate) fn hoistable(ins: &Instr) -> bool {
 }
 
 /// Whether `ins` couples consecutive iterations through shared mutable
-/// state (conditional-stream cursors, the scratchpad), making the tape
-/// ineligible for strip-parallel execution.
-pub(crate) fn strip_coupler(ins: &Instr) -> bool {
+/// state (conditional-stream cursors, the scratchpad).
+pub(crate) fn iteration_coupler(ins: &Instr) -> bool {
     matches!(
         ins,
         Instr::CondRead { .. } | Instr::CondWrite { .. } | Instr::SpWrite { .. }
@@ -269,18 +268,12 @@ pub(crate) fn lane_topology_sensitive(ins: &Instr) -> bool {
     )
 }
 
-/// Strip eligibility derived from the final instruction stream: no
-/// recurrences and no iteration-coupling instructions anywhere in the
-/// body.
-pub(crate) fn derive_strip_eligible(body: &[Instr], n_recurs: usize) -> bool {
-    n_recurs == 0 && !body.iter().any(strip_coupler)
-}
-
-/// Batch eligibility derived from the final instruction stream (given
-/// strip eligibility from [`derive_strip_eligible`]): additionally, no
-/// instruction anywhere may observe the lane topology.
-pub(crate) fn derive_batchable(prologue: &[Instr], body: &[Instr], strip_eligible: bool) -> bool {
-    strip_eligible
+/// Batch eligibility derived from the final instruction stream: no
+/// recurrences, no iteration-coupling instruction in the body, and no
+/// instruction anywhere that observes the lane topology.
+pub(crate) fn derive_batchable(prologue: &[Instr], body: &[Instr], n_recurs: usize) -> bool {
+    n_recurs == 0
+        && !body.iter().any(iteration_coupler)
         && !prologue
             .iter()
             .chain(body.iter())

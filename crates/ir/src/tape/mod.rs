@@ -8,10 +8,11 @@
 //! layout (`vals[value * C + cluster]`), so the per-iteration loop is
 //! clone-free, allocation-free, and dispatches on a dense enum.
 //!
-//! On top of that v1 base, this module adds three compile-time/run-time
-//! specializations (all default-on, all individually controllable via
-//! [`TapeConfig`]):
+//! Every compile applies the same specializations:
 //!
+//! * **Hoisting**: iteration-invariant ops (constants, params, cluster
+//!   ids, and pure chains rooted in them) run once per kernel call, in a
+//!   prologue.
 //! * **Fused superinstructions** ([`fuse`]): hot two/three-instruction
 //!   chains — multiply-accumulate shapes, op-into-write, read-into-op,
 //!   const-operand binaries — collapse into single tape instructions,
@@ -20,15 +21,13 @@
 //!   monomorphized over the common cluster counts (1, 4, 8, 16) so the
 //!   compiler unrolls and vectorizes fixed-width lane loops; other widths
 //!   use a runtime-width generic instantiation.
-//! * **Strip-parallel execution** ([`exec`]): kernels whose iterations are
-//!   provably independent (no recurrences, conditional streams, or
-//!   scratchpad writes) may partition their iteration range across scoped
-//!   worker threads drawing permits from the process-wide
-//!   [`stream_pool`] budget. Results and errors are bit-identical to the
-//!   serial schedule. Counted by `tape.strips` / `tape.strip_fallback`.
+//! * **Macro-batching** ([`exec`]): kernels whose iterations are
+//!   independent and blind to the lane topology run several iterations per
+//!   dispatch.
 //!
-//! Iteration-invariant ops (constants, params, cluster ids) are hoisted
-//! into a prologue executed once per kernel call.
+//! A tape runs one way: serially, on the caller's thread. The paper's
+//! parallelism lives in the simulated `(C, N)` machine; the tape only
+//! computes the values a kernel produces.
 //!
 //! The legacy tree-walk interpreter ([`crate::execute_legacy`]) stays as
 //! the differential-test oracle; the tape reproduces its observable
@@ -53,8 +52,6 @@ pub use check::{TapeCheckKind, TapeFinding};
 
 #[doc(hidden)]
 pub use check::TapeMutation;
-#[doc(hidden)]
-pub use exec::probe_planned_strips;
 
 /// Whether every [`Tape::compile`] should be translation-validated, with
 /// error-severity findings turned into a panic. Defaults to on in debug
@@ -78,70 +75,6 @@ fn validate_on_compile() -> bool {
         },
         Err(_) => cfg!(debug_assertions),
     })
-}
-
-/// How the executor's per-lane loops are instantiated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneMode {
-    /// Monomorphize over the common cluster counts (1, 4, 8, 16); other
-    /// widths fall back to the generic instantiation. The default.
-    Specialized,
-    /// Always use the runtime-width generic loop (the v1 behavior).
-    Generic,
-}
-
-/// Whether eligible kernels may execute iteration strips on worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StripMode {
-    /// Strip-parallelize when the kernel is eligible, the work is large
-    /// enough to amortize thread spawns, and the process-wide permit pool
-    /// grants workers. The default. The `STREAM_TAPE_STRIPS` environment
-    /// variable (`on`/`force` or `off`/`serial`) overrides Auto only.
-    Auto,
-    /// Never spawn workers (the v1 behavior).
-    Serial,
-    /// Always partition eligible kernels (up to 4 strips), bypassing both
-    /// the work threshold and the permit pool. For determinism testing.
-    Force,
-}
-
-/// Compile- and run-time knobs for [`Tape::compile_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapeConfig {
-    /// Run the peephole fusion pass at compile time.
-    pub fuse: bool,
-    /// Lane-loop instantiation strategy.
-    pub lanes: LaneMode,
-    /// Strip-parallel execution policy.
-    pub strips: StripMode,
-    /// Allow serial macro-batching (several iterations per dispatch) for
-    /// lane-topology-neutral kernels.
-    pub batch: bool,
-}
-
-impl Default for TapeConfig {
-    fn default() -> Self {
-        Self {
-            fuse: true,
-            lanes: LaneMode::Specialized,
-            strips: StripMode::Auto,
-            batch: true,
-        }
-    }
-}
-
-impl TapeConfig {
-    /// The v1 tape's behavior: no fusion, generic lane loops, strictly
-    /// serial, one iteration per dispatch. Kept as the benchmark baseline
-    /// for the v2-over-v1 speedup gate.
-    pub fn v1_baseline() -> Self {
-        Self {
-            fuse: false,
-            lanes: LaneMode::Generic,
-            strips: StripMode::Serial,
-            batch: false,
-        }
-    }
 }
 
 /// A kernel lowered once into a flat, type-specialized instruction tape.
@@ -182,27 +115,21 @@ pub struct Tape {
     uses_sp: bool,
     /// Fusion rewrites applied at compile time.
     fused: usize,
-    /// Iterations are provably independent: no recurrences, conditional
-    /// streams, or scratchpad writes survive in the final body.
-    strip_eligible: bool,
-    /// Strip-independent *and* lane-topology neutral: nothing observes the
-    /// cluster index/count, iteration number, comm topology, or scratchpad,
-    /// so consecutive iterations may execute as one wide dispatch.
+    /// Iterations are independent (no recurrences, conditional streams, or
+    /// scratchpad writes) *and* lane-topology neutral (nothing observes the
+    /// cluster index/count, iteration number, comm topology, or
+    /// scratchpad), so consecutive iterations may execute as one wide
+    /// dispatch.
     batchable: bool,
-    config: TapeConfig,
 }
 
 impl Tape {
-    /// Lowers `kernel` to an execution tape with the default
-    /// [`TapeConfig`]. Infallible for kernels built with
-    /// [`crate::KernelBuilder`] (any type inconsistency lowers to a
-    /// runtime fault instruction, matching the legacy interpreter).
+    /// Lowers `kernel` to an execution tape: hoisted, fused,
+    /// lane-specialized, and macro-batched where the kernel allows.
+    /// Infallible for kernels built with [`crate::KernelBuilder`] (any type
+    /// inconsistency lowers to a runtime fault instruction, matching the
+    /// legacy interpreter).
     pub fn compile(kernel: &Kernel) -> Self {
-        Self::compile_with(kernel, TapeConfig::default())
-    }
-
-    /// Lowers `kernel` with explicit compile/execution knobs.
-    pub fn compile_with(kernel: &Kernel, config: TapeConfig) -> Self {
         let mut compile_span = stream_trace::span("tape", "compile");
         compile_span.arg("kernel", kernel.name());
         compile_span.arg("ops", kernel.ops().len());
@@ -511,27 +438,21 @@ impl Tape {
             body.push(ins);
         }
 
-        let fused = if config.fuse {
-            // Sink transitively iteration-invariant ops (chains rooted at
-            // constants, params, and cluster ids) into the prologue first,
-            // then run the peephole and pair fusion passes on what's left.
-            fuse::hoist_invariants(&mut prologue, &mut body, n);
-            fuse::fuse(&mut body, n, &recurs, &const_bits)
-        } else {
-            0
-        };
+        // Sink transitively iteration-invariant ops (chains rooted at
+        // constants, params, and cluster ids) into the prologue first, then
+        // run the peephole and pair fusion passes on what's left.
+        fuse::hoist_invariants(&mut prologue, &mut body, n);
+        let fused = fuse::fuse(&mut body, n, &recurs, &const_bits);
         stream_trace::count("tape.fused_ops", fused as u64);
-        // Eligibility flags come from the shared soundness predicates in
-        // `fuse` — the same functions the translation validator re-runs,
-        // so an overclaimed flag is a validation error, not a silent
-        // miscompile. Macro-batching additionally requires the config bit:
-        // the serial executor may run BATCH consecutive iterations as one
-        // dispatch over `BATCH * c` lanes only if no instruction can tell
-        // the lane topology apart.
-        let strip_eligible = fuse::derive_strip_eligible(&body, recurs.len());
-        let batchable = config.batch && fuse::derive_batchable(&prologue, &body, strip_eligible);
+        // The batching flag comes from the shared soundness predicate in
+        // `fuse` — the same function the translation validator re-runs, so
+        // an overclaimed flag is a validation error, not a silent
+        // miscompile. The executor may run BATCH consecutive iterations as
+        // one dispatch over `BATCH * c` lanes only if no instruction can
+        // tell the lane topology apart.
+        let batchable = fuse::derive_batchable(&prologue, &body, recurs.len());
         compile_span.arg("fused", fused);
-        compile_span.arg("strip_eligible", strip_eligible);
+        compile_span.arg("batchable", batchable);
 
         let tape = Self {
             kernel: kernel.clone(),
@@ -541,9 +462,7 @@ impl Tape {
             n_vals: n,
             uses_sp,
             fused,
-            strip_eligible,
             batchable,
-            config,
         };
         if validate_on_compile() {
             let errors: Vec<_> = tape
@@ -585,12 +504,6 @@ impl Tape {
         findings
     }
 
-    /// Returns the tape with its strip policy replaced.
-    pub fn with_strip_mode(mut self, strips: StripMode) -> Self {
-        self.config.strips = strips;
-        self
-    }
-
     /// The kernel this tape was compiled from.
     pub fn kernel(&self) -> &Kernel {
         &self.kernel
@@ -610,17 +523,6 @@ impl Tape {
     /// Fusion rewrites applied at compile time.
     pub fn fused_ops(&self) -> usize {
         self.fused
-    }
-
-    /// Whether iterations are provably independent, making the kernel a
-    /// candidate for strip-parallel execution.
-    pub fn strip_eligible(&self) -> bool {
-        self.strip_eligible
-    }
-
-    /// The configuration this tape was compiled with.
-    pub fn config(&self) -> &TapeConfig {
-        &self.config
     }
 
     /// Executes the tape, inferring the iteration count from the first
@@ -859,7 +761,7 @@ mod tests {
         vec![ints, floats]
     }
 
-    /// A strip-eligible float kernel with fusible mul→add chains and a
+    /// A batchable float kernel with fusible mul→add chains and a
     /// const-operand op.
     fn saxpy_kernel() -> Kernel {
         let mut b = KernelBuilder::new("saxpy");
@@ -910,35 +812,27 @@ mod tests {
     #[test]
     fn iteration_invariant_ops_are_hoisted() {
         let k = busy_kernel();
-        let tape = Tape::compile_with(&k, TapeConfig::v1_baseline());
-        // Consts, the param, cluster id/count never re-execute per iteration.
-        assert!(tape.hoisted_len() >= 5, "{}", tape.hoisted_len());
-        assert_eq!(tape.hoisted_len() + tape.loop_len(), k.ops().len());
+        let tape = Tape::compile(&k);
+        // Consts, the param, cluster id/count, and the comm-source chain
+        // built from them never re-execute per iteration.
+        assert!(tape.hoisted_len() >= 8, "{}", tape.hoisted_len());
+        assert!(tape.hoisted_len() + tape.loop_len() <= k.ops().len());
     }
 
     #[test]
     fn fusion_collapses_hot_chains_and_preserves_results() {
         let k = saxpy_kernel();
         let fused = Tape::compile(&k);
-        let unfused = Tape::compile_with(
-            &k,
-            TapeConfig {
-                fuse: false,
-                ..TapeConfig::default()
-            },
-        );
-        // mul→add collapses, and the final mul-by-const into the write
-        // leaves a shorter body than the unfused tape.
+        // mul→add collapses, and the final mul-by-const folds into the
+        // write: fewer instructions than the kernel has ops.
         assert!(fused.fused_ops() > 0);
-        assert!(fused.loop_len() < unfused.loop_len());
-        assert_eq!(unfused.fused_ops(), 0);
+        assert!(fused.hoisted_len() + fused.loop_len() < k.ops().len());
 
         let params = [Scalar::F32(2.5)];
         for c in [1usize, 3, 4, 8] {
             let inputs = saxpy_inputs(5, c);
             let want = execute_legacy(&k, &params, &inputs, &cfg(c)).unwrap();
             assert_eq!(fused.execute(&params, &inputs, &cfg(c)).unwrap(), want);
-            assert_eq!(unfused.execute(&params, &inputs, &cfg(c)).unwrap(), want);
         }
     }
 
@@ -978,59 +872,6 @@ mod tests {
                 iteration: 1
             }
         );
-    }
-
-    #[test]
-    fn forced_strips_match_serial_execution() {
-        let k = saxpy_kernel();
-        let tape = Tape::compile(&k);
-        assert!(tape.strip_eligible());
-        let forced = tape.clone().with_strip_mode(StripMode::Force);
-        let serial = tape.with_strip_mode(StripMode::Serial);
-        let params = [Scalar::F32(-1.25)];
-        for c in [1usize, 4, 5] {
-            let inputs = saxpy_inputs(9, c);
-            assert_eq!(
-                forced.execute(&params, &inputs, &cfg(c)).unwrap(),
-                serial.execute(&params, &inputs, &cfg(c)).unwrap(),
-                "C={c}"
-            );
-        }
-    }
-
-    #[test]
-    fn strips_report_the_earliest_iteration_error() {
-        // Truncated input: a later strip's iterations are all out of
-        // bounds, but the reported error must be the first failing
-        // iteration — the one the serial schedule hits.
-        let k = saxpy_kernel();
-        let forced = Tape::compile(&k).with_strip_mode(StripMode::Force);
-        let serial = Tape::compile(&k).with_strip_mode(StripMode::Serial);
-        let params = [Scalar::F32(1.0)];
-        let c = 4;
-        let mut inputs = saxpy_inputs(3, c);
-        inputs[1].truncate(5); // sy exhausts at iteration 1
-        let opts = ExecOptions {
-            params: &params,
-            sp_init: None,
-            iterations: Some(8),
-        };
-        let want = serial.execute_with(&opts, &inputs, &cfg(c)).unwrap_err();
-        let got = forced.execute_with(&opts, &inputs, &cfg(c)).unwrap_err();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn ineligible_kernels_run_serial_under_force() {
-        let k = busy_kernel();
-        let tape = Tape::compile(&k);
-        // Recurrence + cond stream + SP writes: iterations are coupled.
-        assert!(!tape.strip_eligible());
-        let forced = tape.with_strip_mode(StripMode::Force);
-        let inputs = busy_inputs(6, 4);
-        let params = [Scalar::F32(0.5)];
-        let want = execute_legacy(&k, &params, &inputs, &cfg(4)).unwrap();
-        assert_eq!(forced.execute(&params, &inputs, &cfg(4)).unwrap(), want);
     }
 
     #[test]

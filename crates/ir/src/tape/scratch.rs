@@ -15,7 +15,7 @@
 
 use crate::Ty;
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(super) struct Scratchpad {
     bits: Vec<u32>,
     init: Vec<u64>,

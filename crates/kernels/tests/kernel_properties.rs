@@ -3,7 +3,7 @@
 //! the per-machine builds.
 
 use proptest::prelude::*;
-use stream_ir::{execute, ExecConfig};
+use stream_ir::{execute, ExecConfig, Tape};
 use stream_kernels::{blocksad, convolve, dct, fft, irast, noise, update, KernelId};
 use stream_machine::Machine;
 use stream_vlsi::Shape;
@@ -175,5 +175,25 @@ proptest! {
             );
             prop_assert!(k.sp_words() <= 256, "{id} scratchpad");
         }
+    }
+}
+
+/// The tape's compile-time optimizations engage on the interpreter
+/// benchmark's kernels: fusion rewrites something, and hoisting plus
+/// fusion leave fewer tape instructions than the kernel has ops.
+#[test]
+fn tape_optimizations_engage_on_bench_kernels() {
+    let machine = Machine::baseline();
+    for k in [convolve::kernel(&machine), KernelId::Fft.build(&machine)] {
+        let tape = Tape::compile(&k);
+        assert!(tape.fused_ops() > 0, "{}: nothing fused", k.name());
+        assert!(
+            tape.hoisted_len() + tape.loop_len() < k.ops().len(),
+            "{}: {} hoisted + {} looped vs {} ops",
+            k.name(),
+            tape.hoisted_len(),
+            tape.loop_len(),
+            k.ops().len()
+        );
     }
 }

@@ -27,7 +27,7 @@
 //! builds.
 //!
 //! The scope is deliberately small — just what the permit pool and the
-//! strip/cache models need: `AtomicUsize`, `AtomicBool`, `thread::spawn`
+//! cache model need: `AtomicUsize`, `AtomicBool`, `thread::spawn`
 //! with value-returning joins, deadlock detection, and panic propagation.
 //! Like the sibling `proptest-shim`/`criterion-shim` crates, this exists so
 //! the repository model-checks offline; swap in the real `loom` when a
@@ -603,12 +603,6 @@ pub mod sync {
             pub fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
                 crate::yield_point();
                 self.0.fetch_sub(v, order)
-            }
-
-            /// Computes the minimum, returning the previous value.
-            pub fn fetch_min(&self, v: usize, order: Ordering) -> usize {
-                crate::yield_point();
-                self.0.fetch_min(v, order)
             }
         }
     }

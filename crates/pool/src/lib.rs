@@ -4,10 +4,9 @@
 //! A [`PermitPool`] holds a budget of *extra* threads (beyond the calling
 //! thread) that concurrent parallel regions may borrow from. The sweep
 //! engine ([`stream-grid`]) owns one pool per engine so nested sweeps stay
-//! bounded by that engine's configured parallelism; the execution tape's
-//! strip-parallel runner draws from the process-wide [`global`] pool so
-//! kernel-level parallelism composes with sweep-level parallelism without
-//! oversubscribing the host.
+//! bounded by that engine's configured parallelism; the serve daemon's
+//! connection workers draw from the process-wide [`global`] pool, sized
+//! to the same worker budget as its sweep engine.
 //!
 //! Permits are advisory capacity, not locks: `take` never blocks, it just
 //! returns however many permits (possibly zero) are free right now. Callers

@@ -148,9 +148,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // The tape's strip-parallel executor draws from the process-global
-    // permit pool; size it to the same worker budget as the sweep engine
-    // so `--jobs 1` keeps the whole run strictly serial.
+    // Size the process-global permit pool (reported by the `pool.*`
+    // gauges) to the same worker budget as the sweep engine.
     stream_pool::configure_global(jobs.unwrap_or_else(stream_pool::default_parallelism));
     let engine = query.engine();
     for report in query.run_on(&engine) {

@@ -4,7 +4,7 @@
 use crate::sweep::Ctx;
 use crate::{ExperimentId, Report};
 use std::sync::Arc;
-use stream_ir::{execute_legacy, ExecConfig, Kernel, Scalar, StripMode, Tape, Ty};
+use stream_ir::{execute_legacy, ExecConfig, Kernel, Scalar, Tape, Ty};
 use stream_kernels::KernelId;
 use stream_machine::Machine;
 use stream_sched::CompiledKernel;
@@ -71,18 +71,6 @@ fn tape_smoke(kernel: &Kernel, clusters: usize) {
         tape,
         oracle,
         "tape/oracle divergence for {} at C={clusters}",
-        kernel.name()
-    );
-    // Strip-parallel determinism: forced partitioning must be bit-exact
-    // too (ineligible kernels silently run serial under Force).
-    let stripped = Tape::compile(kernel)
-        .with_strip_mode(StripMode::Force)
-        .execute(&[], &inputs, &cfg)
-        .map(&bits);
-    assert_eq!(
-        stripped,
-        oracle,
-        "strip/serial divergence for {} at C={clusters}",
         kernel.name()
     );
 }

@@ -1,8 +1,8 @@
 //! The `verify` experiment: sweep the full Figure 13 x Figure 14
 //! configuration grid, run every compiled kernel schedule through the
 //! independent verifier in `stream-verify`, lint every kernel's IR, and
-//! translation-validate every kernel's execution tape under each tape
-//! compiler configuration (`stream-tapecheck`).
+//! translation-validate every kernel's execution tape
+//! (`stream-tapecheck`).
 //!
 //! A clean run is the evidence that the scheduler's output is legal by an
 //! implementation that shares none of its code — the paper's results rest
@@ -13,20 +13,13 @@
 use crate::kernel_figs::{FIG13_NS, FIG14_CS};
 use crate::sweep::Ctx;
 use crate::{ExperimentId, Report};
-use stream_ir::{Tape, TapeConfig};
+use stream_ir::Tape;
 use stream_kernels::KernelId;
 use stream_machine::Machine;
 use stream_sched::check_schedule;
 use stream_tapecheck::validate_tape;
 use stream_verify::lint_kernel;
 use stream_vlsi::Shape;
-
-/// The tape compiler configurations every kernel is validated under: the
-/// current default (fused, batched) and the v1 baseline (unfused,
-/// unbatched).
-fn tape_configs() -> [TapeConfig; 2] {
-    [TapeConfig::default(), TapeConfig::v1_baseline()]
-}
 
 /// Verifies every suite kernel's schedule and IR across the full
 /// `(C, N)` grid of Figures 13 and 14.
@@ -70,10 +63,7 @@ pub(crate) fn verify_impl(ctx: &Ctx) -> Report {
             .compile_default(&kernel, &machine)
             .expect("suite kernels schedule on all paper machines");
         let report = check_schedule(compiled.ddg(), compiled.schedule(), &machine);
-        let mut tape_report = stream_verify::Report::new();
-        for config in tape_configs() {
-            tape_report.merge(validate_tape(&Tape::compile_with(&kernel, config)));
-        }
+        let tape_report = validate_tape(&Tape::compile(&kernel));
         (
             lint.error_count(),
             lint.warning_count(),
@@ -115,8 +105,7 @@ pub(crate) fn verify_impl(ctx: &Ctx) -> Report {
     }
     r.note(format!(
         "verifier re-derives slot usage, dependences, ResMII/RecMII, and register pressure; \
-         tapes are translation-validated under {} compiler configs each; {total_errors} error(s) total",
-        tape_configs().len()
+         tapes are translation-validated against their kernel IR; {total_errors} error(s) total"
     ));
     r.note("diagnostic codes are cataloged in docs/lint_codes.md");
     r

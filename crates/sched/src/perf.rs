@@ -134,6 +134,10 @@ impl fmt::Display for ScheduleError {
 
 impl Error for ScheduleError {}
 
+/// Longest schedule the microcode store holds, in VLIW instructions
+/// (`r_uc = 2048`). Compiles and rehydrations reject anything longer.
+const MAX_SCHEDULE_LENGTH: u32 = 2048;
+
 /// Compilation options.
 ///
 /// Construct with [`CompileOptions::new`] (or `Default`) and refine with the
@@ -155,12 +159,6 @@ impl Error for ScheduleError {}
 pub struct CompileOptions {
     /// Unroll factors to try; the best elements/cycle wins.
     pub unroll_factors: Vec<u32>,
-    /// Enforce the cluster's LRF register capacity by deepening the II when
-    /// a schedule holds too many values live.
-    pub respect_registers: bool,
-    /// Maximum schedule length in VLIW instructions (the microcode store
-    /// holds `r_uc = 2048`).
-    pub max_length: u32,
     /// Software pipelining (modulo scheduling). Disabling it runs each loop
     /// iteration to completion before starting the next — the ablation
     /// quantifying how much the stream methodology depends on SWP.
@@ -174,8 +172,7 @@ pub struct CompileOptions {
 
 impl CompileOptions {
     /// Default options (same as `Default`): unroll search over 1/2/4/8,
-    /// register capacity respected, software pipelining on, verification on
-    /// in debug builds.
+    /// software pipelining on, verification on in debug builds.
     pub fn new() -> Self {
         Self::default()
     }
@@ -184,20 +181,6 @@ impl CompileOptions {
     #[must_use]
     pub fn unroll_factors(mut self, factors: impl Into<Vec<u32>>) -> Self {
         self.unroll_factors = factors.into();
-        self
-    }
-
-    /// Sets whether the LRF register capacity is enforced.
-    #[must_use]
-    pub fn respect_registers(mut self, on: bool) -> Self {
-        self.respect_registers = on;
-        self
-    }
-
-    /// Sets the maximum schedule length in VLIW instructions.
-    #[must_use]
-    pub fn max_length(mut self, limit: u32) -> Self {
-        self.max_length = limit;
         self
     }
 
@@ -228,8 +211,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         Self {
             unroll_factors: vec![1, 2, 4, 8],
-            respect_registers: true,
-            max_length: 2048,
             software_pipelining: true,
             verify: cfg!(debug_assertions),
         }
@@ -349,30 +330,28 @@ impl CompiledKernel {
             }
 
             // Register pressure: deepen the II (less iteration overlap, so
-            // fewer rotating copies) until the estimate fits. A flat
-            // schedule is reached at II = schedule length; past that nothing
-            // improves.
-            if opts.respect_registers {
-                let cap = machine.register_capacity();
-                while sched.register_estimate(ddg) > cap {
-                    let next_ii = (sched.ii + sched.ii.div_ceil(4))
-                        .min(sched.length(ddg))
-                        .min(opts.max_length);
-                    if next_ii <= sched.ii {
-                        break;
-                    }
-                    match schedule_at_ii_memo(ddg, machine, next_ii, heights) {
-                        Some(s) => sched = s,
-                        None => break,
-                    }
+            // fewer rotating copies) until the estimate fits the LRF
+            // capacity. A flat schedule is reached at II = schedule length;
+            // past that nothing improves.
+            let cap = machine.register_capacity();
+            while sched.register_estimate(ddg) > cap {
+                let next_ii = (sched.ii + sched.ii.div_ceil(4))
+                    .min(sched.length(ddg))
+                    .min(MAX_SCHEDULE_LENGTH);
+                if next_ii <= sched.ii {
+                    break;
                 }
-                if sched.register_estimate(ddg) > cap {
-                    continue;
+                match schedule_at_ii_memo(ddg, machine, next_ii, heights) {
+                    Some(s) => sched = s,
+                    None => break,
                 }
+            }
+            if sched.register_estimate(ddg) > cap {
+                continue;
             }
 
             let length = sched.length(ddg);
-            if length > opts.max_length {
+            if length > MAX_SCHEDULE_LENGTH {
                 continue;
             }
 
@@ -450,9 +429,9 @@ impl CompiledKernel {
     /// Returns `None` — "recompile, please" — if the recipe does not fit
     /// this `(kernel, machine, opts)` triple: wrong node count, an illegal
     /// schedule (dependence or resource violation), a register estimate
-    /// over capacity while `opts.respect_registers`, a schedule longer than
-    /// `opts.max_length`, overlapped iterations while software pipelining
-    /// is disabled, or a verifier rejection while `opts.verify`. A recipe
+    /// over capacity, a schedule longer than the 2048-instruction microcode
+    /// store, overlapped iterations while software pipelining is disabled,
+    /// or a verifier rejection while `opts.verify`. A recipe
     /// accepted here yields a `CompiledKernel` indistinguishable from the
     /// one `compile` would have produced for the same inputs, because every
     /// derived field is a deterministic function of the validated parts.
@@ -478,14 +457,14 @@ impl CompiledKernel {
         };
         sched.verify(&ddg, machine).ok()?;
         let length = sched.length(&ddg);
-        if length > opts.max_length {
+        if length > MAX_SCHEDULE_LENGTH {
             return None;
         }
         if !opts.software_pipelining && sched.stages() != 1 {
             return None;
         }
         let registers = sched.register_estimate(&ddg);
-        if opts.respect_registers && registers > machine.register_capacity() {
+        if registers > machine.register_capacity() {
             return None;
         }
         if opts.verify {
@@ -809,13 +788,9 @@ mod tests {
         use std::hash::{Hash, Hasher};
         let opts = CompileOptions::new()
             .unroll_factors([1, 2])
-            .respect_registers(false)
-            .max_length(512)
             .without_software_pipelining()
             .verify(true);
         assert_eq!(opts.unroll_factors, vec![1, 2]);
-        assert!(!opts.respect_registers);
-        assert_eq!(opts.max_length, 512);
         assert!(!opts.software_pipelining);
         assert!(opts.verify);
         let hash = |o: &CompileOptions| {
@@ -932,10 +907,16 @@ mod tests {
         };
         assert!(CompiledKernel::rehydrate(&k, &m, &opts, &alien).is_none());
 
-        // A recipe for one machine must not rehydrate on a machine where it
-        // is illegal (fewer ALUs -> resource conflicts), and the options'
-        // length budget is enforced.
-        let tight = CompileOptions::new().max_length(1);
-        assert!(CompiledKernel::rehydrate(&k, &m, &tight, &good).is_none());
+        // The microcode store bounds the schedule length. Delaying every
+        // node by whole IIs keeps the schedule legal (same dependences, same
+        // modulo slots); one II of delay still rehydrates, a delay past
+        // `MAX_SCHEDULE_LENGTH` does not.
+        let delayed = |iis: u32| ScheduleRecipe {
+            times: good.times.iter().map(|t| t + iis * good.ii).collect(),
+            ..good.clone()
+        };
+        assert!(CompiledKernel::rehydrate(&k, &m, &opts, &delayed(1)).is_some());
+        let past_store = MAX_SCHEDULE_LENGTH.div_ceil(good.ii);
+        assert!(CompiledKernel::rehydrate(&k, &m, &opts, &delayed(past_store)).is_none());
     }
 }

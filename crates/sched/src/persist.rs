@@ -70,6 +70,7 @@ impl ScheduleRecipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrips() {
@@ -107,5 +108,41 @@ mod tests {
         let mut lying = good;
         lying[8] = 200;
         assert_eq!(ScheduleRecipe::decode(&lying), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            times in proptest::collection::vec(any::<u32>(), 0..8),
+            at in any::<usize>(),
+            flip in any::<u8>(),
+            keep in any::<usize>(),
+        ) {
+            // Arbitrary bytes, and a valid encoding with one byte flipped
+            // and the tail cut: anything accepted is canonical, i.e. it
+            // re-encodes to the exact input.
+            let mut near = ScheduleRecipe { unroll: 2, ii: 3, times }.encode();
+            let i = at % near.len();
+            near[i] ^= flip;
+            near.truncate(keep % (near.len() + 1));
+            for buf in [bytes, near] {
+                if let Some(r) = ScheduleRecipe::decode(&buf) {
+                    prop_assert_eq!(r.encode(), buf);
+                }
+            }
+        }
+
+        #[test]
+        fn decode_inverts_encode(
+            unroll in any::<u32>(),
+            ii in any::<u32>(),
+            times in proptest::collection::vec(any::<u32>(), 0..48),
+        ) {
+            let r = ScheduleRecipe { unroll, ii, times };
+            prop_assert_eq!(ScheduleRecipe::decode(&r.encode()), Some(r));
+        }
     }
 }

@@ -72,28 +72,34 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
 
-    let mut head = String::new();
-    let mut line = String::new();
+    // The head is read through a cap one byte past the limit, so a line
+    // that never ends is cut off there instead of buffered for as long as
+    // the client keeps sending.
+    let mut head = Vec::new();
+    let mut capped = (&mut reader).take(MAX_HEAD as u64 + 1);
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(RequestError::Bad {
-                status: 400,
-                reason: "truncated request",
-            });
-        }
-        head.push_str(&line);
+        let start = head.len();
+        let n = capped.read_until(b'\n', &mut head)?;
         if head.len() > MAX_HEAD {
             return Err(RequestError::Bad {
                 status: 431,
                 reason: "request head too large",
             });
         }
-        if line == "\r\n" || line == "\n" {
+        if n == 0 {
+            return Err(RequestError::Bad {
+                status: 400,
+                reason: "truncated request",
+            });
+        }
+        if matches!(&head[start..], b"\r\n" | b"\n") {
             break;
         }
     }
+    let head = String::from_utf8(head).map_err(|_| RequestError::Bad {
+        status: 400,
+        reason: "request head is not UTF-8",
+    })?;
 
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or("");
@@ -247,18 +253,20 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
-    fn roundtrip(raw: &str) -> Result<Request, RequestError> {
+    fn roundtrip(raw: impl AsRef<[u8]>) -> Result<Request, RequestError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
+        let raw = raw.as_ref().to_vec();
         let writer = thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(raw.as_bytes()).unwrap();
-            s.flush().unwrap();
+            // A rejected request is closed before the client finishes
+            // sending, so the writer may see the connection reset.
+            let _ = s.write_all(&raw).and_then(|()| s.flush());
             s // keep alive until the reader is done
         });
         let (mut conn, _) = listener.accept().unwrap();
         let req = read_request(&mut conn);
+        drop(conn);
         drop(writer.join().unwrap());
         req
     }
@@ -301,6 +309,16 @@ mod tests {
         assert!(matches!(
             roundtrip(&huge),
             Err(RequestError::Bad { status: 431, .. })
+        ));
+        // A head line with no newline is cut off at the limit, not
+        // buffered until the socket times out.
+        assert!(matches!(
+            roundtrip("G".repeat(64 * 1024)),
+            Err(RequestError::Bad { status: 431, .. })
+        ));
+        assert!(matches!(
+            roundtrip(b"GET /\xff\xfe HTTP/1.1\r\n\r\n"),
+            Err(RequestError::Bad { status: 400, .. })
         ));
         assert!(matches!(
             roundtrip("POST / HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n"),

@@ -358,33 +358,46 @@ impl Parser<'_> {
         char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))
     }
 
+    /// RFC 8259 `number`: an optional `-`, then `0` or a digit run without
+    /// a leading zero, then optional `.digits` and `e[+-]digits` parts,
+    /// each holding at least one digit.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else {
+            self.digits("expected a digit")?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected a digit after `.`")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected a digit in the exponent")?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
         text.parse()
             .map(Value::Number)
             .map_err(|_| self.err("malformed number"))
+    }
+
+    /// Consumes a run of one or more ASCII digits.
+    fn digits(&mut self, missing: &str) -> Result<(), ParseError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(missing));
+        }
+        Ok(())
     }
 }
 
@@ -401,6 +414,7 @@ pub fn object(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Value 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrips_documents() {
@@ -408,6 +422,7 @@ mod tests {
             "null",
             "true",
             "[1,2.5,-3]",
+            "[0,-0,0.5,-0.25e-3,1E+2,10,120]",
             "{\"a\":[{\"b\":\"c\"}],\"d\":null}",
             "\"quote \\\" backslash \\\\ tab \\t\"",
             "{}",
@@ -430,7 +445,8 @@ mod tests {
     #[test]
     fn malformed_documents_error_cleanly() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "nul", "1 2", "{\"a\":}", "\"\x01\"", "[1]]",
+            "", "{", "[1,", "{\"a\"}", "nul", "1 2", "{\"a\":}", "\"\x01\"", "[1]]", "01", "1.",
+            "-.5", "1.e3", "-01.0", "-", "1e", "1e+", "[-]",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
@@ -458,5 +474,86 @@ mod tests {
         assert_eq!(Value::Number(3.0).render(), "3");
         assert_eq!(Value::Number(0.5).render(), "0.5");
         assert_eq!(Value::Number(-7.0).render(), "-7");
+    }
+
+    /// Characters that steer the parser into every branch: structure,
+    /// literals, number syntax, escapes, and multi-byte scalars.
+    const JSONISH: &[char] = &[
+        '{', '}', '[', ']', '"', ':', ',', ' ', '\n', '-', '+', '.', '0', '1', '9', 'e', 'E', 't',
+        'r', 'u', 'f', 'a', 'l', 's', 'n', '\\', '/', 'b', 'd', '8', 'c', 'é', '\u{1}',
+    ];
+
+    /// Builds a finite JSON value from a byte script: each byte picks the
+    /// next node's kind and payload, so scripts of any length decode.
+    fn value_from(script: &mut std::slice::Iter<'_, u8>, depth: usize) -> Value {
+        let Some(&op) = script.next() else {
+            return Value::Null;
+        };
+        let mut byte = || script.next().copied().unwrap_or(0);
+        match op % 7 {
+            0 => Value::Null,
+            1 => Value::Bool(op & 0x80 != 0),
+            2 => {
+                let bits = (0..8).fold(0u64, |acc, _| acc << 8 | u64::from(byte()));
+                let n = f64::from_bits(bits);
+                Value::Number(if n.is_finite() { n } else { f64::from(op) })
+            }
+            3 => Value::Number(f64::from(i32::from_le_bytes([
+                byte(),
+                byte(),
+                byte(),
+                byte(),
+            ]))),
+            4 => Value::String(string_from(script)),
+            5 if depth < 4 => {
+                let len = usize::from(byte() % 4);
+                Value::Array((0..len).map(|_| value_from(script, depth + 1)).collect())
+            }
+            6 if depth < 4 => {
+                let len = usize::from(byte() % 4);
+                Value::Object(
+                    (0..len)
+                        .map(|_| (string_from(script), value_from(script, depth + 1)))
+                        .collect(),
+                )
+            }
+            _ => Value::Number(f64::from(op)),
+        }
+    }
+
+    /// A short string mixing escapable, control, and multi-byte scalars.
+    fn string_from(script: &mut std::slice::Iter<'_, u8>) -> String {
+        const PALETTE: &[char] = &[
+            'a', '"', '\\', '\n', '\r', '\t', '\u{1f}', '\u{7f}', 'é', '😀',
+        ];
+        let len = usize::from(script.next().copied().unwrap_or(0) % 6);
+        script
+            .take(len)
+            .map(|&b| PALETTE[usize::from(b) % PALETTE.len()])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_input(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+            let jsonish: String = bytes
+                .iter()
+                .map(|&b| JSONISH[usize::from(b) % JSONISH.len()])
+                .collect();
+            let _ = parse(&jsonish);
+        }
+
+        #[test]
+        fn parse_inverts_render_for_finite_values(
+            script in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let v = value_from(&mut script.iter(), 0);
+            prop_assert_eq!(parse(&v.render()), Ok(v));
+        }
     }
 }

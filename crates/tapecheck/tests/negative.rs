@@ -5,7 +5,7 @@
 //! miscompile (`TapeMutation`) and asserts the validator rejects it with
 //! the designated code.
 
-use stream_ir::{KernelBuilder, Scalar, Tape, TapeConfig, TapeMutation, Ty};
+use stream_ir::{KernelBuilder, Scalar, Tape, TapeMutation, Ty};
 use stream_tapecheck::{validate_tape, Code};
 
 fn saxpy() -> Tape {
@@ -24,25 +24,21 @@ fn saxpy() -> Tape {
     Tape::compile(&b.finish().unwrap())
 }
 
-/// A single-use read whose consumer sits past another fallible read — the
-/// shape whose fusion the validator must prove was *not* performed.
-fn gap(fuse: bool) -> Tape {
+/// A single-use read whose consumer sits past a fallible divide — the
+/// shape whose fusion the validator must prove was *not* performed. The
+/// consumer's value has two uses, so the compiled tape keeps the plain
+/// read, the divide, and the plain add these fixtures mutate.
+fn gap() -> Tape {
     let mut b = KernelBuilder::new("gap");
     let sa = b.in_stream(Ty::I32);
-    let sb = b.in_stream(Ty::I32);
     let out = b.out_stream(Ty::I32);
+    let p = b.param(Ty::I32);
     let x = b.read(sa);
-    let y = b.read(sb);
-    let s = b.add(y, y);
-    let r = b.add(x, s);
-    b.write(out, r);
-    Tape::compile_with(
-        &b.finish().unwrap(),
-        TapeConfig {
-            fuse,
-            ..TapeConfig::default()
-        },
-    )
+    let q = b.div(p, p);
+    let r = b.add(x, q);
+    let sq = b.mul(r, r);
+    b.write(out, sq);
+    Tape::compile(&b.finish().unwrap())
 }
 
 fn accum() -> Tape {
@@ -121,7 +117,7 @@ fn e203_dropped_fusion_guard() {
     // Re-fusing a read past an intervening fallible instruction is the
     // exact rewrite the fuser's fallibility gap check forbids.
     assert_rejected(
-        &gap(false),
+        &gap(),
         TapeMutation::FuseReadAcrossFallible,
         Code::TapeErrorOrder,
     );
@@ -147,34 +143,17 @@ fn e204_corrupted_recurrence_init() {
 
 #[test]
 fn e205_self_referential_operand() {
-    assert_rejected(
-        &gap(false),
-        TapeMutation::SelfOperand,
-        Code::TapeOperandOrder,
-    );
+    assert_rejected(&gap(), TapeMutation::SelfOperand, Code::TapeOperandOrder);
 }
 
 #[test]
 fn e206_dropped_definition() {
-    assert_rejected(&gap(false), TapeMutation::DropDef, Code::TapeUndefinedSlot);
+    assert_rejected(&gap(), TapeMutation::DropDef, Code::TapeUndefinedSlot);
 }
 
 #[test]
 fn e207_hoisted_fallible_instruction() {
-    assert_rejected(
-        &gap(true),
-        TapeMutation::HoistFallible,
-        Code::TapeHoistedEffect,
-    );
-}
-
-#[test]
-fn e208_overclaimed_strip_eligibility() {
-    assert_rejected(
-        &accum(),
-        TapeMutation::ClaimStripEligible,
-        Code::TapeFlagOverclaim,
-    );
+    assert_rejected(&gap(), TapeMutation::HoistFallible, Code::TapeHoistedEffect);
 }
 
 #[test]
@@ -203,8 +182,8 @@ fn e211_retargeted_write_offset() {
 // --------------------------------------------------------- W2xx warnings
 
 #[test]
-fn w201_cleared_strip_eligibility() {
-    let r = validate_tape(&saxpy().corrupted(TapeMutation::ClearStripEligible));
+fn w201_cleared_batchability() {
+    let r = validate_tape(&saxpy().corrupted(TapeMutation::ClearBatchable));
     assert!(r.has(Code::TapeMissedEligibility), "{r}");
     assert!(!r.has_errors(), "{r}");
 }
@@ -244,7 +223,7 @@ fn w203_division_by_constant_zero() {
 
 #[test]
 fn trunk_tapes_are_clean() {
-    for tape in [saxpy(), gap(true), gap(false), accum(), fsub()] {
+    for tape in [saxpy(), gap(), accum(), fsub()] {
         let r = validate_tape(&tape);
         assert!(!r.has_errors(), "{r}");
     }
@@ -252,7 +231,7 @@ fn trunk_tapes_are_clean() {
 
 #[test]
 fn every_tape_code_has_a_fixture_here() {
-    // Fifteen distinct corruptions above cover all ten E2xx codes (E210
+    // Fourteen distinct corruptions above cover all ten E2xx codes (E210
     // is retired); the three W2xx codes have dedicated fixtures. Keep this
     // count in sync when extending the family.
     let tape_codes = Code::ALL

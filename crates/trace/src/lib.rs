@@ -116,59 +116,6 @@ pub fn active() -> bool {
     state() != 0
 }
 
-/// Per-consumer trace policy, e.g. carried by `stream_grid::Engine`.
-///
-/// The global [`enabled`] flag is the master switch; a `TraceConfig` lets
-/// one consumer opt its own instrumentation out even while the process is
-/// tracing (useful for benchmarks that want scheduler spans but not
-/// thousands of per-job spans).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Emit spans from this consumer.
-    pub spans: bool,
-    /// Bump counters/histograms from this consumer.
-    pub counters: bool,
-}
-
-impl TraceConfig {
-    /// Follow the global flag for both spans and counters (the default).
-    pub fn on() -> Self {
-        Self {
-            spans: true,
-            counters: true,
-        }
-    }
-
-    /// Suppress this consumer's instrumentation even while tracing is on.
-    pub fn off() -> Self {
-        Self {
-            spans: false,
-            counters: false,
-        }
-    }
-
-    /// True if this consumer should emit spans right now: its own policy
-    /// AND any span consumer ([`active`] — full tracing or the flight
-    /// recorder). Consumers that hoist this check out of a loop stay
-    /// visible to the flight recorder while tracing proper is off.
-    #[inline]
-    pub fn spans_active(&self) -> bool {
-        self.spans && active()
-    }
-
-    /// True if this consumer should bump counters right now.
-    #[inline]
-    pub fn counters_active(&self) -> bool {
-        self.counters && enabled()
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self::on()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -219,18 +166,5 @@ mod tests {
             .any(|e| e.cat == "t" && e.name == "visible" && e.args[0].1 == "42"));
         disable();
         assert!(!enabled());
-    }
-
-    #[test]
-    fn trace_config_gates_consumers() {
-        let _g = test_lock::hold();
-        disable_flight_recorder();
-        enable();
-        assert!(TraceConfig::default().spans_active());
-        assert!(!TraceConfig::off().spans_active());
-        assert!(!TraceConfig::off().counters_active());
-        disable();
-        assert!(!TraceConfig::on().spans_active());
-        assert!(!TraceConfig::on().counters_active());
     }
 }

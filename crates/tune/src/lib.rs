@@ -58,12 +58,6 @@
 //! rehydrated entries are re-validated (both the default and the winning
 //! program are rebuilt and re-simulated; the stored cycle counts must
 //! still match) rather than trusted.
-//!
-//! # Environment overrides
-//!
-//! Read fresh on every call: `STREAM_TUNE_SEARCH=off` disables searching
-//! entirely, `STREAM_TUNE_UNROLL` / `STREAM_TUNE_STRIPS` narrow the axes,
-//! and `STREAM_TUNE_BUDGET` caps simulated candidates ([`TuneSpace::from_env`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +66,7 @@ mod persist;
 mod space;
 
 pub use persist::attach_global_disk;
-pub use space::{search_enabled, Candidate, TuneSpace};
+pub use space::{Candidate, TuneSpace};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -294,7 +288,7 @@ pub fn tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Tuned {
 /// configuration, never slower than the default (which is always
 /// evaluated first and wins ties).
 ///
-/// Deterministic for a fixed (app, machine, system, environment): the
+/// Deterministic for a fixed (app, machine, system): the
 /// candidate order is fixed, the objective is the analytic simulator, and
 /// no wall-clock measurement is involved — so results are identical at
 /// any `--jobs` level and across runs.
@@ -307,21 +301,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
     ensure_registered();
     let compiles_before = stream_grid::thread_compiles();
 
-    if !search_enabled() {
-        let (_, default_cycles) = default_report(id, machine, sys)?;
-        return Ok(Tuned {
-            app: id,
-            candidate: Candidate::default_point(),
-            default_cycles,
-            tuned_cycles: default_cycles,
-            from_disk: false,
-            pruned: 0,
-            evaluated: 0,
-            sched_compiles: stream_grid::thread_compiles() - compiles_before,
-        });
-    }
-
-    let space = TuneSpace::from_env();
+    let space = TuneSpace::default();
 
     if let Some(stored) = persist::load(id.name(), machine, &space) {
         if revalidate(id, machine, sys, &stored) {
@@ -376,9 +356,6 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
     }];
 
     for cand in space.candidates().into_iter().skip(1) {
-        if evaluated >= space.budget as u64 {
-            break;
-        }
         // Identity pruning: an evaluated superset whose chosen factors all
         // lie inside this candidate's set would make the scheduler pick
         // identically, so the program (at the same strip scale) is already

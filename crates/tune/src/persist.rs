@@ -57,7 +57,7 @@ pub(crate) struct StoredTuned {
 
 /// The key material ties a result to everything that could change it:
 /// the app, the machine's shape *and* technology fingerprint, the search
-/// space (env overrides narrow it → different key), and the format
+/// space (a different space → a different key), and the format
 /// version. Sections are u32-le length-framed so no field can bleed into
 /// its neighbor.
 fn key_material(app: &str, machine: &Machine, space: &TuneSpace) -> Vec<u8> {

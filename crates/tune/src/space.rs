@@ -1,5 +1,4 @@
-//! The tuner's candidate space: unroll policies × strip batching, plus the
-//! `STREAM_TUNE_*` environment overrides that bound it.
+//! The tuner's candidate space: unroll policies × strip batching.
 
 use stream_sched::CompileOptions;
 
@@ -81,16 +80,13 @@ impl Candidate {
     }
 }
 
-/// The (possibly env-bounded) candidate space the search enumerates.
+/// The candidate space the search enumerates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneSpace {
     /// Unroll-factor sets, default first.
     pub unroll_sets: Vec<Vec<u32>>,
     /// Strip-batching factors, 1 first.
     pub strip_scales: Vec<u32>,
-    /// Maximum number of candidates simulated (the search budget); the
-    /// default-point evaluation counts against it.
-    pub budget: usize,
 }
 
 /// The unroll-factor sets the full space searches. Every set contains 1
@@ -111,67 +107,11 @@ impl Default for TuneSpace {
         Self {
             unroll_sets: UNROLL_SETS.iter().map(|s| s.to_vec()).collect(),
             strip_scales: vec![1, 2, 4],
-            budget: usize::MAX,
         }
     }
 }
 
 impl TuneSpace {
-    /// The full space, narrowed by any `STREAM_TUNE_*` environment
-    /// overrides:
-    ///
-    /// * `STREAM_TUNE_UNROLL` — comma-separated unroll caps (`default`,
-    ///   `deep`, or an integer from {1, 2, 3, 4, 6, 8}); the default set is
-    ///   always searched first even when not listed.
-    /// * `STREAM_TUNE_STRIPS` — comma-separated strip-batching factors;
-    ///   1 is always included.
-    /// * `STREAM_TUNE_BUDGET` — maximum candidates simulated per app.
-    ///
-    /// Variables are re-read on every call (no caching) so tests and
-    /// operators can toggle them at runtime.
-    pub fn from_env() -> Self {
-        let mut space = Self::default();
-        if let Ok(v) = std::env::var("STREAM_TUNE_UNROLL") {
-            let mut sets: Vec<Vec<u32>> = vec![UNROLL_SETS[0].to_vec()];
-            for tok in v.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-                let set: Option<&[u32]> = match tok {
-                    "default" => Some(UNROLL_SETS[0]),
-                    "deep" => Some(UNROLL_SETS[6]),
-                    "1" => Some(UNROLL_SETS[1]),
-                    "2" => Some(UNROLL_SETS[2]),
-                    "3" => Some(UNROLL_SETS[3]),
-                    "4" => Some(UNROLL_SETS[4]),
-                    "6" => Some(UNROLL_SETS[5]),
-                    "8" => Some(UNROLL_SETS[0]),
-                    _ => None,
-                };
-                if let Some(s) = set {
-                    if !sets.iter().any(|e| e == s) {
-                        sets.push(s.to_vec());
-                    }
-                }
-            }
-            space.unroll_sets = sets;
-        }
-        if let Ok(v) = std::env::var("STREAM_TUNE_STRIPS") {
-            let mut scales = vec![1u32];
-            for tok in v.split(',').map(str::trim) {
-                if let Ok(s) = tok.parse::<u32>() {
-                    if (1..=64).contains(&s) && !scales.contains(&s) {
-                        scales.push(s);
-                    }
-                }
-            }
-            space.strip_scales = scales;
-        }
-        if let Ok(v) = std::env::var("STREAM_TUNE_BUDGET") {
-            if let Ok(b) = v.parse::<usize>() {
-                space.budget = b.max(1);
-            }
-        }
-        space
-    }
-
     /// Candidates in deterministic evaluation order, default point first.
     pub fn candidates(&self) -> Vec<Candidate> {
         let mut out = vec![Candidate::default_point()];
@@ -198,8 +138,8 @@ impl TuneSpace {
     }
 
     /// A stable fingerprint of the space, mixed into the persistence key so
-    /// results found under a narrowed (env-overridden) space are never
-    /// replayed as full-space winners.
+    /// results found under a different space are never replayed as this
+    /// space's winners.
     pub fn fingerprint(&self) -> u64 {
         let mut blob = Vec::new();
         for set in &self.unroll_sets {
@@ -212,18 +152,7 @@ impl TuneSpace {
         for &s in &self.strip_scales {
             blob.extend_from_slice(&s.to_le_bytes());
         }
-        blob.push(0xfd);
-        blob.extend_from_slice(&(self.budget.min(1 << 32) as u64).to_le_bytes());
         stream_store::fnv1a(&blob)
-    }
-}
-
-/// True unless `STREAM_TUNE_SEARCH` disables searching (`off`, `0`,
-/// `false`): the tuner then returns the default configuration untouched.
-pub fn search_enabled() -> bool {
-    match std::env::var("STREAM_TUNE_SEARCH") {
-        Ok(v) => !matches!(v.trim(), "off" | "0" | "false" | "no"),
-        Err(_) => true,
     }
 }
 

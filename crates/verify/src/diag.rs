@@ -97,8 +97,8 @@ pub enum Code {
     /// E207: a fallible or per-iteration instruction was hoisted into the
     /// once-per-call prologue.
     TapeHoistedEffect,
-    /// E208: a strip/batch eligibility flag claims more than the shared
-    /// soundness predicates re-derive.
+    /// E208: the batch eligibility flag claims more than the shared
+    /// soundness predicate re-derives.
     TapeFlagOverclaim,
     /// E209: a conditional stream's (predicate, source) sequence diverges
     /// from the kernel.
@@ -107,8 +107,7 @@ pub enum Code {
     /// E211: a stream access disagrees with the stream declaration
     /// (index, record width, offset, conditionality).
     TapeAccessShape,
-    /// W201: the tape forgoes a strip/batch eligibility the predicates
-    /// re-derive.
+    /// W201: the tape forgoes batching the predicate re-derives.
     TapeMissedEligibility,
     /// W202: a tape bounds check is provably dead (always in range).
     TapeDeadCheck,
@@ -231,10 +230,10 @@ impl Code {
             Code::TapeOperandOrder => "tape violates the SSA slot layout",
             Code::TapeUndefinedSlot => "tape instruction reads a never-defined slot",
             Code::TapeHoistedEffect => "fallible or per-iteration instruction hoisted to prologue",
-            Code::TapeFlagOverclaim => "eligibility flag claims more than the predicates derive",
+            Code::TapeFlagOverclaim => "batch flag claims more than the predicate derives",
             Code::TapeCondStream => "conditional stream sequence diverges from the kernel",
             Code::TapeAccessShape => "stream access disagrees with the stream declaration",
-            Code::TapeMissedEligibility => "tape forgoes a provable strip/batch eligibility",
+            Code::TapeMissedEligibility => "tape forgoes a provable batch eligibility",
             Code::TapeDeadCheck => "bounds check is provably dead (always in range)",
             Code::TapeStaticFault => "access provably faults on every input reaching it",
         }

@@ -1,29 +1,28 @@
-//! Exhaustive concurrency models for the workspace's three lock-free
+//! Exhaustive concurrency models for the workspace's two lock-free
 //! protocols, run under the loom-shim interleaving explorer (DESIGN.md §12):
 //!
 //! 1. the permit pool's take/give CAS loop (the *real* `stream-pool` code —
 //!    the root dev-dependency enables its `model` feature, so these tests
 //!    run in the tier-1 suite without flags),
-//! 2. strip reassembly: disjoint per-strip result slots plus first-error
-//!    selection by minimum failing iteration (`crates/ir/src/tape/exec.rs`),
-//! 3. compiled-kernel cache insertion: publish-once slots where racing
+//! 2. compiled-kernel cache insertion: publish-once slots where racing
 //!    compilers agree on a single published value
 //!    (`crates/grid/src/cache.rs`).
 //!
-//! The strip and cache protocols are modeled abstractly (their production
-//! code uses scoped borrows and `OnceLock`, which the shim does not
-//! intercept); the models encode the same decision structure — who writes
-//! which slot, who publishes first — and prove the invariants hold in every
-//! schedule, not just the ones the OS happens to produce.
+//! The cache protocol is modeled abstractly (its production code uses
+//! `OnceLock`, which the shim does not intercept); the model encodes the
+//! same decision structure — who publishes first — and proves the
+//! invariant holds in every schedule, not just the ones the OS happens to
+//! produce.
 
 use loom_shim::sync::atomic::{AtomicUsize, Ordering};
 use loom_shim::thread;
 use std::sync::Arc;
 use stream_pool::PermitPool;
 
-/// The strip runner's permit protocol: the coordinator takes up to
-/// `strips - 1` extra permits while another parallel region races it for
-/// the same pool, then gives them back. Every interleaving must keep the
+/// A parallel region's permit protocol (a sweep engine run or a serve
+/// worker): the coordinator takes up to `workers - 1` extra permits while
+/// another parallel region races it for the same pool, then gives them
+/// back. Every interleaving must keep the
 /// grant within capacity and restore the pool.
 #[test]
 fn permit_pool_take_give_is_linearizable() {
@@ -44,45 +43,6 @@ fn permit_pool_take_give_is_linearizable() {
         assert_eq!(pool.available(), 2, "permits leaked or double-freed");
     });
     assert!(executions > 1);
-}
-
-/// Strip reassembly: each worker owns one result slot (disjointness is by
-/// construction, as in the scoped-slice split) and contributes its failing
-/// iteration, if any, via an atomic min. In every schedule the reassembled
-/// output is complete and the reported error is the *earliest* iteration —
-/// exactly what the serial schedule would hit first, which is what keeps
-/// `repro` output identical at any `--jobs`.
-#[test]
-fn strip_reassembly_reports_the_earliest_error_in_every_schedule() {
-    const NO_ERROR: usize = usize::MAX;
-    loom_shim::model(|| {
-        // Worker 0 covers iterations [0,4) and fails at 3; worker 1 covers
-        // [4,8) and fails at 5. Earliest must always win.
-        let slots: Arc<Vec<AtomicUsize>> = Arc::new((0..2).map(|_| AtomicUsize::new(0)).collect());
-        let first_error = Arc::new(AtomicUsize::new(NO_ERROR));
-        let handles: Vec<_> = [(0usize, 3usize), (1usize, 5usize)]
-            .into_iter()
-            .map(|(strip, failing_iter)| {
-                let slots = Arc::clone(&slots);
-                let first_error = Arc::clone(&first_error);
-                thread::spawn(move || {
-                    // Disjoint write: this worker's own slot only.
-                    slots[strip].store(strip + 1, Ordering::SeqCst);
-                    first_error.fetch_min(failing_iter, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
-        assert_eq!(slots[0].load(Ordering::SeqCst), 1);
-        assert_eq!(slots[1].load(Ordering::SeqCst), 2);
-        assert_eq!(
-            first_error.load(Ordering::SeqCst),
-            3,
-            "error selection must be schedule-invariant"
-        );
-    });
 }
 
 /// Cache insertion: two compilers race to publish a slot that must only

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use stream_scaling::grid::KernelCache;
 use stream_scaling::ir::{
     execute, execute_with_legacy, parse_kernel, to_text, unroll, ExecConfig, ExecOptions, Kernel,
-    KernelBuilder, Scalar, StripMode, Tape, TapeConfig, Ty, ValueId,
+    KernelBuilder, Scalar, Tape, Ty, ValueId,
 };
 use stream_scaling::kernels::fft::{dft_reference, fft_reference, C32};
 use stream_scaling::kernels::split::{gather_words, max_chain, scatter_words, split_plan};
@@ -140,14 +140,12 @@ fn output_bits(outs: Vec<Vec<Scalar>>) -> Vec<Vec<(Ty, u32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The compiled execution tape is observationally identical to the
-    /// legacy tree-walk interpreter on every execution path — the v1
-    /// baseline (no fusion, generic lanes, serial), the default v2
-    /// configuration (fused superinstructions plus lane-specialized
-    /// dispatch), and forced strip-parallel execution — for random valid
-    /// kernels (with and without recurrences and conditional streams),
-    /// random inputs, and C in {1, 3, 4, 8, 16}: same outputs (bit for
-    /// bit) and identical `IrError` values when the inputs are truncated.
+    /// The compiled execution tape (hoisted, fused, lane-specialized, and
+    /// macro-batched) is observationally identical to the legacy
+    /// tree-walk interpreter for random valid kernels (with and without
+    /// recurrences and conditional streams), random inputs, and C in
+    /// {1, 3, 4, 8, 16}: same outputs (bit for bit) and identical
+    /// `IrError` values when the inputs are truncated.
     #[test]
     fn tape_matches_legacy_interpreter(
         script in proptest::collection::vec(any::<u8>(), 1..32),
@@ -183,22 +181,12 @@ proptest! {
             ..ExecOptions::default()
         };
         let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
-        let v1 = Tape::compile_with(&k, TapeConfig::v1_baseline())
-            .execute_with(&opts, &inputs, &cfg)
-            .map(output_bits);
-        let v2 = Tape::compile(&k).execute_with(&opts, &inputs, &cfg).map(output_bits);
-        let stripped = Tape::compile(&k)
-            .with_strip_mode(StripMode::Force)
-            .execute_with(&opts, &inputs, &cfg)
-            .map(output_bits);
-        prop_assert_eq!(&legacy, &v1);
-        prop_assert_eq!(&legacy, &v2);
-        prop_assert_eq!(&legacy, &stripped);
+        let tape = Tape::compile(&k).execute_with(&opts, &inputs, &cfg).map(output_bits);
+        prop_assert_eq!(&legacy, &tape);
     }
 
     /// The translation validator accepts every tape the compiler produces
-    /// for random valid kernels — under the v1 baseline and the fused
-    /// default — and every validator-accepted tape is
+    /// for random valid kernels, and every validator-accepted tape is
     /// observationally bit-exact against the legacy tree-walk interpreter.
     /// This is the soundness contract from the other side: acceptance is
     /// not vacuous (trunk tapes pass) and acceptance implies equivalence
@@ -232,16 +220,14 @@ proptest! {
         let cfg = ExecConfig::with_clusters(clusters);
         let opts = ExecOptions::default();
         let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
-        for config in [TapeConfig::v1_baseline(), TapeConfig::default()] {
-            let tape = Tape::compile_with(&k, config);
-            let report = validate_tape(&tape);
-            prop_assert!(
-                !report.has_errors(),
-                "validator rejected a trunk compile:\n{report}"
-            );
-            let got = tape.execute_with(&opts, &inputs, &cfg).map(output_bits);
-            prop_assert_eq!(&legacy, &got);
-        }
+        let tape = Tape::compile(&k);
+        let report = validate_tape(&tape);
+        prop_assert!(
+            !report.has_errors(),
+            "validator rejected a trunk compile:\n{report}"
+        );
+        let got = tape.execute_with(&opts, &inputs, &cfg).map(output_bits);
+        prop_assert_eq!(&legacy, &got);
     }
 
     /// Unrolling never changes what an elementwise kernel computes.
