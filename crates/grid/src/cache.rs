@@ -101,15 +101,6 @@ impl DiskTier {
         })
     }
 
-    /// Caps the number of resident entries; oldest entries are evicted on
-    /// `put` past the cap (counted as `cache.disk_evict`).
-    #[must_use]
-    pub fn with_max_entries(self, max: usize) -> Self {
-        Self {
-            store: self.store.with_max_entries(max),
-        }
-    }
-
     /// Total on-disk bytes held by this tier (see
     /// [`stream_store::DiskStore::bytes`]).
     pub fn bytes(&self) -> u64 {
@@ -152,11 +143,7 @@ impl DiskTier {
         payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
         payload.extend_from_slice(&blob);
         payload.extend_from_slice(&recipe);
-        if let Ok(evicted) = self.store.put(Key::of(&blob), &payload) {
-            if evicted > 0 {
-                stream_trace::count("cache.disk_evict", evicted as u64);
-            }
-        }
+        let _ = self.store.put(Key::of(&blob), &payload);
     }
 }
 

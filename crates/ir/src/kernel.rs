@@ -305,40 +305,151 @@ impl KernelBuilder {
         ValueId(self.ops.len() as u32 - 1)
     }
 
-    fn ty(&self, v: ValueId) -> Ty {
-        self.types[v.index()]
+    /// Checks that `v` names an earlier op that produces a value.
+    fn check_value(&self, v: ValueId, ctx: &str) -> Result<(), String> {
+        match self.ops.get(v.index()) {
+            None => Err(format!("{ctx}: {v} is not defined yet")),
+            Some(op) if !op.opcode.produces_value() => {
+                Err(format!("{ctx}: {v} does not produce a value"))
+            }
+            Some(_) => Ok(()),
+        }
     }
 
-    fn require_ty(&self, v: ValueId, ty: Ty, ctx: &str) {
-        assert!(
-            self.ty(v) == ty,
-            "{}: {} has type {}, expected {}",
-            ctx,
-            v,
-            self.ty(v),
-            ty
-        );
+    /// The word type of a declared stream accessed plainly or
+    /// conditionally, or why the access is illegal.
+    fn stream_ty(
+        &self,
+        s: StreamId,
+        dir: StreamDir,
+        conditional: bool,
+        ctx: &str,
+    ) -> Result<Ty, String> {
+        let decls = match dir {
+            StreamDir::Input => &self.inputs,
+            StreamDir::Output => &self.outputs,
+        };
+        match decls.get(s.index()) {
+            None => Err(format!("{ctx}: stream {s} is not declared")),
+            Some(&(_, Some(prev))) if prev != conditional => {
+                Err(format!("stream {s} mixes plain and conditional access"))
+            }
+            Some(&(ty, _)) => Ok(ty),
+        }
     }
 
-    fn require_same(&self, a: ValueId, b: ValueId, ctx: &str) -> Ty {
-        assert!(
-            self.ty(a) == self.ty(b),
-            "{}: operand types differ ({}: {}, {}: {})",
-            ctx,
-            a,
-            self.ty(a),
-            b,
-            self.ty(b)
-        );
-        self.ty(a)
+    /// Appends `opcode` over `args` after checking the IR's typing and
+    /// stream rules, or says which rule the operands break (`ctx` names the
+    /// operation in the message). The one home of those rules: the typed
+    /// methods below panic with its message, and
+    /// [`parse_kernel`](crate::parse_kernel) reports it as a line error.
+    pub(crate) fn try_op(
+        &mut self,
+        opcode: Opcode,
+        args: &[ValueId],
+        ctx: &str,
+    ) -> Result<ValueId, String> {
+        if args.len() != opcode.arity() {
+            return Err(format!(
+                "{ctx}: takes {} operand(s), found {}",
+                opcode.arity(),
+                args.len()
+            ));
+        }
+        for &v in args {
+            self.check_value(v, ctx)?;
+        }
+        let ty = |j: usize| self.types[args[j].index()];
+        let want = |j: usize, want: Ty| {
+            if ty(j) == want {
+                Ok(want)
+            } else {
+                Err(format!(
+                    "{ctx}: {} has type {}, expected {want}",
+                    args[j],
+                    ty(j)
+                ))
+            }
+        };
+        let same = |i: usize, j: usize| {
+            if ty(i) == ty(j) {
+                Ok(ty(i))
+            } else {
+                Err(format!(
+                    "{ctx}: operand types differ ({}: {}, {}: {})",
+                    args[i],
+                    ty(i),
+                    args[j],
+                    ty(j)
+                ))
+            }
+        };
+        use Opcode::*;
+        use StreamDir::{Input, Output};
+        let result = match opcode {
+            Const(s) => s.ty(),
+            IterIndex | ClusterId | ClusterCount => Ty::I32,
+            Param(..) | Recur(_) => unreachable!("params and recurrences have their own methods"),
+            Add | Sub | Mul | Div | Min | Max => same(0, 1)?,
+            And | Or | Xor | Shl | Shr => {
+                want(0, Ty::I32)?;
+                want(1, Ty::I32)?
+            }
+            Eq | Ne | Lt | Le => {
+                same(0, 1)?;
+                Ty::I32
+            }
+            Sqrt | Floor => want(0, Ty::F32)?,
+            Neg | Abs => ty(0),
+            ItoF => {
+                want(0, Ty::I32)?;
+                Ty::F32
+            }
+            FtoI => {
+                want(0, Ty::F32)?;
+                Ty::I32
+            }
+            Select => {
+                want(0, Ty::I32)?;
+                same(1, 2)?
+            }
+            Read(s) => self.stream_ty(s, Input, false, ctx)?,
+            Write(s) => want(0, self.stream_ty(s, Output, false, ctx)?)?,
+            CondRead(s) => {
+                want(0, Ty::I32)?;
+                self.stream_ty(s, Input, true, ctx)?
+            }
+            CondWrite(s) => {
+                want(0, Ty::I32)?;
+                want(1, self.stream_ty(s, Output, true, ctx)?)?
+            }
+            SpRead(t) => {
+                want(0, Ty::I32)?;
+                t
+            }
+            SpWrite => {
+                want(0, Ty::I32)?;
+                ty(1)
+            }
+            Comm => {
+                want(1, Ty::I32)?;
+                ty(0)
+            }
+        };
+        if let Some((s, dir)) = opcode.stream() {
+            let decl = match dir {
+                Input => &mut self.inputs[s.index()],
+                Output => &mut self.outputs[s.index()],
+            };
+            decl.1 = Some(matches!(opcode, CondRead(_) | CondWrite(_)));
+        }
+        Ok(self.push(opcode, args.to_vec(), result))
     }
 
-    fn require_value(&self, v: ValueId, ctx: &str) {
-        assert!(v.index() < self.ops.len(), "{ctx}: {v} is not defined yet");
-        assert!(
-            self.ops[v.index()].opcode.produces_value(),
-            "{ctx}: {v} does not produce a value"
-        );
+    /// [`KernelBuilder::try_op`], panicking on a broken rule.
+    fn op(&mut self, opcode: Opcode, args: &[ValueId], ctx: &str) -> ValueId {
+        self.try_op(opcode, args, ctx)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Emits a constant.
@@ -390,247 +501,180 @@ impl KernelBuilder {
     /// Panics if `recurrence` is not an unbound recurrence or if the types
     /// differ.
     pub fn bind_next(&mut self, recurrence: ValueId, next: ValueId) {
-        self.require_value(next, "bind_next");
-        let slot = self
-            .recur_next
-            .get_mut(&recurrence)
-            .unwrap_or_else(|| panic!("bind_next: {recurrence} is not a recurrence"));
-        assert!(slot.is_none(), "bind_next: {recurrence} already bound");
-        assert!(
-            self.types[recurrence.index()] == self.types[next.index()],
-            "bind_next: recurrence {recurrence} is {}, next {next} is {}",
-            self.types[recurrence.index()],
-            self.types[next.index()]
-        );
-        *slot = Some(next);
+        self.try_bind_next(recurrence, next)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    fn binary(&mut self, opcode: Opcode, a: ValueId, b: ValueId, ctx: &str) -> ValueId {
-        self.require_value(a, ctx);
-        self.require_value(b, ctx);
-        let ty = self.require_same(a, b, ctx);
-        self.push(opcode, vec![a, b], ty)
-    }
-
-    fn binary_int(&mut self, opcode: Opcode, a: ValueId, b: ValueId, ctx: &str) -> ValueId {
-        self.require_value(a, ctx);
-        self.require_value(b, ctx);
-        self.require_ty(a, Ty::I32, ctx);
-        self.require_ty(b, Ty::I32, ctx);
-        self.push(opcode, vec![a, b], Ty::I32)
-    }
-
-    fn compare(&mut self, opcode: Opcode, a: ValueId, b: ValueId, ctx: &str) -> ValueId {
-        self.require_value(a, ctx);
-        self.require_value(b, ctx);
-        self.require_same(a, b, ctx);
-        self.push(opcode, vec![a, b], Ty::I32)
+    /// [`KernelBuilder::bind_next`], reporting a broken rule instead of
+    /// panicking.
+    pub(crate) fn try_bind_next(
+        &mut self,
+        recurrence: ValueId,
+        next: ValueId,
+    ) -> Result<(), String> {
+        self.check_value(next, "bind_next")?;
+        match self.recur_next.get(&recurrence) {
+            None => return Err(format!("bind_next: {recurrence} is not a recurrence")),
+            Some(Some(_)) => return Err(format!("bind_next: {recurrence} already bound")),
+            Some(None) => {}
+        }
+        let (rt, nt) = (self.types[recurrence.index()], self.types[next.index()]);
+        if rt != nt {
+            return Err(format!(
+                "bind_next: recurrence {recurrence} is {rt}, next {next} is {nt}"
+            ));
+        }
+        self.recur_next.insert(recurrence, Some(next));
+        Ok(())
     }
 
     /// `a + b`.
     pub fn add(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(Opcode::Add, a, b, "add")
+        self.op(Opcode::Add, &[a, b], "add")
     }
 
     /// `a - b`.
     pub fn sub(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(Opcode::Sub, a, b, "sub")
+        self.op(Opcode::Sub, &[a, b], "sub")
     }
 
     /// `a * b`.
     pub fn mul(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(Opcode::Mul, a, b, "mul")
+        self.op(Opcode::Mul, &[a, b], "mul")
     }
 
     /// `a / b`.
     pub fn div(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(Opcode::Div, a, b, "div")
+        self.op(Opcode::Div, &[a, b], "div")
     }
 
     /// `min(a, b)`.
     pub fn min(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(Opcode::Min, a, b, "min")
+        self.op(Opcode::Min, &[a, b], "min")
     }
 
     /// `max(a, b)`.
     pub fn max(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(Opcode::Max, a, b, "max")
+        self.op(Opcode::Max, &[a, b], "max")
     }
 
     /// `sqrt(a)` (f32).
     pub fn sqrt(&mut self, a: ValueId) -> ValueId {
-        self.require_value(a, "sqrt");
-        self.require_ty(a, Ty::F32, "sqrt");
-        self.push(Opcode::Sqrt, vec![a], Ty::F32)
+        self.op(Opcode::Sqrt, &[a], "sqrt")
     }
 
     /// `-a`.
     pub fn neg(&mut self, a: ValueId) -> ValueId {
-        self.require_value(a, "neg");
-        let ty = self.ty(a);
-        self.push(Opcode::Neg, vec![a], ty)
+        self.op(Opcode::Neg, &[a], "neg")
     }
 
     /// `|a|`.
     pub fn abs(&mut self, a: ValueId) -> ValueId {
-        self.require_value(a, "abs");
-        let ty = self.ty(a);
-        self.push(Opcode::Abs, vec![a], ty)
+        self.op(Opcode::Abs, &[a], "abs")
     }
 
     /// `floor(a)` (f32).
     pub fn floor(&mut self, a: ValueId) -> ValueId {
-        self.require_value(a, "floor");
-        self.require_ty(a, Ty::F32, "floor");
-        self.push(Opcode::Floor, vec![a], Ty::F32)
+        self.op(Opcode::Floor, &[a], "floor")
     }
 
     /// Bitwise `a & b` (i32).
     pub fn and(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary_int(Opcode::And, a, b, "and")
+        self.op(Opcode::And, &[a, b], "and")
     }
 
     /// Bitwise `a | b` (i32).
     pub fn or(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary_int(Opcode::Or, a, b, "or")
+        self.op(Opcode::Or, &[a, b], "or")
     }
 
     /// Bitwise `a ^ b` (i32).
     pub fn xor(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary_int(Opcode::Xor, a, b, "xor")
+        self.op(Opcode::Xor, &[a, b], "xor")
     }
 
     /// `a << b` (i32).
     pub fn shl(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary_int(Opcode::Shl, a, b, "shl")
+        self.op(Opcode::Shl, &[a, b], "shl")
     }
 
     /// `a >> b` (arithmetic, i32).
     pub fn shr(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary_int(Opcode::Shr, a, b, "shr")
+        self.op(Opcode::Shr, &[a, b], "shr")
     }
 
     /// `a == b` -> i32 0/1.
     pub fn eq(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.compare(Opcode::Eq, a, b, "eq")
+        self.op(Opcode::Eq, &[a, b], "eq")
     }
 
     /// `a != b` -> i32 0/1.
     pub fn ne(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.compare(Opcode::Ne, a, b, "ne")
+        self.op(Opcode::Ne, &[a, b], "ne")
     }
 
     /// `a < b` -> i32 0/1.
     pub fn lt(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.compare(Opcode::Lt, a, b, "lt")
+        self.op(Opcode::Lt, &[a, b], "lt")
     }
 
     /// `a <= b` -> i32 0/1.
     pub fn le(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.compare(Opcode::Le, a, b, "le")
+        self.op(Opcode::Le, &[a, b], "le")
     }
 
     /// `cond ? a : b` (cond is i32).
     pub fn select(&mut self, cond: ValueId, a: ValueId, b: ValueId) -> ValueId {
-        self.require_value(cond, "select");
-        self.require_value(a, "select");
-        self.require_value(b, "select");
-        self.require_ty(cond, Ty::I32, "select");
-        let ty = self.require_same(a, b, "select");
-        self.push(Opcode::Select, vec![cond, a, b], ty)
+        self.op(Opcode::Select, &[cond, a, b], "select")
     }
 
     /// Convert i32 -> f32.
     pub fn itof(&mut self, a: ValueId) -> ValueId {
-        self.require_value(a, "itof");
-        self.require_ty(a, Ty::I32, "itof");
-        self.push(Opcode::ItoF, vec![a], Ty::F32)
+        self.op(Opcode::ItoF, &[a], "itof")
     }
 
     /// Convert f32 -> i32 (truncating).
     pub fn ftoi(&mut self, a: ValueId) -> ValueId {
-        self.require_value(a, "ftoi");
-        self.require_ty(a, Ty::F32, "ftoi");
-        self.push(Opcode::FtoI, vec![a], Ty::I32)
+        self.op(Opcode::FtoI, &[a], "ftoi")
     }
 
     /// Reads the next word of this cluster's record from input stream `s`.
     pub fn read(&mut self, s: StreamId) -> ValueId {
-        let (ty, _) = self.inputs[s.index()];
-        self.mark_stream(s, StreamDir::Input, false);
-        self.push(Opcode::Read(s), vec![], ty)
+        self.op(Opcode::Read(s), &[], "read")
     }
 
     /// Writes `v` as the next word of this cluster's record on output
     /// stream `s`.
     pub fn write(&mut self, s: StreamId, v: ValueId) {
-        self.require_value(v, "write");
-        let (ty, _) = self.outputs[s.index()];
-        self.require_ty(v, ty, "write");
-        self.mark_stream(s, StreamDir::Output, false);
-        self.push(Opcode::Write(s), vec![v], ty);
+        self.op(Opcode::Write(s), &[v], "write");
     }
 
     /// Conditional read: clusters whose `pred` is nonzero pop successive
     /// elements of `s` in cluster order; inactive clusters receive zero.
     pub fn cond_read(&mut self, s: StreamId, pred: ValueId) -> ValueId {
-        self.require_value(pred, "cond_read");
-        self.require_ty(pred, Ty::I32, "cond_read");
-        let (ty, _) = self.inputs[s.index()];
-        self.mark_stream(s, StreamDir::Input, true);
-        self.push(Opcode::CondRead(s), vec![pred], ty)
+        self.op(Opcode::CondRead(s), &[pred], "cond_read")
     }
 
     /// Conditional write: clusters whose `pred` is nonzero append `v` to
     /// `s` in cluster order.
     pub fn cond_write(&mut self, s: StreamId, pred: ValueId, v: ValueId) {
-        self.require_value(pred, "cond_write");
-        self.require_value(v, "cond_write");
-        self.require_ty(pred, Ty::I32, "cond_write");
-        let (ty, _) = self.outputs[s.index()];
-        self.require_ty(v, ty, "cond_write");
-        self.mark_stream(s, StreamDir::Output, true);
-        self.push(Opcode::CondWrite(s), vec![pred, v], ty);
-    }
-
-    fn mark_stream(&mut self, s: StreamId, dir: StreamDir, conditional: bool) {
-        let decl = match dir {
-            StreamDir::Input => &mut self.inputs[s.index()],
-            StreamDir::Output => &mut self.outputs[s.index()],
-        };
-        match decl.1 {
-            None => decl.1 = Some(conditional),
-            Some(prev) => assert!(
-                prev == conditional,
-                "stream {s} mixes plain and conditional access"
-            ),
-        }
+        self.op(Opcode::CondWrite(s), &[pred, v], "cond_write");
     }
 
     /// Reads scratchpad word `addr` (i32 address) as a `ty` value.
     pub fn sp_read(&mut self, addr: ValueId, ty: Ty) -> ValueId {
-        self.require_value(addr, "sp_read");
-        self.require_ty(addr, Ty::I32, "sp_read");
-        self.push(Opcode::SpRead(ty), vec![addr], ty)
+        self.op(Opcode::SpRead(ty), &[addr], "sp_read")
     }
 
     /// Writes `v` to scratchpad word `addr`.
     pub fn sp_write(&mut self, addr: ValueId, v: ValueId) {
-        self.require_value(addr, "sp_write");
-        self.require_value(v, "sp_write");
-        self.require_ty(addr, Ty::I32, "sp_write");
-        let ty = self.ty(v);
-        self.push(Opcode::SpWrite, vec![addr, v], ty);
+        self.op(Opcode::SpWrite, &[addr, v], "sp_write");
     }
 
     /// Intercluster communication: every cluster receives `data` from
     /// cluster `src` (an i32 computed per cluster, `0..C`).
     pub fn comm(&mut self, data: ValueId, src: ValueId) -> ValueId {
-        self.require_value(data, "comm");
-        self.require_value(src, "comm");
-        self.require_ty(src, Ty::I32, "comm");
-        let ty = self.ty(data);
-        self.push(Opcode::Comm, vec![data, src], ty)
+        self.op(Opcode::Comm, &[data, src], "comm")
     }
 
     /// Finishes the kernel, running structural validation.

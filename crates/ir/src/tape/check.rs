@@ -5,9 +5,7 @@
 //! a hash-consed expression arena, then proves the two equivalent:
 //!
 //! * every output word is written with a bit-identical expression
-//!   (float operand order preserved — float add is never commuted; the
-//!   only canonicalization is wrapping integer add, the one reordering
-//!   the fuser exploits);
+//!   (operand order preserved exactly; nothing is canonicalized);
 //! * the ordered list of *potential-fault sites* (stream bounds checks,
 //!   conditional reads, scratchpad accesses, comm shuffles, integer
 //!   division, dynamic-dispatch faults) is identical, so the first
@@ -15,11 +13,9 @@
 //!   input;
 //! * recurrence slots are wired to the same initial bits and feed
 //!   expressions;
-//! * the batch eligibility flag matches an independent re-derivation
-//!   through the shared predicate in [`super::fuse`];
-//! * every instruction respects the SSA slot layout the const-generic
-//!   executor's `split_*` helpers rely on (operands strictly below the
-//!   destination, each slot defined before use and at most once).
+//! * every instruction respects the SSA slot layout the executor's
+//!   `split*` helpers rely on (operands strictly below the destination,
+//!   each slot defined before use and at most once).
 //!
 //! On top of the same arena, an interval/constant **value-range analysis**
 //! classifies each fallible site as provably-in-bounds (dead check,
@@ -39,8 +35,7 @@
 //! (recurrences, cond-stream cursors, the scratchpad) is modeled
 //! explicitly (recurrence feeds, cursor sequence numbers, write epochs).
 
-use super::fuse::{self, def_of};
-use super::instr::{bits_of, BinOp, Instr};
+use super::instr::{bits_of, Instr};
 use super::Tape;
 use crate::{Kernel, Opcode, Ty};
 use std::collections::{BTreeMap, HashMap};
@@ -65,25 +60,19 @@ pub enum TapeCheckKind {
     /// from the kernel's binding.
     RecurrenceWiring,
     /// E205: the SSA slot layout is violated (an operand at or above its
-    /// destination, a redefined slot, or malformed pair destinations).
+    /// destination, or a redefined slot).
     OperandOrder,
     /// E206: an instruction reads a slot no prior instruction defined.
     UndefinedSlot,
     /// E207: a fallible or per-iteration instruction was hoisted into the
     /// once-per-call prologue.
     HoistedEffect,
-    /// E208: the batch eligibility flag claims more than the shared
-    /// soundness predicate re-derives from the instruction stream.
-    FlagOverclaim,
     /// E209: a conditional stream's ordered (predicate, source) sequence
     /// diverges from the reference.
     CondStreamMismatch,
     /// E211: a stream access disagrees with the stream declaration
     /// (stream index, record width, in-record offset, or conditionality).
     AccessShape,
-    /// W201: the tape forgoes batching the predicate re-derives, leaving
-    /// performance on the table.
-    MissedEligibility,
     /// W202: a bounds check is provably dead (the access is in range for
     /// every input) — a check-elimination candidate.
     DeadCheck,
@@ -93,7 +82,7 @@ pub enum TapeCheckKind {
 
 impl TapeCheckKind {
     /// Every kind, in catalog order.
-    pub const ALL: [TapeCheckKind; 13] = [
+    pub const ALL: [TapeCheckKind; 11] = [
         TapeCheckKind::WriteMismatch,
         TapeCheckKind::WriteCoverage,
         TapeCheckKind::ErrorOrder,
@@ -101,10 +90,8 @@ impl TapeCheckKind {
         TapeCheckKind::OperandOrder,
         TapeCheckKind::UndefinedSlot,
         TapeCheckKind::HoistedEffect,
-        TapeCheckKind::FlagOverclaim,
         TapeCheckKind::CondStreamMismatch,
         TapeCheckKind::AccessShape,
-        TapeCheckKind::MissedEligibility,
         TapeCheckKind::DeadCheck,
         TapeCheckKind::StaticFault,
     ];
@@ -112,12 +99,7 @@ impl TapeCheckKind {
     /// Whether this kind denotes a miscompile (as opposed to an advisory
     /// warning from the value-range analysis).
     pub fn is_error(self) -> bool {
-        !matches!(
-            self,
-            TapeCheckKind::MissedEligibility
-                | TapeCheckKind::DeadCheck
-                | TapeCheckKind::StaticFault
-        )
+        !matches!(self, TapeCheckKind::DeadCheck | TapeCheckKind::StaticFault)
     }
 
     /// Short stable name, e.g. `"write-mismatch"`.
@@ -130,10 +112,8 @@ impl TapeCheckKind {
             TapeCheckKind::OperandOrder => "operand-order",
             TapeCheckKind::UndefinedSlot => "undefined-slot",
             TapeCheckKind::HoistedEffect => "hoisted-effect",
-            TapeCheckKind::FlagOverclaim => "flag-overclaim",
             TapeCheckKind::CondStreamMismatch => "cond-stream-mismatch",
             TapeCheckKind::AccessShape => "access-shape",
-            TapeCheckKind::MissedEligibility => "missed-eligibility",
             TapeCheckKind::DeadCheck => "dead-check",
             TapeCheckKind::StaticFault => "static-fault",
         }
@@ -179,14 +159,36 @@ enum UnKind {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BinKind {
-    Op(BinOp),
+    AddI,
+    AddF,
+    SubI,
+    SubF,
+    MulI,
+    MulF,
     DivI,
+    DivF,
+    MinI,
+    MinF,
+    MaxI,
+    MaxF,
+    And,
+    Or,
+    Xor,
+    Shl,
+    Shr,
+    EqI,
+    EqF,
+    NeI,
+    NeF,
+    LtI,
+    LtF,
+    LeI,
+    LeF,
 }
 
 /// A node in the hash-consed symbolic-value arena. Leaves are the
 /// uninterpreted inputs of one abstract iteration; interior nodes keep
-/// exact operand order (no float reassociation or commutation — the only
-/// canonicalization is wrapping integer add, below).
+/// exact operand order (no reassociation or commutation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Node {
     Const(u32),
@@ -234,15 +236,7 @@ struct Arena {
 }
 
 impl Arena {
-    fn intern(&mut self, mut n: Node) -> ExprId {
-        // Wrapping integer add commutes bitwise — the single reordering
-        // the fuser exploits (`MulAddI` covers both operand orders) — so
-        // it is the single canonicalization the arena performs.
-        if let Node::Bin(BinKind::Op(BinOp::AddI), a, b) = n {
-            if a > b {
-                n = Node::Bin(BinKind::Op(BinOp::AddI), b, a);
-            }
-        }
+    fn intern(&mut self, n: Node) -> ExprId {
         if let Some(&id) = self.memo.get(&n) {
             return id;
         }
@@ -279,17 +273,11 @@ impl Arena {
                 self.render(src, depth - 1)
             ),
             Node::Un(k, a) => format!("{k:?}({})", self.render(a, depth - 1)),
-            Node::Bin(k, a, b) => {
-                let k = match k {
-                    BinKind::Op(op) => format!("{op:?}"),
-                    BinKind::DivI => "DivI".into(),
-                };
-                format!(
-                    "{k}({}, {})",
-                    self.render(a, depth - 1),
-                    self.render(b, depth - 1)
-                )
-            }
+            Node::Bin(k, a, b) => format!(
+                "{k:?}({}, {})",
+                self.render(a, depth - 1),
+                self.render(b, depth - 1)
+            ),
             Node::Select { cond, a, b } => format!(
                 "sel({}, {}, {})",
                 self.render(cond, depth - 1),
@@ -402,8 +390,8 @@ fn reference_semantics(kernel: &Kernel, ar: &mut Arena) -> Semantics {
                     fault!()
                 } else {
                     let k = match aty(0) {
-                        Ty::I32 => BinKind::Op(BinOp::$i),
-                        Ty::F32 => BinKind::Op(BinOp::$f),
+                        Ty::I32 => BinKind::$i,
+                        Ty::F32 => BinKind::$f,
                     };
                     ar.intern(Node::Bin(k, a, b))
                 }
@@ -415,7 +403,7 @@ fn reference_semantics(kernel: &Kernel, ar: &mut Arena) -> Semantics {
                 if aty(0) != Ty::I32 || aty(1) != Ty::I32 {
                     fault!()
                 } else {
-                    ar.intern(Node::Bin(BinKind::Op(BinOp::$k), a, b))
+                    ar.intern(Node::Bin(BinKind::$k, a, b))
                 }
             }};
         }
@@ -502,7 +490,7 @@ fn reference_semantics(kernel: &Kernel, ar: &mut Arena) -> Semantics {
                     sem.events.push(Event::DivZero { at, divisor: b });
                     ar.intern(Node::Bin(BinKind::DivI, a, b))
                 } else {
-                    ar.intern(Node::Bin(BinKind::Op(BinOp::DivF), a, b))
+                    ar.intern(Node::Bin(BinKind::DivF, a, b))
                 }
             }
             Min => bin!(MinI, MinF),
@@ -742,7 +730,7 @@ impl<'t> TapeExec<'t> {
     /// Symbolically steps one instruction. `in_prologue` instructions
     /// additionally must be hoistable (pure, infallible, iteration-free).
     fn step(&mut self, ar: &mut Arena, ins: &Instr, in_prologue: bool) {
-        if in_prologue && !fuse::hoistable(ins) {
+        if in_prologue && !ins.hoistable() {
             self.push(
                 TapeCheckKind::HoistedEffect,
                 format!("fallible or per-iteration instruction hoisted into the prologue: {ins:?}"),
@@ -752,7 +740,7 @@ impl<'t> TapeExec<'t> {
         macro_rules! plain_bin {
             ($k:ident, $dst:expr, $a:expr, $b:expr) => {{
                 let (a, b) = (self.opnd($a, Some($dst)), self.opnd($b, Some($dst)));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::$k), a, b));
+                let e = ar.intern(Node::Bin(BinKind::$k, a, b));
                 self.define($dst, e);
             }};
         }
@@ -808,27 +796,6 @@ impl<'t> TapeExec<'t> {
             } => {
                 let e = self.input_read(ar, stream, width, offset);
                 self.define(dst, e);
-            }
-            Read2 {
-                da,
-                sa,
-                wa,
-                oa,
-                db,
-                sb,
-                wb,
-                ob,
-            } => {
-                if da == db {
-                    self.push(
-                        TapeCheckKind::OperandOrder,
-                        format!("paired read defines v{da} twice"),
-                    );
-                }
-                let ea = self.input_read(ar, sa, wa, oa);
-                self.define(da, ea);
-                let eb = self.input_read(ar, sb, wb, ob);
-                self.define(db, eb);
             }
             CondRead { dst, pred, stream } => {
                 match self.tape.kernel.inputs().get(stream as usize) {
@@ -981,218 +948,6 @@ impl<'t> TapeExec<'t> {
                 });
                 self.define(dst, e);
             }
-            // Fused superinstructions expand to the exact expression the
-            // executor computes (operand order preserved; `MulAddI` goes
-            // through the arena's canonical integer add).
-            MulAddF { dst, a, b, c } => {
-                let (ea, eb, ec) = (
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                    self.opnd(c, Some(dst)),
-                );
-                let m = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, eb));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::AddF), m, ec));
-                self.define(dst, e);
-            }
-            AddMulF { dst, c, a, b } => {
-                let (ec, ea, eb) = (
-                    self.opnd(c, Some(dst)),
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                );
-                let m = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, eb));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::AddF), ec, m));
-                self.define(dst, e);
-            }
-            MulSubF { dst, a, b, c } => {
-                let (ea, eb, ec) = (
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                    self.opnd(c, Some(dst)),
-                );
-                let m = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, eb));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), m, ec));
-                self.define(dst, e);
-            }
-            SubMulF { dst, c, a, b } => {
-                let (ec, ea, eb) = (
-                    self.opnd(c, Some(dst)),
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                );
-                let m = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, eb));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), ec, m));
-                self.define(dst, e);
-            }
-            MulMulAddF { dst, a, b, c, d } => {
-                let (ea, eb, ec, ed) = (
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                    self.opnd(c, Some(dst)),
-                    self.opnd(d, Some(dst)),
-                );
-                let m1 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, eb));
-                let m2 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ec, ed));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::AddF), m1, m2));
-                self.define(dst, e);
-            }
-            MulMulSubF { dst, a, b, c, d } => {
-                let (ea, eb, ec, ed) = (
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                    self.opnd(c, Some(dst)),
-                    self.opnd(d, Some(dst)),
-                );
-                let m1 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, eb));
-                let m2 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ec, ed));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), m1, m2));
-                self.define(dst, e);
-            }
-            MulAddI { dst, a, b, c } => {
-                let (ea, eb, ec) = (
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                    self.opnd(c, Some(dst)),
-                );
-                let m = ar.intern(Node::Bin(BinKind::Op(BinOp::MulI), ea, eb));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::AddI), m, ec));
-                self.define(dst, e);
-            }
-            MulSubI { dst, a, b, c } => {
-                let (ea, eb, ec) = (
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                    self.opnd(c, Some(dst)),
-                );
-                let m = ar.intern(Node::Bin(BinKind::Op(BinOp::MulI), ea, eb));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::SubI), m, ec));
-                self.define(dst, e);
-            }
-            SubMulI { dst, c, a, b } => {
-                let (ec, ea, eb) = (
-                    self.opnd(c, Some(dst)),
-                    self.opnd(a, Some(dst)),
-                    self.opnd(b, Some(dst)),
-                );
-                let m = ar.intern(Node::Bin(BinKind::Op(BinOp::MulI), ea, eb));
-                let e = ar.intern(Node::Bin(BinKind::Op(BinOp::SubI), ec, m));
-                self.define(dst, e);
-            }
-            BinKR { op, dst, a, k } => {
-                let ea = self.opnd(a, Some(dst));
-                let ek = ar.intern(Node::Const(k));
-                let e = ar.intern(Node::Bin(BinKind::Op(op), ea, ek));
-                self.define(dst, e);
-            }
-            BinKL { op, dst, k, b } => {
-                let eb = self.opnd(b, Some(dst));
-                let ek = ar.intern(Node::Const(k));
-                let e = ar.intern(Node::Bin(BinKind::Op(op), ek, eb));
-                self.define(dst, e);
-            }
-            BinRL {
-                op,
-                dst,
-                b,
-                stream,
-                width,
-                offset,
-            } => {
-                let er = self.input_read(ar, stream, width, offset);
-                let eb = self.opnd(b, Some(dst));
-                let e = ar.intern(Node::Bin(BinKind::Op(op), er, eb));
-                self.define(dst, e);
-            }
-            BinRR {
-                op,
-                dst,
-                a,
-                stream,
-                width,
-                offset,
-            } => {
-                let ea = self.opnd(a, Some(dst));
-                let er = self.input_read(ar, stream, width, offset);
-                let e = ar.intern(Node::Bin(BinKind::Op(op), ea, er));
-                self.define(dst, e);
-            }
-            BinW {
-                op,
-                a,
-                b,
-                stream,
-                width,
-                offset,
-            } => {
-                let (ea, eb) = (self.opnd(a, None), self.opnd(b, None));
-                let e = ar.intern(Node::Bin(BinKind::Op(op), ea, eb));
-                self.output_write(stream, width, offset, e);
-            }
-            CMulF {
-                re_dst,
-                im_dst,
-                a,
-                b,
-                c,
-                d,
-            } => {
-                let lo = re_dst.min(im_dst);
-                if re_dst == im_dst {
-                    self.push(
-                        TapeCheckKind::OperandOrder,
-                        format!("complex multiply defines v{re_dst} twice"),
-                    );
-                }
-                let (ea, eb, ec, ed) = (
-                    self.opnd(a, Some(lo)),
-                    self.opnd(b, Some(lo)),
-                    self.opnd(c, Some(lo)),
-                    self.opnd(d, Some(lo)),
-                );
-                let m1 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, eb));
-                let m2 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ec, ed));
-                let re = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), m1, m2));
-                let m3 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ea, ed));
-                let m4 = ar.intern(Node::Bin(BinKind::Op(BinOp::MulF), ec, eb));
-                let im = ar.intern(Node::Bin(BinKind::Op(BinOp::AddF), m3, m4));
-                self.define(re_dst, re);
-                self.define(im_dst, im);
-            }
-            BflyF {
-                add_dst,
-                sub_dst,
-                a,
-                b,
-            } => {
-                let lo = add_dst.min(sub_dst);
-                if add_dst == sub_dst {
-                    self.push(
-                        TapeCheckKind::OperandOrder,
-                        format!("butterfly defines v{add_dst} twice"),
-                    );
-                }
-                let (ea, eb) = (self.opnd(a, Some(lo)), self.opnd(b, Some(lo)));
-                let add = ar.intern(Node::Bin(BinKind::Op(BinOp::AddF), ea, eb));
-                let sub = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), ea, eb));
-                self.define(add_dst, add);
-                self.define(sub_dst, sub);
-            }
-            BflyWF {
-                a,
-                b,
-                add_stream,
-                add_width,
-                add_offset,
-                sub_stream,
-                sub_width,
-                sub_offset,
-            } => {
-                let (ea, eb) = (self.opnd(a, None), self.opnd(b, None));
-                let add = ar.intern(Node::Bin(BinKind::Op(BinOp::AddF), ea, eb));
-                let sub = ar.intern(Node::Bin(BinKind::Op(BinOp::SubF), ea, eb));
-                self.output_write(add_stream, add_width, add_offset, add);
-                self.output_write(sub_stream, sub_width, sub_offset, sub);
-            }
         }
     }
 }
@@ -1344,21 +1099,6 @@ pub(crate) fn check_tape(tape: &Tape) -> Vec<TapeFinding> {
                 ),
             });
         }
-    }
-
-    // The batching flag vs the shared predicate's independent re-derivation.
-    let batch = fuse::derive_batchable(&tape.prologue, &tape.body, tape.recurs.len());
-    if tape.batchable && !batch {
-        findings.push(TapeFinding {
-            kind: TapeCheckKind::FlagOverclaim,
-            message: "tape claims batch eligibility the instruction stream refutes".into(),
-        });
-    }
-    if !tape.batchable && batch {
-        findings.push(TapeFinding {
-            kind: TapeCheckKind::MissedEligibility,
-            message: "the instruction stream is batchable but the tape does not claim it".into(),
-        });
     }
 
     // Value-range analysis over the tape's fault sites.
@@ -1517,15 +1257,15 @@ fn interval(ar: &Arena, memo: &mut Vec<Option<Option<Iv>>>, e: ExprId) -> Option
             let ia = interval(ar, memo, a);
             let ib = interval(ar, memo, b);
             match k {
-                BinKind::Op(BinOp::AddI) => match (ia, ib) {
+                BinKind::AddI => match (ia, ib) {
                     (Some(x), Some(y)) => fit(x.lo + y.lo, x.hi + y.hi),
                     _ => None,
                 },
-                BinKind::Op(BinOp::SubI) => match (ia, ib) {
+                BinKind::SubI => match (ia, ib) {
                     (Some(x), Some(y)) => fit(x.lo - y.hi, x.hi - y.lo),
                     _ => None,
                 },
-                BinKind::Op(BinOp::MulI) => match (ia, ib) {
+                BinKind::MulI => match (ia, ib) {
                     (Some(x), Some(y)) => {
                         let c = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi];
                         fit(
@@ -1535,7 +1275,7 @@ fn interval(ar: &Arena, memo: &mut Vec<Option<Option<Iv>>>, e: ExprId) -> Option
                     }
                     _ => None,
                 },
-                BinKind::Op(BinOp::And) => {
+                BinKind::And => {
                     // A non-negative mask bounds the result regardless of
                     // the other side's sign.
                     let mask = |iv: Option<Iv>| match iv {
@@ -1553,37 +1293,35 @@ fn interval(ar: &Arena, memo: &mut Vec<Option<Option<Iv>>>, e: ExprId) -> Option
                         },
                     }
                 }
-                BinKind::Op(BinOp::Or) => match (ia, ib) {
+                BinKind::Or => match (ia, ib) {
                     (Some(x), Some(y)) if x.lo >= 0 && y.lo >= 0 => Some(Iv {
                         lo: 0,
                         hi: smear(x.hi | y.hi),
                     }),
                     _ => None,
                 },
-                BinKind::Op(BinOp::MinI) => match (ia, ib) {
+                BinKind::MinI => match (ia, ib) {
                     (Some(x), Some(y)) => Some(Iv {
                         lo: x.lo.min(y.lo),
                         hi: x.hi.min(y.hi),
                     }),
                     _ => None,
                 },
-                BinKind::Op(BinOp::MaxI) => match (ia, ib) {
+                BinKind::MaxI => match (ia, ib) {
                     (Some(x), Some(y)) => Some(Iv {
                         lo: x.lo.max(y.lo),
                         hi: x.hi.max(y.hi),
                     }),
                     _ => None,
                 },
-                BinKind::Op(
-                    BinOp::EqI
-                    | BinOp::EqF
-                    | BinOp::NeI
-                    | BinOp::NeF
-                    | BinOp::LtI
-                    | BinOp::LtF
-                    | BinOp::LeI
-                    | BinOp::LeF,
-                ) => Some(Iv { lo: 0, hi: 1 }),
+                BinKind::EqI
+                | BinKind::EqF
+                | BinKind::NeI
+                | BinKind::NeF
+                | BinKind::LtI
+                | BinKind::LtF
+                | BinKind::LeI
+                | BinKind::LeF => Some(Iv { lo: 0, hi: 1 }),
                 _ => None,
             }
         }
@@ -1601,16 +1339,12 @@ fn interval(ar: &Arena, memo: &mut Vec<Option<Option<Iv>>>, e: ExprId) -> Option
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TapeMutation {
-    /// Swap the operands of the first float subtract (plain or fused
-    /// write form) — float sub does not commute → `WriteMismatch`.
+    /// Swap the operands of the first float subtract — float sub does not
+    /// commute → `WriteMismatch`.
     SwapSubOperands,
-    /// Swap the two halves of the first paired read — the bounds checks
-    /// change order → `ErrorOrder`.
-    SwapPairedReads,
-    /// Re-fuse the first plain read into a later consumer across an
-    /// intervening fallible instruction (the guard the fuser must never
-    /// drop) → `ErrorOrder`.
-    FuseReadAcrossFallible,
+    /// Swap the body's first two stream reads — their bounds checks change
+    /// order → `ErrorOrder`.
+    SwapReads,
     /// Move the first fallible body instruction into the prologue →
     /// `HoistedEffect`.
     HoistFallible,
@@ -1623,11 +1357,6 @@ pub enum TapeMutation {
     RewireRecurrence,
     /// Flip the first recurrence's initial bits → `RecurrenceWiring`.
     CorruptRecurrenceInit,
-    /// Claim batch eligibility on an iteration-coupled or
-    /// topology-sensitive tape → `FlagOverclaim`.
-    ClaimBatchable,
-    /// Clear batch eligibility on a batchable tape → `MissedEligibility`.
-    ClearBatchable,
     /// Delete the first output write → `WriteCoverage`.
     DropWrite,
     /// Delete the first defining body instruction whose value is used
@@ -1654,92 +1383,21 @@ impl Tape {
                     std::mem::swap(a, b);
                     true
                 }
-                Instr::BinW {
-                    op: BinOp::SubF,
-                    a,
-                    b,
-                    ..
-                } => {
-                    std::mem::swap(a, b);
-                    true
-                }
                 _ => false,
             }),
-            TapeMutation::SwapPairedReads => t.body.iter_mut().any(|ins| match ins {
-                Instr::Read2 {
-                    da,
-                    sa,
-                    wa,
-                    oa,
-                    db,
-                    sb,
-                    wb,
-                    ob,
-                } => {
-                    std::mem::swap(da, db);
-                    std::mem::swap(sa, sb);
-                    std::mem::swap(wa, wb);
-                    std::mem::swap(oa, ob);
-                    true
-                }
-                _ => false,
-            }),
-            TapeMutation::FuseReadAcrossFallible => {
-                let fal = fuse::fallible_prefix(&t.body);
-                let mut site = None;
-                'outer: for (i, ins) in t.body.iter().enumerate() {
-                    if let Instr::Read {
-                        dst,
-                        stream,
-                        width,
-                        offset,
-                    } = *ins
-                    {
-                        for (j, cons) in t.body.iter().enumerate().skip(i + 1) {
-                            let (op, a, b, cdst) = match *cons {
-                                Instr::AddI { dst: d, a, b } => (BinOp::AddI, a, b, d),
-                                Instr::AddF { dst: d, a, b } => (BinOp::AddF, a, b, d),
-                                Instr::MulI { dst: d, a, b } => (BinOp::MulI, a, b, d),
-                                Instr::MulF { dst: d, a, b } => (BinOp::MulF, a, b, d),
-                                _ => continue,
-                            };
-                            if (a != dst && b != dst) || fuse::read_move_legal(&fal, i, j) {
-                                continue;
-                            }
-                            site = Some((
-                                i,
-                                j,
-                                if a == dst {
-                                    Instr::BinRL {
-                                        op,
-                                        dst: cdst,
-                                        b,
-                                        stream,
-                                        width,
-                                        offset,
-                                    }
-                                } else {
-                                    Instr::BinRR {
-                                        op,
-                                        dst: cdst,
-                                        a,
-                                        stream,
-                                        width,
-                                        offset,
-                                    }
-                                },
-                            ));
-                            break 'outer;
-                        }
-                    }
-                }
-                match site {
-                    Some((i, j, fusedins)) => {
-                        t.body[j] = fusedins;
-                        t.body.remove(i);
+            TapeMutation::SwapReads => {
+                let mut reads = t
+                    .body
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, ins)| matches!(ins, Instr::Read { .. }))
+                    .map(|(i, _)| i);
+                match (reads.next(), reads.next()) {
+                    (Some(i), Some(j)) => {
+                        t.body.swap(i, j);
                         true
                     }
-                    None => false,
+                    _ => false,
                 }
             }
             TapeMutation::HoistFallible => match t.body.iter().position(|ins| ins.fallible()) {
@@ -1751,7 +1409,7 @@ impl Tape {
                 None => false,
             },
             TapeMutation::RetargetWrite => t.body.iter_mut().any(|ins| match ins {
-                Instr::Write { offset, .. } | Instr::BinW { offset, .. } => {
+                Instr::Write { offset, .. } => {
                     *offset += 1;
                     true
                 }
@@ -1784,13 +1442,11 @@ impl Tape {
                 }
                 None => false,
             },
-            TapeMutation::ClaimBatchable => !std::mem::replace(&mut t.batchable, true),
-            TapeMutation::ClearBatchable => std::mem::replace(&mut t.batchable, false),
             TapeMutation::DropWrite => {
                 let i = t
                     .body
                     .iter()
-                    .position(|ins| matches!(ins, Instr::Write { .. } | Instr::BinW { .. }));
+                    .position(|ins| matches!(ins, Instr::Write { .. }));
                 match i {
                     Some(i) => {
                         t.body.remove(i);
@@ -1802,10 +1458,10 @@ impl Tape {
             TapeMutation::DropDef => {
                 let mut victim = None;
                 for (i, ins) in t.body.iter().enumerate() {
-                    let Some(d) = def_of(ins) else { continue };
+                    let Some(d) = ins.def() else { continue };
                     let used_later = t.body.iter().skip(i + 1).any(|later| {
                         let mut hit = false;
-                        fuse::for_each_operand(later, |v| hit |= v == d);
+                        later.for_each_operand(|v| hit |= v == d);
                         hit
                     });
                     if used_later {
@@ -1871,10 +1527,8 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// A single-use read whose consumer sits past a fallible divide: the
-    /// shape the fuser must never fuse across. The consumer's value has
-    /// two uses, so the compiled tape keeps the plain read, the divide,
-    /// and the plain add these fixtures mutate.
+    /// A read, a fallible divide, and plain integer arithmetic: sites for
+    /// the hoist, drop and self-operand corruptions.
     fn gap() -> Kernel {
         let mut b = KernelBuilder::new("gap");
         let sa = b.in_stream(Ty::I32);
@@ -1900,8 +1554,8 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Recurrence + conditional output: not batchable, with every
-    /// recurrence- and cond-stream-shaped mutation site.
+    /// Recurrence + conditional output: every recurrence- and
+    /// cond-stream-shaped mutation site.
     fn accum() -> Kernel {
         let mut b = KernelBuilder::new("accum");
         let s = b.in_stream(Ty::I32);
@@ -1940,15 +1594,6 @@ mod tests {
                 "kernel `{}`: {findings:?}",
                 k.name()
             );
-            // No missed-eligibility warnings either: the flag comes from
-            // the same predicate the validator re-runs.
-            assert!(
-                !findings
-                    .iter()
-                    .any(|f| f.kind == TapeCheckKind::MissedEligibility),
-                "kernel `{}`: {findings:?}",
-                k.name()
-            );
         }
     }
 
@@ -1958,12 +1603,7 @@ mod tests {
         use TapeMutation as M;
         let cases: Vec<(M, Tape, K)> = vec![
             (M::SwapSubOperands, Tape::compile(&fsub()), K::WriteMismatch),
-            (M::SwapPairedReads, Tape::compile(&saxpy()), K::ErrorOrder),
-            (
-                M::FuseReadAcrossFallible,
-                Tape::compile(&gap()),
-                K::ErrorOrder,
-            ),
+            (M::SwapReads, Tape::compile(&saxpy()), K::ErrorOrder),
             (M::HoistFallible, Tape::compile(&gap()), K::HoistedEffect),
             (M::RetargetWrite, Tape::compile(&saxpy()), K::AccessShape),
             (
@@ -1980,12 +1620,6 @@ mod tests {
                 M::CorruptRecurrenceInit,
                 Tape::compile(&accum()),
                 K::RecurrenceWiring,
-            ),
-            (M::ClaimBatchable, Tape::compile(&accum()), K::FlagOverclaim),
-            (
-                M::ClearBatchable,
-                Tape::compile(&saxpy()),
-                K::MissedEligibility,
             ),
             (M::DropWrite, Tape::compile(&saxpy()), K::WriteCoverage),
             (M::DropDef, Tape::compile(&gap()), K::UndefinedSlot),
@@ -2078,11 +1712,11 @@ mod tests {
 
     #[test]
     fn kinds_catalog_is_total() {
-        assert_eq!(TapeCheckKind::ALL.len(), 13);
+        assert_eq!(TapeCheckKind::ALL.len(), 11);
         for k in TapeCheckKind::ALL {
             assert!(!k.name().is_empty());
         }
         let errors = TapeCheckKind::ALL.iter().filter(|k| k.is_error()).count();
-        assert_eq!(errors, 10);
+        assert_eq!(errors, 9);
     }
 }

@@ -1,33 +1,21 @@
 //! Compiled execution tape — the interpreter's fast path.
 //!
 //! [`Tape::compile`] validates and lowers a kernel **once** into a flat
-//! instruction list with pre-resolved operand slots, precomputed stream
-//! record widths/word offsets, a `ValueId -> recurrence slot` index, and
-//! opcodes pre-specialized by static type. Execution then runs
-//! strip-at-a-time over untagged 32-bit value lanes in structure-of-arrays
-//! layout (`vals[value * C + cluster]`), so the per-iteration loop is
-//! clone-free, allocation-free, and dispatches on a dense enum.
+//! instruction list: every kernel-IR op becomes exactly one instruction,
+//! with pre-resolved operand slots, precomputed stream record
+//! widths/word offsets, a `ValueId -> recurrence slot` index, and opcodes
+//! pre-specialized by static type. Execution then runs over untagged
+//! 32-bit value lanes in structure-of-arrays layout
+//! (`vals[value * C + cluster]`), so the per-iteration loop is clone-free,
+//! allocation-free, and dispatches on a dense enum.
 //!
-//! Every compile applies the same specializations:
+//! The tape's one compile-time transformation is **hoisting**:
+//! iteration-invariant ops (constants, params, cluster ids, and pure chains
+//! rooted in them) run once per kernel call, in a prologue.
 //!
-//! * **Hoisting**: iteration-invariant ops (constants, params, cluster
-//!   ids, and pure chains rooted in them) run once per kernel call, in a
-//!   prologue.
-//! * **Fused superinstructions** ([`fuse`]): hot two/three-instruction
-//!   chains — multiply-accumulate shapes, op-into-write, read-into-op,
-//!   const-operand binaries — collapse into single tape instructions,
-//!   decided once at compile time. Counted by `tape.fused_ops`.
-//! * **Lane-specialized dispatch** ([`exec`]): the step loop is
-//!   monomorphized over the common cluster counts (1, 4, 8, 16) so the
-//!   compiler unrolls and vectorizes fixed-width lane loops; other widths
-//!   use a runtime-width generic instantiation.
-//! * **Macro-batching** ([`exec`]): kernels whose iterations are
-//!   independent and blind to the lane topology run several iterations per
-//!   dispatch.
-//!
-//! A tape runs one way: serially, on the caller's thread. The paper's
-//! parallelism lives in the simulated `(C, N)` machine; the tape only
-//! computes the values a kernel produces.
+//! A tape runs one way: serially, on the caller's thread, with the cluster
+//! count a runtime value. The paper's parallelism lives in the simulated
+//! `(C, N)` machine; the tape only computes the values a kernel produces.
 //!
 //! The legacy tree-walk interpreter ([`crate::execute_legacy`]) stays as
 //! the differential-test oracle; the tape reproduces its observable
@@ -39,7 +27,6 @@
 
 mod check;
 mod exec;
-mod fuse;
 mod instr;
 mod scratch;
 
@@ -113,19 +100,11 @@ pub struct Tape {
     recurs: Vec<RecurSlot>,
     n_vals: usize,
     uses_sp: bool,
-    /// Fusion rewrites applied at compile time.
-    fused: usize,
-    /// Iterations are independent (no recurrences, conditional streams, or
-    /// scratchpad writes) *and* lane-topology neutral (nothing observes the
-    /// cluster index/count, iteration number, comm topology, or
-    /// scratchpad), so consecutive iterations may execute as one wide
-    /// dispatch.
-    batchable: bool,
 }
 
 impl Tape {
-    /// Lowers `kernel` to an execution tape: hoisted, fused,
-    /// lane-specialized, and macro-batched where the kernel allows.
+    /// Lowers `kernel` to an execution tape, one instruction per op, with
+    /// iteration-invariant instructions hoisted into the prologue.
     /// Infallible for kernels built with [`crate::KernelBuilder`] (any type
     /// inconsistency lowers to a runtime fault instruction, matching the
     /// legacy interpreter).
@@ -160,9 +139,6 @@ impl Tape {
         let mut prologue = Vec::new();
         let mut body = Vec::new();
         let mut uses_sp = false;
-        // Compile-time-known constant bits per value slot, for the fusion
-        // pass's const-operand specialization.
-        let mut const_bits: Vec<Option<u32>> = vec![None; n];
 
         for (i, op) in ops.iter().enumerate() {
             let dst = i as u32;
@@ -174,12 +150,32 @@ impl Tape {
                 expected: Ty::F32,
                 found: op.args.first().map_or(Ty::I32, |&a| kernel.ty(a)),
             };
+            // A two-operand instruction, and its i32/f32 specializations
+            // picked by the first operand's static type.
+            macro_rules! bin {
+                ($v:ident) => {
+                    Instr::$v {
+                        dst,
+                        a: arg(0),
+                        b: arg(1),
+                    }
+                };
+            }
+            macro_rules! typed {
+                ($i:ident, $f:ident) => {
+                    match aty(0) {
+                        Ty::I32 => bin!($i),
+                        Ty::F32 => bin!($f),
+                    }
+                };
+            }
             use Opcode::*;
             let ins = match &op.opcode {
                 Const(s) => {
-                    let bits = bits_of(*s);
-                    const_bits[i] = Some(bits);
-                    prologue.push(Instr::ConstBits { dst, bits });
+                    prologue.push(Instr::ConstBits {
+                        dst,
+                        bits: bits_of(*s),
+                    });
                     continue;
                 }
                 Param(idx, _) => {
@@ -258,78 +254,12 @@ impl Tape {
                     src: arg(1),
                 },
                 Add | Sub | Mul | Div | Min | Max if aty(0) != aty(1) => fault,
-                Add => match aty(0) {
-                    Ty::I32 => Instr::AddI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::AddF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
-                Sub => match aty(0) {
-                    Ty::I32 => Instr::SubI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::SubF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
-                Mul => match aty(0) {
-                    Ty::I32 => Instr::MulI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::MulF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
-                Div => match aty(0) {
-                    Ty::I32 => Instr::DivI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::DivF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
-                Min => match aty(0) {
-                    Ty::I32 => Instr::MinI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::MinF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
-                Max => match aty(0) {
-                    Ty::I32 => Instr::MaxI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::MaxF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
+                Add => typed!(AddI, AddF),
+                Sub => typed!(SubI, SubF),
+                Mul => typed!(MulI, MulF),
+                Div => typed!(DivI, DivF),
+                Min => typed!(MinI, MinF),
+                Max => typed!(MaxI, MaxF),
                 Sqrt if aty(0) == Ty::F32 => Instr::Sqrt { dst, a: arg(0) },
                 Floor if aty(0) == Ty::F32 => Instr::Floor { dst, a: arg(0) },
                 Neg => match aty(0) {
@@ -341,88 +271,23 @@ impl Tape {
                     Ty::F32 => Instr::AbsF { dst, a: arg(0) },
                 },
                 And | Or | Xor | Shl | Shr if aty(0) != Ty::I32 || aty(1) != Ty::I32 => fault,
-                And => Instr::And {
-                    dst,
-                    a: arg(0),
-                    b: arg(1),
-                },
-                Or => Instr::Or {
-                    dst,
-                    a: arg(0),
-                    b: arg(1),
-                },
-                Xor => Instr::Xor {
-                    dst,
-                    a: arg(0),
-                    b: arg(1),
-                },
-                Shl => Instr::Shl {
-                    dst,
-                    a: arg(0),
-                    b: arg(1),
-                },
-                Shr => Instr::Shr {
-                    dst,
-                    a: arg(0),
-                    b: arg(1),
-                },
+                And => bin!(And),
+                Or => bin!(Or),
+                Xor => bin!(Xor),
+                Shl => bin!(Shl),
+                Shr => bin!(Shr),
                 Eq | Ne if aty(0) != aty(1) => {
                     // Legacy `scalar_eq` on mixed types is a constant
                     // (false), not an error; hoist the constant.
                     let bits = u32::from(matches!(op.opcode, Ne));
-                    const_bits[i] = Some(bits);
                     prologue.push(Instr::ConstBits { dst, bits });
                     continue;
                 }
-                Eq => match aty(0) {
-                    Ty::I32 => Instr::EqI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::EqF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
-                Ne => match aty(0) {
-                    Ty::I32 => Instr::NeI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::NeF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
+                Eq => typed!(EqI, EqF),
+                Ne => typed!(NeI, NeF),
                 Lt | Le if aty(0) != aty(1) => fault,
-                Lt => match aty(0) {
-                    Ty::I32 => Instr::LtI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::LtF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
-                Le => match aty(0) {
-                    Ty::I32 => Instr::LeI {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                    Ty::F32 => Instr::LeF {
-                        dst,
-                        a: arg(0),
-                        b: arg(1),
-                    },
-                },
+                Lt => typed!(LtI, LtF),
+                Le => typed!(LeI, LeF),
                 // Builder-validated kernels always have an i32 condition,
                 // so `is_true` reduces to `bits != 0`.
                 Select => Instr::Select {
@@ -439,20 +304,9 @@ impl Tape {
         }
 
         // Sink transitively iteration-invariant ops (chains rooted at
-        // constants, params, and cluster ids) into the prologue first, then
-        // run the peephole and pair fusion passes on what's left.
-        fuse::hoist_invariants(&mut prologue, &mut body, n);
-        let fused = fuse::fuse(&mut body, n, &recurs, &const_bits);
-        stream_trace::count("tape.fused_ops", fused as u64);
-        // The batching flag comes from the shared soundness predicate in
-        // `fuse` — the same function the translation validator re-runs, so
-        // an overclaimed flag is a validation error, not a silent
-        // miscompile. The executor may run BATCH consecutive iterations as
-        // one dispatch over `BATCH * c` lanes only if no instruction can
-        // tell the lane topology apart.
-        let batchable = fuse::derive_batchable(&prologue, &body, recurs.len());
-        compile_span.arg("fused", fused);
-        compile_span.arg("batchable", batchable);
+        // constants, params, and cluster ids) into the prologue.
+        hoist_invariants(&mut prologue, &mut body, n);
+        compile_span.arg("hoisted", prologue.len());
 
         let tape = Self {
             kernel: kernel.clone(),
@@ -461,8 +315,6 @@ impl Tape {
             recurs,
             n_vals: n,
             uses_sp,
-            fused,
-            batchable,
         };
         if validate_on_compile() {
             let errors: Vec<_> = tape
@@ -486,9 +338,8 @@ impl Tape {
 
     /// Translation-validates this tape against its kernel and runs the
     /// value-range analysis, returning every finding (errors sort before
-    /// warnings). An empty vector is a proof of per-iteration equivalence
-    /// with the legacy interpreter, up to the one wrapping-integer-add
-    /// canonicalization the fuser exploits.
+    /// warnings). No error-severity finding is a proof of per-iteration
+    /// equivalence with the legacy interpreter.
     ///
     /// Runs automatically on every debug-mode compile (see the
     /// `STREAM_TAPE_VALIDATE` environment variable); call it directly to
@@ -518,11 +369,6 @@ impl Tape {
     /// Number of instructions executed every SIMD iteration.
     pub fn loop_len(&self) -> usize {
         self.body.len()
-    }
-
-    /// Fusion rewrites applied at compile time.
-    pub fn fused_ops(&self) -> usize {
-        self.fused
     }
 
     /// Executes the tape, inferring the iteration count from the first
@@ -678,6 +524,29 @@ impl Tape {
     }
 }
 
+/// Sinks iteration-invariant body instructions into the prologue: any
+/// hoistable instruction whose operands are all defined by the prologue
+/// (constants, params, cluster ids — or an already-sunk instruction)
+/// computes the same lanes every iteration, so it runs once per kernel call
+/// instead.
+fn hoist_invariants(prologue: &mut Vec<Instr>, body: &mut Vec<Instr>, n_vals: usize) {
+    let mut invariant = vec![false; n_vals];
+    for d in prologue.iter().filter_map(Instr::def) {
+        invariant[d as usize] = true;
+    }
+    body.retain(|ins| {
+        let Some(dst) = ins.def() else { return true };
+        let mut all_invariant = ins.hoistable();
+        ins.for_each_operand(|v| all_invariant &= invariant[v as usize]);
+        if !all_invariant {
+            return true;
+        }
+        invariant[dst as usize] = true;
+        prologue.push(*ins);
+        false
+    });
+}
+
 /// Exitless well-typedness scan of one input stream against its declared
 /// type: reduces with `&` instead of short-circuiting so LLVM can
 /// vectorize the tag scan.
@@ -761,8 +630,7 @@ mod tests {
         vec![ints, floats]
     }
 
-    /// A batchable float kernel with fusible mul→add chains and a
-    /// const-operand op.
+    /// A float kernel with a parameter, two reads, and a constant operand.
     fn saxpy_kernel() -> Kernel {
         let mut b = KernelBuilder::new("saxpy");
         let sx = b.in_stream(Ty::F32);
@@ -816,41 +684,37 @@ mod tests {
         // Consts, the param, cluster id/count, and the comm-source chain
         // built from them never re-execute per iteration.
         assert!(tape.hoisted_len() >= 8, "{}", tape.hoisted_len());
-        assert!(tape.hoisted_len() + tape.loop_len() <= k.ops().len());
     }
 
     #[test]
-    fn fusion_collapses_hot_chains_and_preserves_results() {
+    fn each_op_lowers_to_one_instruction() {
+        for k in [saxpy_kernel(), busy_kernel()] {
+            let tape = Tape::compile(&k);
+            assert_eq!(tape.hoisted_len() + tape.loop_len(), k.ops().len());
+        }
         let k = saxpy_kernel();
-        let fused = Tape::compile(&k);
-        // mul→add collapses, and the final mul-by-const folds into the
-        // write: fewer instructions than the kernel has ops.
-        assert!(fused.fused_ops() > 0);
-        assert!(fused.hoisted_len() + fused.loop_len() < k.ops().len());
-
+        let tape = Tape::compile(&k);
         let params = [Scalar::F32(2.5)];
         for c in [1usize, 3, 4, 8] {
             let inputs = saxpy_inputs(5, c);
             let want = execute_legacy(&k, &params, &inputs, &cfg(c)).unwrap();
-            assert_eq!(fused.execute(&params, &inputs, &cfg(c)).unwrap(), want);
+            assert_eq!(tape.execute(&params, &inputs, &cfg(c)).unwrap(), want);
         }
     }
 
     #[test]
-    fn fusion_never_reorders_errors() {
-        // A single-use read whose consumer sits past another fallible read
-        // must NOT move down: with BOTH streams exhausting at the same
-        // iteration, program order blames the first read (stream 0). A
-        // fusion pass that ignored the fallibility gap would report
-        // stream 1 instead.
+    fn errors_follow_program_order() {
+        // With BOTH streams exhausting at the same iteration, program order
+        // blames the first read (stream 0), even though its single use sits
+        // past the second read.
         let mut b = KernelBuilder::new("gap");
         let sa = b.in_stream(Ty::I32);
         let sb = b.in_stream(Ty::I32);
         let out = b.out_stream(Ty::I32);
         let x = b.read(sa);
         let y = b.read(sb);
-        let s = b.add(y, y); // y has 2 uses: not fusible
-        let r = b.add(x, s); // x is single-use but a fallible read intervenes
+        let s = b.add(y, y);
+        let r = b.add(x, s);
         b.write(out, r);
         let k = b.finish().unwrap();
         let tape = Tape::compile(&k);

@@ -147,13 +147,13 @@ pub fn to_text(kernel: &Kernel) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for syntax problems,
-/// undefined or non-dense value ids, unknown opcodes, or structural errors
-/// (unbound recurrences are reported against the last line).
+/// undefined or non-dense value ids, unknown opcodes, operands that break
+/// the IR's typing or stream rules, or structural errors (unbound
+/// recurrences are reported against the last line). Never panics.
 pub fn parse_kernel(text: &str) -> Result<Kernel, ParseError> {
     let mut builder = KernelBuilder::new("unnamed");
     // values[i] = Some(id) for value-producing lines, None for writes.
     let mut values: Vec<Option<ValueId>> = Vec::new();
-    let mut loops: Vec<(ValueId, ValueId)> = Vec::new();
     let mut last_line = 0usize;
 
     let fail = |line: usize, message: String| ParseError { line, message };
@@ -236,7 +236,7 @@ pub fn parse_kernel(text: &str) -> Result<Kernel, ParseError> {
                 }
                 let r = value(toks.get(1), &values)?;
                 let n = value(toks.get(3), &values)?;
-                loops.push((r, n));
+                builder.try_bind_next(r, n).map_err(|m| fail(line_no, m))?;
             }
             _ => {
                 if toks.len() < 3 || toks[1] != "=" {
@@ -259,97 +259,70 @@ pub fn parse_kernel(text: &str) -> Result<Kernel, ParseError> {
                 }
                 let op = toks[2];
                 let rest = &toks[3..];
-                let produced: Option<ValueId> = match op {
-                    "const" => Some(builder.constant(parse_scalar(rest)?)),
-                    "recur" => Some(builder.recurrence(parse_scalar(rest)?)),
-                    "param" => Some(builder.param(parse_ty(rest.first())?)),
-                    "iter" => Some(builder.iter_index()),
-                    "cid" => Some(builder.cluster_id()),
-                    "nclusters" => Some(builder.cluster_count()),
-                    "read" => Some(builder.read(stream(rest.first())?)),
-                    "write" => {
-                        let s = stream(rest.first())?;
-                        let v = value(rest.get(1), &values)?;
-                        builder.write(s, v);
-                        None
+                // Everything after the opcode and its one immediate (a
+                // stream id or a type), if it has one, is an operand.
+                let tail = rest.get(1..).unwrap_or_default();
+                let (opcode, operands) = match op {
+                    "const" => {
+                        values.push(Some(builder.constant(parse_scalar(rest)?)));
+                        continue;
                     }
-                    "cond_rd" => {
-                        let s = stream(rest.first())?;
-                        let pred = value(rest.get(1), &values)?;
-                        Some(builder.cond_read(s, pred))
+                    "recur" => {
+                        values.push(Some(builder.recurrence(parse_scalar(rest)?)));
+                        continue;
                     }
-                    "cond_wr" => {
-                        let s = stream(rest.first())?;
-                        let pred = value(rest.get(1), &values)?;
-                        let v = value(rest.get(2), &values)?;
-                        builder.cond_write(s, pred, v);
-                        None
+                    "param" => {
+                        values.push(Some(builder.param(parse_ty(rest.first())?)));
+                        continue;
                     }
-                    "sp_rd" => {
-                        let ty = parse_ty(rest.first())?;
-                        let addr = value(rest.get(1), &values)?;
-                        Some(builder.sp_read(addr, ty))
-                    }
-                    "sp_wr" => {
-                        let addr = value(rest.first(), &values)?;
-                        let v = value(rest.get(1), &values)?;
-                        builder.sp_write(addr, v);
-                        None
-                    }
-                    "comm" => {
-                        let d = value(rest.first(), &values)?;
-                        let src = value(rest.get(1), &values)?;
-                        Some(builder.comm(d, src))
-                    }
-                    "select" => {
-                        let c = value(rest.first(), &values)?;
-                        let x = value(rest.get(1), &values)?;
-                        let y = value(rest.get(2), &values)?;
-                        Some(builder.select(c, x, y))
-                    }
-                    unary @ ("sqrt" | "neg" | "abs" | "floor" | "itof" | "ftoi") => {
-                        let a = value(rest.first(), &values)?;
-                        Some(match unary {
-                            "sqrt" => builder.sqrt(a),
-                            "neg" => builder.neg(a),
-                            "abs" => builder.abs(a),
-                            "floor" => builder.floor(a),
-                            "itof" => builder.itof(a),
-                            _ => builder.ftoi(a),
-                        })
-                    }
-                    binary @ ("add" | "sub" | "mul" | "div" | "min" | "max" | "and" | "or"
-                    | "xor" | "shl" | "shr" | "eq" | "ne" | "lt" | "le") => {
-                        let x = value(rest.first(), &values)?;
-                        let y = value(rest.get(1), &values)?;
-                        Some(match binary {
-                            "add" => builder.add(x, y),
-                            "sub" => builder.sub(x, y),
-                            "mul" => builder.mul(x, y),
-                            "div" => builder.div(x, y),
-                            "min" => builder.min(x, y),
-                            "max" => builder.max(x, y),
-                            "and" => builder.and(x, y),
-                            "or" => builder.or(x, y),
-                            "xor" => builder.xor(x, y),
-                            "shl" => builder.shl(x, y),
-                            "shr" => builder.shr(x, y),
-                            "eq" => builder.eq(x, y),
-                            "ne" => builder.ne(x, y),
-                            "lt" => builder.lt(x, y),
-                            _ => builder.le(x, y),
-                        })
-                    }
+                    "iter" => (Opcode::IterIndex, rest),
+                    "cid" => (Opcode::ClusterId, rest),
+                    "nclusters" => (Opcode::ClusterCount, rest),
+                    "read" => (Opcode::Read(stream(rest.first())?), tail),
+                    "write" => (Opcode::Write(stream(rest.first())?), tail),
+                    "cond_rd" => (Opcode::CondRead(stream(rest.first())?), tail),
+                    "cond_wr" => (Opcode::CondWrite(stream(rest.first())?), tail),
+                    "sp_rd" => (Opcode::SpRead(parse_ty(rest.first())?), tail),
+                    "sp_wr" => (Opcode::SpWrite, rest),
+                    "comm" => (Opcode::Comm, rest),
+                    "select" => (Opcode::Select, rest),
+                    "sqrt" => (Opcode::Sqrt, rest),
+                    "neg" => (Opcode::Neg, rest),
+                    "abs" => (Opcode::Abs, rest),
+                    "floor" => (Opcode::Floor, rest),
+                    "itof" => (Opcode::ItoF, rest),
+                    "ftoi" => (Opcode::FtoI, rest),
+                    "add" => (Opcode::Add, rest),
+                    "sub" => (Opcode::Sub, rest),
+                    "mul" => (Opcode::Mul, rest),
+                    "div" => (Opcode::Div, rest),
+                    "min" => (Opcode::Min, rest),
+                    "max" => (Opcode::Max, rest),
+                    "and" => (Opcode::And, rest),
+                    "or" => (Opcode::Or, rest),
+                    "xor" => (Opcode::Xor, rest),
+                    "shl" => (Opcode::Shl, rest),
+                    "shr" => (Opcode::Shr, rest),
+                    "eq" => (Opcode::Eq, rest),
+                    "ne" => (Opcode::Ne, rest),
+                    "lt" => (Opcode::Lt, rest),
+                    "le" => (Opcode::Le, rest),
                     other => return Err(fail(line_no, format!("unknown opcode {other}"))),
                 };
+                let args = operands
+                    .iter()
+                    .map(|t| value(Some(t), &values))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let produces = opcode.produces_value();
+                let v = builder
+                    .try_op(opcode, &args, op)
+                    .map_err(|m| fail(line_no, m))?;
+                let produced = produces.then_some(v);
                 values.push(produced);
             }
         }
     }
 
-    for (r, n) in loops {
-        builder.bind_next(r, n);
-    }
     builder.finish().map_err(|e| ParseError {
         line: last_line,
         message: e.to_string(),
@@ -470,6 +443,54 @@ v2 = add v1 v0
         let err = parse_kernel(text).unwrap_err();
         assert_eq!(err.line, 6);
         assert!(err.message.contains("no value"));
+    }
+
+    /// Text that breaks a builder rule is a line error, not a panic.
+    fn rejects(text: &str, line: usize, needle: &str) {
+        let err = parse_kernel(text).unwrap_err();
+        assert_eq!(err.line, line, "{err}");
+        assert!(err.message.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn read_of_an_undeclared_stream_is_reported() {
+        rejects("kernel bad\nin i32\nv0 = read s1\n", 3, "not declared");
+    }
+
+    #[test]
+    fn mixed_operand_types_are_reported() {
+        rejects(
+            "kernel bad\nv0 = const i32 1\nv1 = const f32 1.0\nv2 = add v0 v1\n",
+            4,
+            "operand types differ",
+        );
+    }
+
+    #[test]
+    fn binding_a_non_recurrence_is_reported() {
+        rejects(
+            "kernel bad\nin i32\nv0 = read s0\nv1 = add v0 v0\nloop v0 <- v1\n",
+            5,
+            "not a recurrence",
+        );
+    }
+
+    #[test]
+    fn sqrt_of_an_integer_is_reported() {
+        rejects(
+            "kernel bad\nv0 = const i32 4\nv1 = sqrt v0\n",
+            3,
+            "expected f32",
+        );
+    }
+
+    #[test]
+    fn write_to_an_undeclared_stream_is_reported() {
+        rejects(
+            "kernel bad\nin i32\nout i32\nv0 = read s0\nv1 = write s3 v0\n",
+            5,
+            "not declared",
+        );
     }
 
     #[test]

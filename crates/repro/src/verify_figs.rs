@@ -6,9 +6,8 @@
 //!
 //! A clean run is the evidence that the scheduler's output is legal by an
 //! implementation that shares none of its code — the paper's results rest
-//! on these schedules being real — and that the tape compiler's fused
-//! and batched code is provably equivalent to the kernel IR it was
-//! compiled from.
+//! on these schedules being real — and that every compiled tape is
+//! provably equivalent to the kernel IR it was compiled from.
 
 use crate::kernel_figs::{FIG13_NS, FIG14_CS};
 use crate::sweep::Ctx;

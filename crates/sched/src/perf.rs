@@ -165,8 +165,9 @@ pub struct CompileOptions {
     pub software_pipelining: bool,
     /// Run every candidate schedule through the independent verifier in
     /// `stream-verify` and discard candidates it rejects. On by default in
-    /// debug builds; opt in explicitly for release-mode runs (the repro
-    /// harness's `verify` experiment does).
+    /// debug builds; opt in explicitly for release-mode runs. (The repro
+    /// harness's `verify` experiment compiles with the defaults and runs
+    /// the verifier on the finished schedules itself.)
     pub verify: bool,
 }
 

@@ -6,8 +6,9 @@
 //!
 //! Binds `127.0.0.1:7878` by default and serves until `POST /v1/shutdown`
 //! (or the process is killed). `--cache-dir` (or the `STREAM_CACHE_DIR`
-//! environment variable) enables the persistent schedule and result caches,
-//! so a restarted daemon answers warm.
+//! environment variable) enables the persistent schedule and tuning caches,
+//! so a restarted daemon recomputes its cells without compiling or
+//! searching.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,7 +19,7 @@ const USAGE: &str = "usage: stream-serve [--addr HOST:PORT] [--jobs N] [--cache-
 options:
   --addr HOST:PORT   bind address (default 127.0.0.1:7878; port 0 picks a free port)
   --jobs N           worker permits (default: available parallelism)
-  --cache-dir DIR    persist schedule + result caches under DIR
+  --cache-dir DIR    persist schedule + tuning caches under DIR
                      (default: $STREAM_CACHE_DIR if set)
 
 endpoints: /health /metrics /v1/experiments /v1/run/<id> /v1/sweep /v1/query /v1/stats

@@ -15,9 +15,10 @@
 //!   computation per `(experiment)` cell ([`Planner`]), so two clients
 //!   sweeping overlapping grids compile each shared cell exactly once and
 //!   receive byte-identical JSON.
-//! * **Persistent caches** — with a cache root, compiled schedules
-//!   (via `stream-grid`'s disk tier) and rendered results survive
-//!   restarts; a warm daemon answers without a single scheduler run.
+//! * **Persistent caches** — with a cache root, compiled schedules (via
+//!   `stream-grid`'s disk tier) and tuning winners (via `stream-tune`'s)
+//!   survive restarts; a restarted daemon recomputes its cells without a
+//!   single scheduler run or tuner search.
 //!
 //! # Endpoints
 //!
@@ -79,7 +80,7 @@ mod tests {
     }
 
     fn planner() -> Planner {
-        Planner::new(Engine::new(2), None).unwrap()
+        Planner::new(Engine::new(2))
     }
 
     fn route(req: &Request, p: &Planner) -> Response {

@@ -2,9 +2,11 @@
 //! table mapping HTTP requests onto the [`Planner`] and the typed query
 //! API.
 //!
-//! Worker accounting rides the process-global [`stream_pool`] permit pool —
-//! the same pool the sweep engine and the tape executor draw from — so
-//! total daemon parallelism is bounded no matter how many clients connect.
+//! Worker accounting rides the process-global [`stream_pool`] permit pool,
+//! sized to the daemon's worker budget, so total connection-handling
+//! parallelism is bounded no matter how many clients connect. The
+//! planner's sweep engine owns its own permit pool, and a tape runs
+//! serially on whichever thread calls it, so neither draws from this one.
 //! A connection that cannot get a permit is handled *inline on the accept
 //! thread*: further accepts queue in the listen backlog until it finishes,
 //! which is the daemon's rate limiting (clients see latency, never dropped
@@ -67,7 +69,7 @@ pub struct ServerConfig {
     /// Worker budget for the shared engine and permit pool; `None` means
     /// host parallelism.
     pub workers: Option<usize>,
-    /// Cache root for the persistent schedule and result tiers; `None`
+    /// Cache root for the persistent schedule and tuning tiers; `None`
     /// serves memory-only.
     pub cache_root: Option<PathBuf>,
 }
@@ -126,10 +128,7 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
         // `/v1/tune` answers warm points with zero searches after a restart.
         stream_tune::attach_global_disk(root)?;
     }
-    let planner = Arc::new(Planner::new(
-        stream_grid::Engine::new(workers),
-        config.cache_root.as_deref(),
-    )?);
+    let planner = Arc::new(Planner::new(stream_grid::Engine::new(workers)));
     let listener = TcpListener::bind(config.addr.as_deref().unwrap_or("127.0.0.1:0"))?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -563,7 +562,6 @@ fn metrics_response(planner: &Planner) -> Response {
     // from the planner actually serving this scrape.
     stream_trace::set_gauge("serve.planner.lookups", p.lookups);
     stream_trace::set_gauge("serve.planner.computed", p.computed);
-    stream_trace::set_gauge("serve.planner.disk_hits", p.disk_hits);
     stream_trace::set_gauge("serve.planner.cells", planner.cells_resident() as u64);
     Response::prometheus(200, stream_trace::render_prometheus())
 }
@@ -580,7 +578,6 @@ fn stats_response(planner: &Planner) -> Response {
                 object([
                     ("lookups", Value::Number(p.lookups as f64)),
                     ("computed", Value::Number(p.computed as f64)),
-                    ("disk_hits", Value::Number(p.disk_hits as f64)),
                 ]),
             ),
             (

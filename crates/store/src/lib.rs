@@ -3,7 +3,7 @@
 //!
 //! The sweep engine's compiled-kernel cache is 200x+ faster warm than cold,
 //! but an in-memory cache evaporates at process exit. [`DiskStore`] is the
-//! persistence layer under it (and under the `stream-serve` result cache):
+//! persistence layer under it (and under the auto-tuner's results tier):
 //! one file per entry, each framed with a magic, a format version, a payload
 //! length, and a checksum, written atomically (temp file + `fsync` +
 //! `rename`) so concurrent writers — including writers in *different
@@ -94,7 +94,6 @@ impl Key {
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
-    max_entries: Option<usize>,
 }
 
 /// Temp-file uniquifier shared by every store handle in the process: two
@@ -113,18 +112,7 @@ impl DiskStore {
     pub fn open(root: &Path, namespace: &str, version: u32) -> io::Result<Self> {
         let dir = root.join(format!("{namespace}.v{version}"));
         fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            max_entries: None,
-        })
-    }
-
-    /// Caps the store at `max` entries; each `put` past the cap evicts the
-    /// oldest (by modification time) entries.
-    #[must_use]
-    pub fn with_max_entries(mut self, max: usize) -> Self {
-        self.max_entries = Some(max.max(1));
-        self
+        Ok(Self { dir })
     }
 
     /// The directory entries live in.
@@ -167,14 +155,12 @@ impl DiskStore {
     /// processes racing on the same key each install a complete entry; the
     /// later rename wins and readers only ever observe whole frames.
     ///
-    /// Returns the number of entries evicted to honor `max_entries`.
-    ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the entry cannot be written —
     /// callers treat this as "cache unavailable", not a failure of the
     /// computation whose result was being stored.
-    pub fn put(&self, key: Key, payload: &[u8]) -> io::Result<usize> {
+    pub fn put(&self, key: Key, payload: &[u8]) -> io::Result<()> {
         let frame = encode_frame(payload);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
@@ -195,7 +181,7 @@ impl DiskStore {
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        Ok(self.evict_past_cap())
+        Ok(())
     }
 
     /// Number of entries currently resident (invalid files included until
@@ -236,32 +222,6 @@ impl DiskStore {
                     .is_some_and(|n| n.ends_with(SUFFIX))
             })
             .collect()
-    }
-
-    fn evict_past_cap(&self) -> usize {
-        let Some(max) = self.max_entries else {
-            return 0;
-        };
-        let mut entries = self.entries();
-        if entries.len() <= max {
-            return 0;
-        }
-        // Oldest-first by (mtime, name): the name tiebreak keeps eviction
-        // order stable on coarse-mtime filesystems.
-        entries.sort_by_key(|p| {
-            let mtime = fs::metadata(p)
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            (mtime, p.clone())
-        });
-        let excess = entries.len() - max;
-        let mut evicted = 0;
-        for path in entries.into_iter().take(excess) {
-            if fs::remove_file(&path).is_ok() {
-                evicted += 1;
-            }
-        }
-        evicted
     }
 }
 
@@ -422,27 +382,6 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         assert_eq!(s.get(k), None);
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn eviction_keeps_newest_entries() {
-        let root = scratch();
-        let s = DiskStore::open(&root, "t", 1).unwrap().with_max_entries(3);
-        let keys: Vec<Key> = (0..6u32)
-            .map(|i| Key::of(format!("k{i}").as_bytes()))
-            .collect();
-        let mut evicted = 0;
-        for (i, &k) in keys.iter().enumerate() {
-            // Distinct mtimes even on coarse-granularity filesystems are
-            // not guaranteed; the (mtime, name) sort keeps this stable
-            // enough that the *count* invariant below always holds.
-            evicted += s.put(k, format!("v{i}").as_bytes()).unwrap();
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(evicted, 3);
-        let resident = keys.iter().filter(|&&k| s.get(k).is_some()).count();
-        assert_eq!(resident, 3);
         fs::remove_dir_all(&root).unwrap();
     }
 

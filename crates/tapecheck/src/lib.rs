@@ -5,7 +5,7 @@
 //! ([`stream_ir::Tape::validate`]): it symbolically re-executes the kernel
 //! IR and its compiled tape over one abstract iteration and proves them
 //! equivalent (write expressions, ordered fault sites, recurrence wiring,
-//! eligibility flags, SSA slot layout), then classifies each fallible site
+//! SSA slot layout), then classifies each fallible site
 //! with an interval analysis. This crate maps those findings onto the
 //! stable `E2xx`/`W2xx` codes of [`stream_verify::Code`] so tape
 //! validation composes with the schedule verifier and IR linter in one
@@ -45,10 +45,8 @@ pub fn code_for(kind: TapeCheckKind) -> Code {
         TapeCheckKind::OperandOrder => Code::TapeOperandOrder,
         TapeCheckKind::UndefinedSlot => Code::TapeUndefinedSlot,
         TapeCheckKind::HoistedEffect => Code::TapeHoistedEffect,
-        TapeCheckKind::FlagOverclaim => Code::TapeFlagOverclaim,
         TapeCheckKind::CondStreamMismatch => Code::TapeCondStream,
         TapeCheckKind::AccessShape => Code::TapeAccessShape,
-        TapeCheckKind::MissedEligibility => Code::TapeMissedEligibility,
         TapeCheckKind::DeadCheck => Code::TapeDeadCheck,
         TapeCheckKind::StaticFault => Code::TapeStaticFault,
     }
@@ -65,11 +63,10 @@ pub fn report_findings(context: &str, findings: &[TapeFinding]) -> Report {
 }
 
 /// Translation-validates `tape` and returns the findings as a standard
-/// diagnostic report. A clean report is a proof of per-iteration
-/// equivalence between the tape and the legacy interpreter semantics (up
-/// to wrapping-integer-add canonicalization); error-severity diagnostics
-/// are miscompiles, warnings come from the value-range and eligibility
-/// analyses.
+/// diagnostic report. A report without errors is a proof of
+/// per-iteration equivalence between the tape and the legacy interpreter
+/// semantics; error-severity diagnostics are miscompiles, warnings come
+/// from the value-range analysis.
 pub fn validate_tape(tape: &Tape) -> Report {
     report_findings(tape.kernel().name(), &tape.validate())
 }

@@ -24,8 +24,8 @@ impl fmt::Display for Severity {
 /// Stable diagnostic codes. `E0xx` are IR lint errors, `W0xx` IR lint
 /// warnings, `E1xx` schedule-verification errors, `W1xx` schedule
 /// warnings, `E2xx` tape translation-validation errors, `W2xx` tape
-/// value-range/eligibility warnings. Codes never change meaning; see
-/// `docs/lint_codes.md`.
+/// value-range warnings. Codes never change meaning, and a retired code's
+/// number is never reused; see `docs/lint_codes.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// E001: an operand names a value not defined before its use.
@@ -90,16 +90,14 @@ pub enum Code {
     /// differ from the kernel's binding.
     TapeRecurrence,
     /// E205: the tape violates the SSA slot layout (operand at or above
-    /// its destination, redefined slot, malformed pair).
+    /// its destination, or a redefined slot).
     TapeOperandOrder,
     /// E206: a tape instruction reads a never-defined slot.
     TapeUndefinedSlot,
     /// E207: a fallible or per-iteration instruction was hoisted into the
     /// once-per-call prologue.
     TapeHoistedEffect,
-    /// E208: the batch eligibility flag claims more than the shared
-    /// soundness predicate re-derives.
-    TapeFlagOverclaim,
+    // E208 is retired (see docs/lint_codes.md); the number is not reused.
     /// E209: a conditional stream's (predicate, source) sequence diverges
     /// from the kernel.
     TapeCondStream,
@@ -107,8 +105,7 @@ pub enum Code {
     /// E211: a stream access disagrees with the stream declaration
     /// (index, record width, offset, conditionality).
     TapeAccessShape,
-    /// W201: the tape forgoes batching the predicate re-derives.
-    TapeMissedEligibility,
+    // W201 is retired (see docs/lint_codes.md); the number is not reused.
     /// W202: a tape bounds check is provably dead (always in range).
     TapeDeadCheck,
     /// W203: a tape access provably faults on every input reaching it.
@@ -117,7 +114,7 @@ pub enum Code {
 
 impl Code {
     /// All codes, in catalog order.
-    pub const ALL: [Code; 33] = [
+    pub const ALL: [Code; 31] = [
         Code::UndefinedValue,
         Code::TypeMismatch,
         Code::UnknownOpcode,
@@ -145,10 +142,8 @@ impl Code {
         Code::TapeOperandOrder,
         Code::TapeUndefinedSlot,
         Code::TapeHoistedEffect,
-        Code::TapeFlagOverclaim,
         Code::TapeCondStream,
         Code::TapeAccessShape,
-        Code::TapeMissedEligibility,
         Code::TapeDeadCheck,
         Code::TapeStaticFault,
     ];
@@ -183,10 +178,8 @@ impl Code {
             Code::TapeOperandOrder => "E205",
             Code::TapeUndefinedSlot => "E206",
             Code::TapeHoistedEffect => "E207",
-            Code::TapeFlagOverclaim => "E208",
             Code::TapeCondStream => "E209",
             Code::TapeAccessShape => "E211",
-            Code::TapeMissedEligibility => "W201",
             Code::TapeDeadCheck => "W202",
             Code::TapeStaticFault => "W203",
         }
@@ -230,10 +223,8 @@ impl Code {
             Code::TapeOperandOrder => "tape violates the SSA slot layout",
             Code::TapeUndefinedSlot => "tape instruction reads a never-defined slot",
             Code::TapeHoistedEffect => "fallible or per-iteration instruction hoisted to prologue",
-            Code::TapeFlagOverclaim => "batch flag claims more than the predicate derives",
             Code::TapeCondStream => "conditional stream sequence diverges from the kernel",
             Code::TapeAccessShape => "stream access disagrees with the stream declaration",
-            Code::TapeMissedEligibility => "tape forgoes a provable batch eligibility",
             Code::TapeDeadCheck => "bounds check is provably dead (always in range)",
             Code::TapeStaticFault => "access provably faults on every input reaching it",
         }

@@ -256,9 +256,36 @@ fn e010_malformed_lines_in_text() {
 
 #[test]
 fn every_code_is_catalogued() {
-    // Keep `Code::ALL`, `as_str`, and the docs catalog in sync.
-    assert_eq!(Code::ALL.len(), 33);
+    // Keep `Code::ALL`, `as_str`, and the docs catalog in sync: every live
+    // code has a heading in docs/lint_codes.md that is not marked retired,
+    // and no retired heading names a live code.
+    assert_eq!(Code::ALL.len(), 31);
+    let catalog = include_str!("../../../docs/lint_codes.md");
+    let headings: Vec<(&str, &str)> = catalog
+        .lines()
+        .filter_map(|l| l.strip_prefix("### ")?.split_once(" — "))
+        .collect();
     for c in Code::ALL {
         assert!(!c.description().is_empty());
+        let title = headings
+            .iter()
+            .find(|(code, _)| *code == c.as_str())
+            .map(|&(_, title)| title);
+        assert!(
+            title.is_some_and(|t| t != "retired"),
+            "{c} needs a live `### {c} — …` heading in docs/lint_codes.md, found {title:?}"
+        );
+    }
+    let retired: Vec<&str> = headings
+        .iter()
+        .filter(|(_, title)| *title == "retired")
+        .map(|&(code, _)| code)
+        .collect();
+    assert_eq!(retired, ["E208", "E210", "W201"]);
+    for code in retired {
+        assert!(
+            Code::ALL.iter().all(|c| c.as_str() != code),
+            "{code} is retired but still has a live Code"
+        );
     }
 }

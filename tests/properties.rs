@@ -140,8 +140,8 @@ fn output_bits(outs: Vec<Vec<Scalar>>) -> Vec<Vec<(Ty, u32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The compiled execution tape (hoisted, fused, lane-specialized, and
-    /// macro-batched) is observationally identical to the legacy
+    /// The compiled execution tape (one instruction per op, invariants
+    /// hoisted) is observationally identical to the legacy
     /// tree-walk interpreter for random valid kernels (with and without
     /// recurrences and conditional streams), random inputs, and C in
     /// {1, 3, 4, 8, 16}: same outputs (bit for bit) and identical
