@@ -76,6 +76,7 @@ pub fn program_with(
     opts: &stream_sched::CompileOptions,
     strip_scale: u32,
 ) -> AppProgram {
+    let _span = stream_trace::span("apps", "program");
     let kernel = crate::compile_cached_opts(&convolve::kernel(machine), machine, opts, "convolve");
     let mut p = ProgramBuilder::new();
     let band = band_rows(cfg, machine);

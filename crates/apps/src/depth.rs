@@ -79,6 +79,7 @@ pub fn program_with(
     opts: &stream_sched::CompileOptions,
     strip_scale: u32,
 ) -> AppProgram {
+    let _span = stream_trace::span("apps", "program");
     let sad = crate::compile_cached_opts(&blocksad::kernel(machine), machine, opts, "blocksad");
     let init = crate::compile_cached_opts(&sad_init(machine), machine, opts, "sad_init");
     let kmin = crate::compile_cached_opts(&sad_min(machine), machine, opts, "sad_min");

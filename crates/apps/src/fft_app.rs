@@ -56,6 +56,7 @@ pub fn program_with(
     opts: &stream_sched::CompileOptions,
     _strip_scale: u32,
 ) -> AppProgram {
+    let _span = stream_trace::span("apps", "program");
     let kernel = crate::compile_cached_opts(&fft::kernel(machine), machine, opts, "fft");
     let n = cfg.points as u64;
     let stages = cfg.stages();

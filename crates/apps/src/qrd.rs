@@ -63,6 +63,7 @@ pub fn program_with(
     opts: &stream_sched::CompileOptions,
     strip_scale: u32,
 ) -> AppProgram {
+    let _span = stream_trace::span("apps", "program");
     let c = machine.clusters() as usize;
     let sc = c * strip_scale.max(1) as usize;
     let knorm = crate::compile_cached_opts(&colnorm(machine), machine, opts, "colnorm");

@@ -128,6 +128,7 @@ pub fn program_with(
     opts: &stream_sched::CompileOptions,
     strip_scale: u32,
 ) -> AppProgram {
+    let _span = stream_trace::span("apps", "program");
     let ktrans = crate::compile_cached_opts(&transform(machine), machine, opts, "transform");
     let kirast = crate::compile_cached_opts(&irast::kernel(machine), machine, opts, "irast");
     let kdecode = crate::compile_cached_opts(&decode_frag(machine), machine, opts, "decode");

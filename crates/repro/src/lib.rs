@@ -113,13 +113,10 @@ pub fn run(id: ExperimentId) -> Report {
     run_with(id, &Engine::with_default_parallelism())
 }
 
-/// Runs several experiments on `engine`. Independent experiments run
-/// concurrently as engine jobs (each experiment's own grid sweeps nest
-/// inside the same engine, bounded by its permit pool); reports come back
-/// in `ids` order.
+/// Runs several experiments on `engine`, one after another in `ids` order,
+/// so each experiment's grid gets every worker the engine has.
 pub fn run_many(ids: &[ExperimentId], engine: &Engine) -> Vec<Report> {
-    let sweep = engine.map(ids.to_vec(), |id| run_with(id, engine));
-    sweep.results
+    ids.iter().map(|&id| run_with(id, engine)).collect()
 }
 
 /// Runs every experiment, paper order, on `engine`.

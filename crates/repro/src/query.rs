@@ -90,8 +90,9 @@ impl Query {
         self.run_on(&self.engine())
     }
 
-    /// Runs the query on a shared engine (the daemon's usage: many queries,
-    /// one permit-bounded engine).
+    /// Runs the query on a shared engine. The query's experiments run in
+    /// order, each grid on the whole engine; concurrent queries on one
+    /// engine (the daemon's usage) share its permit pool.
     pub fn run_on(&self, engine: &Engine) -> Vec<Report> {
         run_many(&self.ids, engine)
     }

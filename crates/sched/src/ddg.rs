@@ -57,14 +57,48 @@ pub struct Ddg {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     /// Outgoing edge indices per node.
-    succs: Vec<Vec<usize>>,
+    succs: Adjacency,
     /// Incoming edge indices per node.
-    preds: Vec<Vec<usize>>,
+    preds: Adjacency,
+}
+
+/// Edge indices grouped by one endpoint, each group in edge order, stored
+/// as compressed rows: two allocations per graph instead of one per node,
+/// with no spare capacity, since every compiled kernel keeps its graph.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    /// Row `v` is `edges[start[v]..start[v + 1]]`.
+    start: Vec<u32>,
+    edges: Vec<u32>,
+}
+
+impl Adjacency {
+    fn new(nodes: usize, endpoints: impl Iterator<Item = usize> + Clone) -> Self {
+        let mut start = vec![0u32; nodes + 1];
+        for v in endpoints.clone() {
+            start[v + 1] += 1;
+        }
+        for v in 0..nodes {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut edges = vec![0u32; start[nodes] as usize];
+        for (i, v) in endpoints.enumerate() {
+            edges[next[v] as usize] = i as u32;
+            next[v] += 1;
+        }
+        Self { start, edges }
+    }
+
+    fn row(&self, v: usize) -> &[u32] {
+        &self.edges[self.start[v] as usize..self.start[v + 1] as usize]
+    }
 }
 
 impl Ddg {
     /// Builds the dependence graph of `kernel` for `machine`.
     pub fn build(kernel: &Kernel, machine: &Machine) -> Self {
+        let _span = stream_trace::span("sched", "ddg");
         let mut nodes = Vec::new();
         let mut node_of: HashMap<ValueId, usize> = HashMap::new();
         for (i, _op) in kernel.ops().iter().enumerate() {
@@ -149,13 +183,11 @@ impl Ddg {
 
     /// Assembles a graph from its nodes and edges, indexing the edges by
     /// endpoint.
-    pub(crate) fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Self {
-        let mut succs = vec![Vec::new(); nodes.len()];
-        let mut preds = vec![Vec::new(); nodes.len()];
-        for (i, e) in edges.iter().enumerate() {
-            succs[e.from].push(i);
-            preds[e.to].push(i);
-        }
+    pub(crate) fn from_parts(mut nodes: Vec<Node>, mut edges: Vec<Edge>) -> Self {
+        nodes.shrink_to_fit();
+        edges.shrink_to_fit();
+        let succs = Adjacency::new(nodes.len(), edges.iter().map(|e| e.from));
+        let preds = Adjacency::new(nodes.len(), edges.iter().map(|e| e.to));
         Self {
             nodes,
             edges,
@@ -176,12 +208,18 @@ impl Ddg {
 
     /// Indices of edges leaving `node`.
     pub fn succ_edges(&self, node: usize) -> impl Iterator<Item = &Edge> + '_ {
-        self.succs[node].iter().map(|&i| &self.edges[i])
+        self.succs
+            .row(node)
+            .iter()
+            .map(|&i| &self.edges[i as usize])
     }
 
     /// Indices of edges entering `node`.
     pub fn pred_edges(&self, node: usize) -> impl Iterator<Item = &Edge> + '_ {
-        self.preds[node].iter().map(|&i| &self.edges[i])
+        self.preds
+            .row(node)
+            .iter()
+            .map(|&i| &self.edges[i as usize])
     }
 
     /// Number of nodes using each functional-unit kind.

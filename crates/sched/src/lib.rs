@@ -50,5 +50,5 @@ pub use check::{check_schedule, dep_graph};
 pub use ddg::{Ddg, Edge, EdgeKind, Node};
 pub use mii::{rec_mii, res_mii, res_mii_for, MiiBounds};
 pub use modulo::{modulo_schedule, schedule_at_ii, ModuloSchedule};
-pub use perf::{CompileOptions, CompiledKernel, ScheduleError, SearchMemo};
+pub use perf::{CompileOptions, CompiledKernel, ScheduleError};
 pub use persist::ScheduleRecipe;

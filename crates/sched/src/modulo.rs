@@ -2,6 +2,8 @@
 //! 1994) — the algorithm family behind the Imagine kernel scheduler.
 
 use crate::{Ddg, EdgeKind, MiiBounds};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use stream_machine::{FuKind, Machine};
 
 /// A legal modulo schedule: every node has an absolute start time; the loop
@@ -75,33 +77,49 @@ impl ModuloSchedule {
     /// Steady-state MaxLive: the most values simultaneously live in any
     /// cycle of the repeating kernel, counting the rotating copies that
     /// lifetimes spanning multiple IIs require.
+    ///
+    /// Each value is live over `[def, last]` in the flat schedule (`last` is
+    /// its latest data consumer, `t(to) + ii * distance`); in steady state
+    /// the copy from iteration `k` is shifted by `k * ii`, so a lifetime of
+    /// `span` cycles holds `span / ii` registers in every phase plus one
+    /// more in the `span % ii` consecutive phases from `def % ii`, wrapping
+    /// past phase `ii - 1`. Those bands go into a wrapped difference array,
+    /// so the whole estimate is O(nodes + edges + ii).
     pub fn register_estimate(&self, ddg: &Ddg) -> u32 {
         if self.times.is_empty() {
             return 0;
         }
         let ii = i64::from(self.ii);
-        // Lifetime [def, last] in the flat schedule; in steady state the
-        // copy from iteration k is live over [def + k*ii, last + k*ii].
-        let mut intervals: Vec<(i64, i64)> = Vec::with_capacity(ddg.nodes().len());
-        for (i, _node) in ddg.nodes().iter().enumerate() {
-            let def = i64::from(self.times[i]);
+        let phases = self.ii as usize;
+        let mut base = 0i64;
+        let mut diff = vec![0i64; phases + 1];
+        for (i, &t) in self.times.iter().enumerate() {
+            let def = i64::from(t);
             let mut last = def + 1;
             for e in ddg.succ_edges(i) {
                 if e.kind == EdgeKind::Data {
                     last = last.max(i64::from(self.times[e.to]) + ii * i64::from(e.distance));
                 }
             }
-            intervals.push((def, last));
-        }
-        let mut max_live = 0i64;
-        for phase in 0..ii {
-            let mut live = 0i64;
-            for &(d, l) in &intervals {
-                // Number of integers k with d <= phase + k*ii <= l:
-                // floor((l-p)/ii) - ceil((d-p)/ii) + 1.
-                let count = (l - phase).div_euclid(ii) - (d - phase - 1).div_euclid(ii) - 1;
-                live += (count + 1).max(0);
+            let span = last - def + 1;
+            base += span / ii;
+            let rem = (span % ii) as usize;
+            if rem > 0 {
+                let start = (def % ii) as usize;
+                let end = start + rem;
+                diff[start] += 1;
+                if end <= phases {
+                    diff[end] -= 1;
+                } else {
+                    diff[phases] -= 1;
+                    diff[0] += 1;
+                    diff[end - phases] -= 1;
+                }
             }
+        }
+        let (mut live, mut max_live) = (base, 0);
+        for &d in &diff[..phases] {
+            live += d;
             max_live = max_live.max(live);
         }
         max_live as u32
@@ -172,17 +190,12 @@ pub(crate) fn schedule_at_ii_memo(
         .collect();
     let mut occ: Vec<[u32; 4]> = vec![[0; 4]; ii as usize];
     let mut budget = (n * 24).max(256);
+    // The ready list holds exactly the unscheduled ops, highest priority on
+    // top: greater height first, then program order.
+    let mut ready: BinaryHeap<(i64, Reverse<usize>)> =
+        (0..n).map(|i| (heights[i], Reverse(i))).collect();
 
-    #[allow(clippy::while_let_loop)] // the budget check sits between pick and use
-    loop {
-        // Highest-priority unscheduled op (greater height first, then
-        // program order).
-        let Some(u) = (0..n)
-            .filter(|&i| time[i].is_none())
-            .max_by(|&a, &b| heights[a].cmp(&heights[b]).then(b.cmp(&a)))
-        else {
-            break;
-        };
+    while let Some((_, Reverse(u))) = ready.pop() {
         if budget == 0 {
             stream_trace::count("sched.backtracks", backtracks);
             stream_trace::count("sched.budget_exhausted", 1);
@@ -221,7 +234,9 @@ pub(crate) fn schedule_at_ii_memo(
             // Evict the occupant scheduled longest ago (it will find a new
             // home); ties broken arbitrarily by position.
             let victim = mrt[slot][kind][0];
-            unschedule(victim, &mut time, &mut mrt, &mut occ, &kinds, ii);
+            if unschedule(victim, &mut time, &mut mrt, &mut occ, &kinds, ii) {
+                ready.push((heights[victim], Reverse(victim)));
+            }
             backtracks += 1;
         }
         time[u] = Some(t);
@@ -241,7 +256,9 @@ pub(crate) fn schedule_at_ii_memo(
             })
             .collect();
         for v in succ_violations {
-            unschedule(v, &mut time, &mut mrt, &mut occ, &kinds, ii);
+            if unschedule(v, &mut time, &mut mrt, &mut occ, &kinds, ii) {
+                ready.push((heights[v], Reverse(v)));
+            }
             backtracks += 1;
         }
     }
@@ -264,7 +281,8 @@ pub(crate) fn schedule_at_ii_memo(
 
 /// Removes `v` from the schedule: only its own FU kind's occupant row is
 /// touched (order-preserving, so victim selection is unchanged), and the
-/// occupancy counter is decremented.
+/// occupancy counter is decremented. Returns whether `v` was scheduled, so
+/// the caller can put it back on the ready list.
 fn unschedule(
     v: usize,
     time: &mut [Option<u32>],
@@ -272,16 +290,18 @@ fn unschedule(
     occ: &mut [[u32; 4]],
     kinds: &[usize],
     ii: u32,
-) {
-    if let Some(t) = time[v].take() {
-        let slot = (t % ii) as usize;
-        let kind = kinds[v];
-        let row = &mut mrt[slot][kind];
-        if let Some(pos) = row.iter().position(|&x| x == v) {
-            row.remove(pos);
-            occ[slot][kind] -= 1;
-        }
+) -> bool {
+    let Some(t) = time[v].take() else {
+        return false;
+    };
+    let slot = (t % ii) as usize;
+    let kind = kinds[v];
+    let row = &mut mrt[slot][kind];
+    if let Some(pos) = row.iter().position(|&x| x == v) {
+        row.remove(pos);
+        occ[slot][kind] -= 1;
     }
+    true
 }
 
 /// Schedules `ddg`, searching IIs upward from the MII. Returns the schedule
@@ -465,6 +485,82 @@ mod tests {
         let regs = s.register_estimate(&ddg);
         // Deep pipeline, II 2 -> many live copies.
         assert!(regs > 10, "regs = {regs}");
+    }
+
+    /// Node 0 defines a value that node 1 consumes `distance` iterations
+    /// later; both are 1-cycle ops.
+    fn def_use(distance: u32) -> Ddg {
+        let node = |i| crate::Node {
+            value: stream_ir::ValueId(i),
+            class: stream_machine::OpClass::FloatAdd,
+            latency: 1,
+        };
+        let edge = crate::Edge {
+            from: 0,
+            to: 1,
+            latency: 1,
+            distance,
+            kind: EdgeKind::Data,
+        };
+        Ddg::from_parts(vec![node(0), node(1)], vec![edge])
+    }
+
+    /// MaxLive by enumeration: every cycle of every lifetime, folded onto
+    /// its phase.
+    fn brute_max_live(ddg: &Ddg, s: &ModuloSchedule) -> u32 {
+        let ii = u64::from(s.ii);
+        let mut live = vec![0u32; s.ii as usize];
+        for (i, &t) in s.times.iter().enumerate() {
+            let def = u64::from(t);
+            let last = ddg
+                .succ_edges(i)
+                .filter(|e| e.kind == EdgeKind::Data)
+                .map(|e| u64::from(s.times[e.to]) + ii * u64::from(e.distance))
+                .fold(def + 1, u64::max);
+            for cycle in def..=last {
+                live[(cycle % ii) as usize] += 1;
+            }
+        }
+        live.into_iter().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn register_estimate_wraps_past_the_last_phase() {
+        // Node 0 lives over cycles 2..=8 (its consumer runs at 4 one
+        // iteration later): 7 cycles at II 4 is one copy in every phase
+        // plus a band over phases 2, 3, 0. Node 1 lives over 4..=5.
+        let ddg = def_use(1);
+        let s = ModuloSchedule {
+            ii: 4,
+            times: vec![2, 4],
+        };
+        assert_eq!(s.register_estimate(&ddg), 3);
+        assert_eq!(s.register_estimate(&ddg), brute_max_live(&ddg, &s));
+    }
+
+    #[test]
+    fn register_estimate_counts_whole_ii_spans_in_every_phase() {
+        // Node 0 lives over 0..=5, exactly two IIs of 3: two copies in
+        // every phase; node 1 (5..=6) adds one in phases 2 and 0.
+        let ddg = def_use(0);
+        let s = ModuloSchedule {
+            ii: 3,
+            times: vec![0, 5],
+        };
+        assert_eq!(s.register_estimate(&ddg), 3);
+        assert_eq!(s.register_estimate(&ddg), brute_max_live(&ddg, &s));
+    }
+
+    #[test]
+    fn register_estimate_at_ii_one_sums_lifetimes() {
+        // With one phase every live cycle is a register: 4 + 2.
+        let ddg = def_use(0);
+        let s = ModuloSchedule {
+            ii: 1,
+            times: vec![0, 3],
+        };
+        assert_eq!(s.register_estimate(&ddg), 6);
+        assert_eq!(s.register_estimate(&ddg), brute_max_live(&ddg, &s));
     }
 
     #[test]

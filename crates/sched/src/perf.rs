@@ -9,108 +9,10 @@ use std::fmt;
 use stream_ir::{unroll, Kernel};
 use stream_machine::Machine;
 
-/// Derived per-unroll-candidate artifacts, cached across compilations.
-struct MemoEntry {
-    ddg: Ddg,
-    bounds: MiiBounds,
-    heights: HeightsMemo,
-}
-
-/// Memoizes the per-unroll-factor derivations of the compile search —
-/// the unrolled kernel's dependence graph, its ResMII/RecMII bounds, and
-/// the scheduler's priority heights — so they are computed once per
-/// `(kernel, machine, unroll)` no matter how many compilations probe them.
-///
-/// A single [`CompiledKernel::compile`] call builds each candidate's graph
-/// exactly once either way; the memo pays off when the *same* kernel and
-/// machine are compiled repeatedly under different option sets — the
-/// auto-tuner's unroll probes, or a cost model asking for [`MiiBounds`]
-/// before deciding whether to schedule at all. Holders must keep one memo
-/// per `(kernel, machine)` pair; this is asserted in debug builds.
-///
-/// # Examples
-///
-/// ```
-/// use stream_ir::{KernelBuilder, Ty};
-/// use stream_machine::Machine;
-/// use stream_sched::{CompileOptions, CompiledKernel, SearchMemo};
-///
-/// let mut b = KernelBuilder::new("double");
-/// let s = b.in_stream(Ty::F32);
-/// let o = b.out_stream(Ty::F32);
-/// let x = b.read(s);
-/// let y = b.add(x, x);
-/// b.write(o, y);
-/// let kernel = b.finish()?;
-/// let machine = Machine::baseline();
-///
-/// let mut memo = SearchMemo::new();
-/// for u in [1u32, 2, 4] {
-///     let opts = CompileOptions::new().unroll_factors([u]);
-///     let _ = CompiledKernel::compile_with_memo(&kernel, &machine, &opts, &mut memo);
-/// }
-/// // Each factor's dependence graph was derived exactly once.
-/// assert_eq!(memo.ddg_builds(), 3);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Default)]
-pub struct SearchMemo {
-    /// `(factor, entry)`; `None` marks a factor whose unroll failed.
-    entries: Vec<(u32, Option<MemoEntry>)>,
-    ddg_builds: u64,
-    #[cfg(debug_assertions)]
-    owner: Option<(String, String)>,
-}
-
-impl SearchMemo {
-    /// An empty memo; derivations fill in on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// How many dependence graphs this memo has built — the work the memo
-    /// exists to avoid repeating.
-    pub fn ddg_builds(&self) -> u64 {
-        self.ddg_builds
-    }
-
-    /// The ResMII/RecMII bounds of `kernel` unrolled by `u` on `machine`,
-    /// without running the scheduler. `None` if the kernel cannot be
-    /// unrolled by `u`. This is the cost-model entry point: an upper bound
-    /// on elements/cycle/cluster is `u / bounds.mii()`.
-    pub fn bounds(&mut self, kernel: &Kernel, machine: &Machine, u: u32) -> Option<MiiBounds> {
-        self.entry(kernel, machine, u).map(|e| e.bounds)
-    }
-
-    fn entry(&mut self, kernel: &Kernel, machine: &Machine, u: u32) -> Option<&mut MemoEntry> {
-        #[cfg(debug_assertions)]
-        {
-            let id = (kernel.name().to_string(), machine.to_string());
-            match &self.owner {
-                None => self.owner = Some(id),
-                Some(owner) => debug_assert_eq!(
-                    *owner, id,
-                    "a SearchMemo serves exactly one (kernel, machine) pair"
-                ),
-            }
-        }
-        if let Some(i) = self.entries.iter().position(|(f, _)| *f == u) {
-            return self.entries[i].1.as_mut();
-        }
-        let built = unroll(kernel, u).ok().map(|unrolled| {
-            let ddg = Ddg::build(&unrolled, machine);
-            self.ddg_builds += 1;
-            let bounds = MiiBounds::compute(&ddg, machine);
-            let heights = HeightsMemo::new(&ddg);
-            MemoEntry {
-                ddg,
-                bounds,
-                heights,
-            }
-        });
-        self.entries.push((u, built));
-        self.entries.last_mut().expect("just pushed").1.as_mut()
-    }
+/// `kernel` unrolled by `u`, or `None` if it cannot be unrolled that far.
+pub(crate) fn unrolled(kernel: &Kernel, u: u32) -> Option<Kernel> {
+    let _span = stream_trace::span("sched", "unroll");
+    unroll(kernel, u).ok()
 }
 
 /// Compilation error: no legal schedule was found.
@@ -249,34 +151,16 @@ impl CompiledKernel {
         machine: &Machine,
         opts: &CompileOptions,
     ) -> Result<Self, ScheduleError> {
-        Self::compile_with_memo(kernel, machine, opts, &mut SearchMemo::new())
-    }
-
-    /// [`CompiledKernel::compile`] drawing its per-unroll derivations (DDG,
-    /// MII bounds, priority heights) from `memo` instead of rebuilding them.
-    /// Produces exactly the schedule `compile` would — the memo only caches
-    /// deterministic derivations — but a caller probing several option sets
-    /// over one `(kernel, machine)` pair (the auto-tuner's search) derives
-    /// each unroll candidate once across the whole sequence.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledKernel::compile`].
-    pub fn compile_with_memo(
-        kernel: &Kernel,
-        machine: &Machine,
-        opts: &CompileOptions,
-        memo: &mut SearchMemo,
-    ) -> Result<Self, ScheduleError> {
         let mut compile_span = stream_trace::span("sched", "compile");
         compile_span.arg("kernel", kernel.name());
         let base_alu_ops = kernel.stats().alu_ops;
         let mut best: Option<CompiledKernel> = None;
         for &u in &opts.unroll_factors {
-            let Some(entry) = memo.entry(kernel, machine, u) else {
+            let Some(unrolled) = unrolled(kernel, u) else {
                 continue;
             };
-            let bounds = entry.bounds;
+            let ddg = Ddg::build(&unrolled, machine);
+            let bounds = MiiBounds::compute(&ddg, machine);
             stream_trace::record("sched.res_mii", u64::from(bounds.res_mii));
             stream_trace::record("sched.rec_mii", u64::from(bounds.rec_mii));
 
@@ -308,10 +192,9 @@ impl CompiledKernel {
                 }
                 hi = hi.min(cap);
             }
-            let ddg = &entry.ddg;
-            let heights = &mut entry.heights;
+            let mut heights = HeightsMemo::new(&ddg);
             let Some(mut sched) =
-                (mii..=hi).find_map(|ii| schedule_at_ii_memo(ddg, machine, ii, heights))
+                (mii..=hi).find_map(|ii| schedule_at_ii_memo(&ddg, machine, ii, &mut heights))
             else {
                 continue;
             };
@@ -322,12 +205,12 @@ impl CompiledKernel {
             // interval and distinct cycles stay distinct modulo the longer
             // II.)
             if !opts.software_pipelining {
-                let flat = sched.length(ddg).max(1);
+                let flat = sched.length(&ddg).max(1);
                 sched = crate::ModuloSchedule {
                     ii: flat,
-                    times: sched.times.clone(),
+                    times: sched.times,
                 };
-                debug_assert_eq!(sched.verify(ddg, machine), Ok(()));
+                debug_assert_eq!(sched.verify(&ddg, machine), Ok(()));
             }
 
             // Register pressure: deepen the II (less iteration overlap, so
@@ -335,29 +218,34 @@ impl CompiledKernel {
             // capacity. A flat schedule is reached at II = schedule length;
             // past that nothing improves.
             let cap = machine.register_capacity();
-            while sched.register_estimate(ddg) > cap {
-                let next_ii = (sched.ii + sched.ii.div_ceil(4))
-                    .min(sched.length(ddg))
-                    .min(MAX_SCHEDULE_LENGTH);
-                if next_ii <= sched.ii {
-                    break;
+            let mut registers = sched.register_estimate(&ddg);
+            if registers > cap {
+                let _deepen = stream_trace::span("sched", "deepen");
+                while registers > cap {
+                    let next_ii = (sched.ii + sched.ii.div_ceil(4))
+                        .min(sched.length(&ddg))
+                        .min(MAX_SCHEDULE_LENGTH);
+                    if next_ii <= sched.ii {
+                        break;
+                    }
+                    let Some(s) = schedule_at_ii_memo(&ddg, machine, next_ii, &mut heights) else {
+                        break;
+                    };
+                    sched = s;
+                    registers = sched.register_estimate(&ddg);
                 }
-                match schedule_at_ii_memo(ddg, machine, next_ii, heights) {
-                    Some(s) => sched = s,
-                    None => break,
+                if registers > cap {
+                    continue;
                 }
-            }
-            if sched.register_estimate(ddg) > cap {
-                continue;
             }
 
-            let length = sched.length(ddg);
+            let length = sched.length(&ddg);
             if length > MAX_SCHEDULE_LENGTH {
                 continue;
             }
 
             if opts.verify {
-                let report = crate::check_schedule(ddg, &sched, machine);
+                let report = crate::check_schedule(&ddg, &sched, machine);
                 debug_assert!(
                     !report.has_errors(),
                     "scheduler produced an illegal schedule for {}:\n{report}",
@@ -368,28 +256,29 @@ impl CompiledKernel {
                 }
             }
 
-            let cand = CompiledKernel {
-                name: kernel.name().to_string(),
-                unroll: u,
-                registers: sched.register_estimate(ddg),
-                schedule_length: length,
-                schedule: sched,
-                ddg: ddg.clone(),
-                bounds,
-                base_alu_ops,
-                clusters: machine.clusters(),
-                pipeline_fill: machine.pipeline_fill_cycles(),
-            };
             let better = match &best {
                 None => true,
                 Some(b) => {
-                    let a = cand.elements_per_cycle_per_cluster();
+                    let a = f64::from(u) / f64::from(sched.ii);
                     let bb = b.elements_per_cycle_per_cluster();
-                    a > bb * 1.0001 || (a > bb * 0.9999 && cand.unroll < b.unroll)
+                    a > bb * 1.0001 || (a > bb * 0.9999 && u < b.unroll)
                 }
             };
             if better {
-                best = Some(cand);
+                // Only a new incumbent is built, and it takes the
+                // candidate's graph by move.
+                best = Some(CompiledKernel {
+                    name: kernel.name().to_string(),
+                    unroll: u,
+                    registers,
+                    schedule_length: length,
+                    schedule: sched,
+                    ddg,
+                    bounds,
+                    base_alu_ops,
+                    clusters: machine.clusters(),
+                    pipeline_fill: machine.pipeline_fill_cycles(),
+                });
             }
         }
         if let Some(b) = &best {
@@ -447,8 +336,7 @@ impl CompiledKernel {
         if recipe.ii == 0 || !opts.unroll_factors.contains(&recipe.unroll) {
             return None;
         }
-        let unrolled = unroll(kernel, recipe.unroll).ok()?;
-        let ddg = Ddg::build(&unrolled, machine);
+        let ddg = Ddg::build(&unrolled(kernel, recipe.unroll)?, machine);
         if recipe.times.len() != ddg.nodes().len() {
             return None;
         }
@@ -807,45 +695,33 @@ mod tests {
     }
 
     #[test]
-    fn memoized_compile_matches_fresh_compile() {
-        // The memo only caches deterministic derivations, so probing unroll
-        // factors one at a time through a shared memo must reproduce the
-        // fresh compiles bit for bit — and derive each factor's DDG once.
+    fn single_factor_compile_matches_the_search_pick() {
+        // Offering only the factor the full search picked reproduces the
+        // search's result bit for bit: pruning and the truncated II search
+        // never change the winner's own schedule.
         let k = mul_add_kernel(7);
-        let m = Machine::paper(Shape::new(8, 5));
-        let mut memo = SearchMemo::new();
-        for u in [1u32, 2, 4, 8, 2, 4] {
-            let opts = CompileOptions::new().unroll_factors([u]);
-            let warm = CompiledKernel::compile_with_memo(&k, &m, &opts, &mut memo).unwrap();
-            let fresh = CompiledKernel::compile(&k, &m, &opts).unwrap();
-            assert_eq!(warm.listing(), fresh.listing(), "u={u}");
-            assert_eq!(warm.registers(), fresh.registers(), "u={u}");
+        for m in [Machine::baseline(), Machine::paper(Shape::new(8, 5))] {
+            let full = CompiledKernel::compile_default(&k, &m).unwrap();
+            let opts = CompileOptions::new().unroll_factors([full.unroll_factor()]);
+            let alone = CompiledKernel::compile(&k, &m, &opts).unwrap();
+            assert_eq!(alone.listing(), full.listing());
+            assert_eq!(alone.registers(), full.registers());
+            assert_eq!(alone.schedule_length(), full.schedule_length());
         }
-        assert_eq!(memo.ddg_builds(), 4); // repeats of 2 and 4 were cached
-
-        // The full default search through the same memo still agrees with
-        // the uncached path.
-        let full = CompiledKernel::compile_with_memo(&k, &m, &CompileOptions::default(), &mut memo)
-            .unwrap();
-        let fresh = CompiledKernel::compile_default(&k, &m).unwrap();
-        assert_eq!(full.listing(), fresh.listing());
-        assert_eq!(memo.ddg_builds(), 4);
     }
 
     #[test]
-    fn memo_bounds_answer_without_scheduling() {
+    fn mii_bounds_answer_without_scheduling() {
         let k = mul_add_kernel(7);
         let m = Machine::baseline();
-        let mut memo = SearchMemo::new();
-        let b1 = memo.bounds(&k, &m, 1).unwrap();
-        let b4 = memo.bounds(&k, &m, 4).unwrap();
+        let b1 = MiiBounds::for_unroll(&k, &m, 1).unwrap();
+        let b4 = MiiBounds::for_unroll(&k, &m, 4).unwrap();
         assert!(b4.mii() >= b1.mii());
-        assert_eq!(memo.ddg_builds(), 2);
-        // The compiled result respects the memo's bound.
+        // The compiled result respects the bound and reports the same one.
         let opts = CompileOptions::new().unroll_factors([4]);
-        let c = CompiledKernel::compile_with_memo(&k, &m, &opts, &mut memo).unwrap();
+        let c = CompiledKernel::compile(&k, &m, &opts).unwrap();
         assert!(c.ii() >= b4.mii());
-        assert_eq!(memo.ddg_builds(), 2); // compile reused the cached DDG
+        assert_eq!(c.bounds(), b4);
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! but an in-memory cache evaporates at process exit. [`DiskStore`] is the
 //! persistence layer under it (and under the auto-tuner's results tier):
 //! one file per entry, each framed with a magic, a format version, a payload
-//! length, and a checksum, written atomically (temp file + `fsync` +
-//! `rename`) so concurrent writers — including writers in *different
-//! processes* — can never leave a torn entry behind.
+//! length, and a checksum, written to a temp file and `rename`d into place
+//! so concurrent writers — including writers in *different processes* —
+//! never expose a half-written entry to each other.
 //!
-//! The store is deliberately forgiving on the read side: a missing,
-//! truncated, corrupted, or wrong-version entry is reported as a plain miss
-//! (`None`), never an error or a panic — the caller recomputes and the next
-//! `put` heals the entry. Losing a cache entry costs a recompute; trusting a
-//! bad one would cost correctness.
+//! Writes are not `fsync`'d: a crash or power cut may lose an entry or leave
+//! a torn frame behind. The store is deliberately forgiving on the read
+//! side: a missing, truncated, corrupted, or wrong-version entry is reported
+//! as a plain miss (`None`), never an error or a panic — the caller
+//! recomputes and the next `put` heals the entry. Losing a cache entry costs
+//! a recompute; trusting a bad one would cost correctness.
 //!
 //! # Examples
 //!
@@ -30,8 +31,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use std::fs::{self, File};
-use std::io::{self, Read as _, Write as _};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -129,13 +130,9 @@ impl DiskStore {
     /// and never surfaces an error: a disk cache read that cannot be
     /// trusted is exactly a miss.
     pub fn get(&self, key: Key) -> Option<Vec<u8>> {
+        let _span = stream_trace::span("store", "get");
         let path = self.entry_path(key);
-        let mut file = File::open(&path).ok()?;
-        let mut bytes = Vec::new();
-        if file.read_to_end(&mut bytes).is_err() {
-            return None;
-        }
-        drop(file);
+        let bytes = fs::read(&path).ok()?;
         match decode_frame(&bytes) {
             Some(payload) => Some(payload.to_vec()),
             None => {
@@ -149,11 +146,12 @@ impl DiskStore {
 
     /// Writes `payload` under `key`, replacing any existing entry.
     ///
-    /// The write is crash- and concurrency-safe: the frame is written to a
-    /// process-unique temp file, `fsync`'d, then atomically renamed over
-    /// the final name (and the directory fsync'd best-effort). Two
-    /// processes racing on the same key each install a complete entry; the
-    /// later rename wins and readers only ever observe whole frames.
+    /// The write is concurrency-safe: the frame is written to a
+    /// process-unique temp file, then atomically renamed over the final
+    /// name. Two processes racing on the same key each install a complete
+    /// entry; the later rename wins and readers only ever observe whole
+    /// frames. Nothing is `fsync`'d, so after a crash the entry may be
+    /// missing or torn; [`DiskStore::get`] reads a torn frame as a miss.
     ///
     /// # Errors
     ///
@@ -161,25 +159,18 @@ impl DiskStore {
     /// callers treat this as "cache unavailable", not a failure of the
     /// computation whose result was being stored.
     pub fn put(&self, key: Key, payload: &[u8]) -> io::Result<()> {
+        let _span = stream_trace::span("store", "put");
         let frame = encode_frame(payload);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut file = File::create(&tmp)?;
-        file.write_all(&frame)?;
-        file.sync_all()?;
-        drop(file);
+        fs::write(&tmp, &frame)?;
         let path = self.entry_path(key);
         if let Err(e) = fs::rename(&tmp, &path) {
             let _ = fs::remove_file(&tmp);
             return Err(e);
-        }
-        // Make the rename itself durable. Failure here still leaves a
-        // valid entry in the directory, so it is not fatal.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
         }
         Ok(())
     }
@@ -249,11 +240,13 @@ fn decode_frame(bytes: &[u8]) -> Option<&[u8]> {
     if version != FRAME_VERSION {
         return None;
     }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
-    if bytes.len() != header + len + 8 {
+    // The length field is untrusted: compare it with what the file holds
+    // instead of adding it to anything.
+    let len = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
+    if len != (bytes.len() - header - 8) as u64 {
         return None;
     }
-    let (body, sum_bytes) = bytes.split_at(header + len);
+    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
     let sum = u64::from_le_bytes(sum_bytes.try_into().ok()?);
     if fnv1a(body) != sum {
         return None;
@@ -264,6 +257,7 @@ fn decode_frame(bytes: &[u8]) -> Option<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -480,6 +474,68 @@ mod tests {
             assert_eq!(v.len(), 128);
         }
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn huge_length_field_is_a_miss() {
+        // A length field near `u64::MAX` must be compared with the file
+        // size, never added to: `header + len + 8` would overflow.
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&FRAME_VERSION.to_le_bytes());
+        frame.extend_from_slice(&u64::MAX.to_le_bytes());
+        frame.extend_from_slice(&[0; 8]);
+        assert_eq!(decode_frame(&frame), None);
+        let root = scratch();
+        let s = DiskStore::open(&root, "t", 1).unwrap();
+        let k = Key::of(b"huge");
+        fs::write(s.entry_path(k), &frame).unwrap();
+        assert_eq!(s.get(k), None);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            len in any::<u64>(),
+        ) {
+            // Raw bytes, and the same bytes behind a valid header with an
+            // arbitrary length field.
+            let mut framed = MAGIC.to_vec();
+            framed.extend_from_slice(&FRAME_VERSION.to_le_bytes());
+            framed.extend_from_slice(&len.to_le_bytes());
+            framed.extend_from_slice(&bytes);
+            let _ = decode_frame(&bytes);
+            let _ = decode_frame(&framed);
+        }
+
+        #[test]
+        fn decode_inverts_encode(payload in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let frame = encode_frame(&payload);
+            prop_assert_eq!(decode_frame(&frame), Some(&payload[..]));
+        }
+
+        #[test]
+        fn torn_and_flipped_frames_are_rejected(
+            payload in proptest::collection::vec(any::<u8>(), 0..24),
+        ) {
+            // What a crash without fsync can leave behind: a strict prefix
+            // of the frame, or a frame with a damaged bit. Both must read
+            // as a miss.
+            let frame = encode_frame(&payload);
+            for keep in 0..frame.len() {
+                prop_assert_eq!(decode_frame(&frame[..keep]), None, "prefix of {}", keep);
+            }
+            let mut flipped = frame.clone();
+            for bit in 0..frame.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert_eq!(decode_frame(&flipped), None, "bit {}", bit);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

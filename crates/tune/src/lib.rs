@@ -22,7 +22,7 @@
 //! Compiling a candidate is the expensive part (one modulo-scheduler
 //! search per kernel per distinct option set). Before compiling anything,
 //! each candidate is bounded from below using only ResMII/RecMII bounds
-//! from the scheduler's [`SearchMemo`] (no scheduling): a kernel unrolled
+//! ([`MiiBounds::for_unroll`], no scheduling): a kernel unrolled
 //! by `u` retires at most `u / MII(u)` records per cycle per cluster, so
 //!
 //! ```text
@@ -75,7 +75,7 @@ use std::sync::Once;
 use stream_apps::AppId;
 use stream_ir::Kernel;
 use stream_machine::{Machine, SystemParams};
-use stream_sched::{CompileOptions, SearchMemo};
+use stream_sched::{CompileOptions, MiiBounds};
 use stream_sim::{simulate, SimError, StreamInstr, StreamProgram};
 use stream_trace::Counter;
 
@@ -179,12 +179,33 @@ impl Tuned {
     }
 }
 
-/// Per-kernel pruning state: the kernel, its memoized MII bounds, and the
-/// total records the default program feeds it.
+/// Per-kernel pruning state: the kernel, its MII bounds per unroll factor
+/// (`None` where it cannot be unrolled that far), and the total records the
+/// default program feeds it.
 struct KernelBound {
     kernel: Kernel,
-    memo: SearchMemo,
+    bounds: Vec<(u32, Option<MiiBounds>)>,
     records: u64,
+}
+
+impl KernelBound {
+    fn new(kernel: Kernel, records: u64) -> Self {
+        Self {
+            kernel,
+            bounds: Vec::new(),
+            records,
+        }
+    }
+
+    /// The MII bounds of this kernel unrolled by `u`, computed once.
+    fn bounds(&mut self, machine: &Machine, u: u32) -> Option<MiiBounds> {
+        if let Some(&(_, b)) = self.bounds.iter().find(|(f, _)| *f == u) {
+            return b;
+        }
+        let b = MiiBounds::for_unroll(&self.kernel, machine, u);
+        self.bounds.push((u, b));
+        b
+    }
 }
 
 /// One processed unroll set: which factor the scheduler actually chose
@@ -232,7 +253,7 @@ fn lower_bound(bounds: &mut [KernelBound], machine: &Machine, set: &[u32]) -> Op
         }
         let mut best_ratio = f64::INFINITY;
         for &u in set {
-            if let Some(b) = kb.memo.bounds(&kb.kernel, machine, u) {
+            if let Some(b) = kb.bounds(machine, u) {
                 best_ratio = best_ratio.min(f64::from(b.mii()) / f64::from(u));
             }
         }
@@ -331,11 +352,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
         .into_iter()
         .map(|kernel| {
             let records = totals.get(kernel.name()).copied().unwrap_or(0);
-            KernelBound {
-                kernel,
-                memo: SearchMemo::new(),
-                records,
-            }
+            KernelBound::new(kernel, records)
         })
         .collect();
 
@@ -538,11 +555,7 @@ mod tests {
             .into_iter()
             .map(|kernel| {
                 let records = totals.get(kernel.name()).copied().unwrap_or(0);
-                KernelBound {
-                    kernel,
-                    memo: SearchMemo::new(),
-                    records,
-                }
+                KernelBound::new(kernel, records)
             })
             .collect();
         let lb = lower_bound(&mut bounds, &m, &[1, 2, 4, 8]).unwrap();
@@ -551,6 +564,12 @@ mod tests {
             "bound {lb} exceeds observed {cycles} cycles"
         );
         assert!(lb > 0.0);
+        // Each kernel's bound per factor is derived once, then reused.
+        let again = lower_bound(&mut bounds, &m, &[1, 2, 4, 8]).unwrap();
+        assert_eq!(again, lb);
+        assert!(bounds
+            .iter()
+            .all(|kb| kb.records == 0 || kb.bounds.len() == 4));
     }
 
     #[test]

@@ -492,3 +492,68 @@ fn rec_mii_matches_the_verifier_oracle() {
         }
     }
 }
+
+/// The scheduler's O(nodes + edges + II) MaxLive equals the verifier's
+/// independent recomputation on a modulo schedule of every suite and
+/// application kernel, on every Figure 13/14 machine, at every unroll
+/// factor the tuner can offer.
+#[test]
+fn register_estimate_matches_the_verifier_oracle() {
+    use stream_scaling::apps::AppId;
+    use stream_scaling::kernels::KernelId;
+    use stream_scaling::repro::{FIG13_NS, FIG14_CS};
+    use stream_scaling::sched::dep_graph;
+    for c in FIG14_CS {
+        for n in FIG13_NS {
+            let machine = Machine::paper(Shape::new(c, n));
+            let mut kernels: Vec<Kernel> =
+                KernelId::ALL.iter().map(|id| id.build(&machine)).collect();
+            for app in AppId::ALL {
+                for k in app.kernels(&machine) {
+                    if !kernels.contains(&k) {
+                        kernels.push(k);
+                    }
+                }
+            }
+            for k in &kernels {
+                for u in [1u32, 2, 3, 4, 6, 8, 12, 16] {
+                    let ddg = Ddg::build(&unroll(k, u).unwrap(), &machine);
+                    let (s, _) = modulo_schedule(&ddg, &machine).expect("schedulable");
+                    let want = stream_scaling::verify::max_live(&dep_graph(&ddg), s.ii, &s.times);
+                    assert_eq!(
+                        s.register_estimate(&ddg),
+                        want,
+                        "{} x{u} at C={c} N={n}",
+                        k.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a over the schedule recipes of the 7 suite kernels on the 20
+/// Figure 13/14 machines with default options. The digest pins every
+/// scheduling decision: a change that moves it changes what the scheduler
+/// picks, and must justify itself on the paper anchors.
+#[test]
+fn suite_schedules_match_the_pinned_digest() {
+    use stream_scaling::kernels::KernelId;
+    use stream_scaling::repro::{FIG13_NS, FIG14_CS};
+    let mut bytes = Vec::new();
+    for c in FIG14_CS {
+        for n in FIG13_NS {
+            let machine = Machine::paper(Shape::new(c, n));
+            for id in KernelId::ALL {
+                let compiled = CompiledKernel::compile_default(&id.build(&machine), &machine)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                bytes.extend_from_slice(&compiled.recipe().encode());
+            }
+        }
+    }
+    let digest = stream_scaling::store::fnv1a(&bytes);
+    assert_eq!(
+        digest, 0xbdff_5471_70d0_72e9,
+        "schedule digest {digest:#018x}"
+    );
+}
