@@ -52,7 +52,7 @@ impl CacheKey {
 /// Version of the on-disk schedule payload. Bump whenever the key blob or
 /// payload layout below changes; old entries land in a differently named
 /// directory and are simply never read.
-const SCHEDULE_FORMAT_VERSION: u32 = 2;
+const SCHEDULE_FORMAT_VERSION: u32 = 3;
 
 impl CacheKey {
     /// A stable byte serialization of the full key. Doubles as the payload
@@ -74,7 +74,6 @@ impl CacheKey {
             out.extend_from_slice(&u.to_le_bytes());
         }
         out.push(u8::from(self.opts.software_pipelining));
-        out.push(u8::from(self.opts.verify));
         out
     }
 }

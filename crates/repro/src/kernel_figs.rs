@@ -12,8 +12,9 @@ use stream_vlsi::Shape;
 
 /// Compiles a suite kernel for one machine through the sweep context's
 /// shared cache, then runs a two-iteration functional smoke of the
-/// compiled execution tape against the legacy oracle. In debug builds
-/// every figure datapoint is also re-checked by the independent verifier.
+/// compiled execution tape against the legacy oracle. (The schedule has
+/// passed the independent verifier: compiles and rehydrations both run
+/// it.)
 fn compiled(ctx: &Ctx, id: KernelId, shape: Shape) -> Arc<CompiledKernel> {
     let machine = Machine::paper(shape);
     let kernel = id.build(&machine);
@@ -21,10 +22,6 @@ fn compiled(ctx: &Ctx, id: KernelId, shape: Shape) -> Arc<CompiledKernel> {
         .scope
         .compile_default(&kernel, &machine)
         .expect("suite kernels schedule on all paper machines");
-    debug_assert!(
-        !stream_sched::check_schedule(c.ddg(), c.schedule(), &machine).has_errors(),
-        "{id:?} schedule fails independent verification"
-    );
     tape_smoke(&kernel, shape.clusters as usize);
     c
 }

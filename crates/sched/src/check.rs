@@ -40,6 +40,9 @@ pub fn dep_graph(ddg: &Ddg) -> DepGraph {
 
 /// Runs the independent verifier over `schedule` and returns its report.
 pub fn check_schedule(ddg: &Ddg, schedule: &ModuloSchedule, machine: &Machine) -> Report {
+    let mut span = stream_trace::span("sched", "check");
+    span.arg("nodes", ddg.nodes().len());
+    span.arg("ii", schedule.ii);
     stream_verify::verify_schedule(&dep_graph(ddg), schedule.ii, &schedule.times, machine)
 }
 

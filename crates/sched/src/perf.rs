@@ -49,9 +49,8 @@ const MAX_SCHEDULE_LENGTH: u32 = 2048;
 /// ```
 /// use stream_sched::CompileOptions;
 ///
-/// let opts = CompileOptions::new().without_software_pipelining().verify(true);
+/// let opts = CompileOptions::new().without_software_pipelining();
 /// assert!(!opts.software_pipelining);
-/// assert!(opts.verify);
 /// ```
 ///
 /// Options are cheap to hash and compare (`Hash`/`Eq`), so they can key
@@ -65,17 +64,11 @@ pub struct CompileOptions {
     /// iteration to completion before starting the next — the ablation
     /// quantifying how much the stream methodology depends on SWP.
     pub software_pipelining: bool,
-    /// Run every candidate schedule through the independent verifier in
-    /// `stream-verify` and discard candidates it rejects. On by default in
-    /// debug builds; opt in explicitly for release-mode runs. (The repro
-    /// harness's `verify` experiment compiles with the defaults and runs
-    /// the verifier on the finished schedules itself.)
-    pub verify: bool,
 }
 
 impl CompileOptions {
     /// Default options (same as `Default`): unroll search over 1/2/4/8,
-    /// software pipelining on, verification on in debug builds.
+    /// software pipelining on.
     pub fn new() -> Self {
         Self::default()
     }
@@ -100,14 +93,6 @@ impl CompileOptions {
     pub fn without_software_pipelining(self) -> Self {
         self.software_pipelining(false)
     }
-
-    /// Sets whether every candidate schedule runs through the independent
-    /// verifier in `stream-verify`.
-    #[must_use]
-    pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
-    }
 }
 
 impl Default for CompileOptions {
@@ -115,7 +100,6 @@ impl Default for CompileOptions {
         Self {
             unroll_factors: vec![1, 2, 4, 8],
             software_pipelining: true,
-            verify: cfg!(debug_assertions),
         }
     }
 }
@@ -244,16 +228,16 @@ impl CompiledKernel {
                 continue;
             }
 
-            if opts.verify {
-                let report = crate::check_schedule(&ddg, &sched, machine);
-                debug_assert!(
-                    !report.has_errors(),
-                    "scheduler produced an illegal schedule for {}:\n{report}",
-                    kernel.name()
-                );
-                if report.has_errors() {
-                    continue;
-                }
+            // Every candidate passes the independent verifier, in every
+            // build profile; a rejection is a scheduler bug.
+            let report = crate::check_schedule(&ddg, &sched, machine);
+            debug_assert!(
+                !report.has_errors(),
+                "scheduler produced an illegal schedule for {}:\n{report}",
+                kernel.name()
+            );
+            if report.has_errors() {
+                continue;
             }
 
             let better = match &best {
@@ -321,7 +305,7 @@ impl CompiledKernel {
     /// schedule (dependence or resource violation), a register estimate
     /// over capacity, a schedule longer than the 2048-instruction microcode
     /// store, overlapped iterations while software pipelining is disabled,
-    /// or a verifier rejection while `opts.verify`. A recipe
+    /// or a rejection by the independent verifier. A recipe
     /// accepted here yields a `CompiledKernel` indistinguishable from the
     /// one `compile` would have produced for the same inputs, because every
     /// derived field is a deterministic function of the validated parts.
@@ -356,11 +340,8 @@ impl CompiledKernel {
         if registers > machine.register_capacity() {
             return None;
         }
-        if opts.verify {
-            let report = crate::check_schedule(&ddg, &sched, machine);
-            if report.has_errors() {
-                return None;
-            }
+        if crate::check_schedule(&ddg, &sched, machine).has_errors() {
+            return None;
         }
         let bounds = MiiBounds::compute(&ddg, machine);
         span.arg("ii", sched.ii);
@@ -677,11 +658,9 @@ mod tests {
         use std::hash::{Hash, Hasher};
         let opts = CompileOptions::new()
             .unroll_factors([1, 2])
-            .without_software_pipelining()
-            .verify(true);
+            .without_software_pipelining();
         assert_eq!(opts.unroll_factors, vec![1, 2]);
         assert!(!opts.software_pipelining);
-        assert!(opts.verify);
         let hash = |o: &CompileOptions| {
             let mut h = DefaultHasher::new();
             o.hash(&mut h);
@@ -736,7 +715,7 @@ mod tests {
     fn rehydrate_reproduces_the_fresh_compile() {
         let k = mul_add_kernel(7);
         let m = Machine::paper(Shape::new(8, 5));
-        let opts = CompileOptions::new().verify(true);
+        let opts = CompileOptions::new();
         let fresh = CompiledKernel::compile(&k, &m, &opts).unwrap();
         let recipe = fresh.recipe();
         let warm = CompiledKernel::rehydrate(&k, &m, &opts, &recipe)
@@ -755,7 +734,7 @@ mod tests {
     fn rehydrate_rejects_bogus_recipes() {
         let k = mul_add_kernel(7);
         let m = Machine::baseline();
-        let opts = CompileOptions::new().verify(true);
+        let opts = CompileOptions::new();
         let good = CompiledKernel::compile(&k, &m, &opts).unwrap().recipe();
 
         // Wrong node count (recipe for a different unroll of the kernel).

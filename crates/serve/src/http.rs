@@ -70,13 +70,16 @@ impl From<io::Error> for RequestError {
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
+    parse_request(&mut BufReader::new(stream))
+}
 
+/// Parses one request from `reader`; [`read_request`] without the socket.
+fn parse_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
     // The head is read through a cap one byte past the limit, so a line
     // that never ends is cut off there instead of buffered for as long as
     // the client keeps sending.
     let mut head = Vec::new();
-    let mut capped = (&mut reader).take(MAX_HEAD as u64 + 1);
+    let mut capped = reader.by_ref().take(MAX_HEAD as u64 + 1);
     loop {
         let start = head.len();
         let n = capped.read_until(b'\n', &mut head)?;
@@ -250,6 +253,9 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::io::Cursor;
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
@@ -350,5 +356,148 @@ mod tests {
         assert!(wire.contains("content-length: 11\r\n"));
         assert!(wire.contains("x-request-id: 7\r\n"));
         assert!(wire.ends_with("{\"ok\":true}"));
+    }
+
+    /// Request-shaped pieces and garbage that the fuzzer strings together,
+    /// so inputs reach the header and body parsers and not only the
+    /// request-line rejection.
+    const FRAGMENTS: [&[u8]; 14] = [
+        b"GET / HTTP/1.1\r\n",
+        b"POST /v1/query?x=1 HTTP/1.0\r\n",
+        b"GET / HTTP/2.0\r\n",
+        b"content-length: 5\r\n",
+        b"content-length: 2000000\r\n",
+        b"Content-Length: 99999999999999999999999\r\n",
+        b"content-length: five\r\n",
+        b"\r\n",
+        b"\n",
+        b"\xff\xfe",
+        b"x: y",
+        b"ab",
+        b" ",
+        b"\0",
+    ];
+
+    /// An input strung together from [`FRAGMENTS`], one per script byte.
+    fn spliced(script: &[u8]) -> Vec<u8> {
+        script
+            .iter()
+            .flat_map(|&b| FRAGMENTS[usize::from(b) % FRAGMENTS.len()].iter().copied())
+            .collect()
+    }
+
+    /// Characters the round-trip property draws each request part from.
+    const METHOD_CHARS: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+    const PATH_CHARS: &str = "abcxyz0189/-_.%~";
+    const QUERY_CHARS: &str = "abz019=&-_.%/";
+    const BODY_CHARS: &str = "ab{}[]\":,  \r\n\té€😀";
+
+    fn pick(bytes: &[u8], alphabet: &str) -> String {
+        let chars: Vec<char> = alphabet.chars().collect();
+        bytes
+            .iter()
+            .map(|&b| chars[usize::from(b) % chars.len()])
+            .collect()
+    }
+
+    /// The wire form of `req`, as a client sends it.
+    fn render(req: &Request) -> Vec<u8> {
+        let target = if req.query.is_empty() {
+            req.path.clone()
+        } else {
+            format!("{}?{}", req.path, req.query)
+        };
+        format!(
+            "{} {target} HTTP/1.1\r\nhost: h\r\ncontent-length: {}\r\n\r\n{}",
+            req.method,
+            req.body.len(),
+            req.body
+        )
+        .into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_are_rejected_cleanly(
+            raw in vec(any::<u8>(), 0..20_000),
+            script in vec(any::<u8>(), 0..32),
+        ) {
+            // Without a newline the head never ends: truncated below the
+            // limit, too large past it.
+            let line: Vec<u8> = raw.iter().copied().filter(|&b| b != b'\n').collect();
+            let expected = if line.len() > MAX_HEAD { 431 } else { 400 };
+            let r = parse_request(&mut line.as_slice());
+            prop_assert!(
+                matches!(r, Err(RequestError::Bad { status, .. }) if status == expected),
+                "{} newline-free bytes gave {:?}",
+                line.len(),
+                r
+            );
+            for input in [raw, spliced(&script)] {
+                let mut reader = Cursor::new(input.as_slice());
+                let r = parse_request(&mut reader);
+                prop_assert!(
+                    matches!(
+                        r,
+                        Ok(_) | Err(RequestError::Io(_))
+                            | Err(RequestError::Bad { status: 400 | 413 | 431 | 505, .. })
+                    ),
+                    "{:?} gave {:?}",
+                    String::from_utf8_lossy(&input),
+                    r
+                );
+                // Reads stay inside the head and body limits.
+                prop_assert!(reader.position() <= (MAX_HEAD + 1 + MAX_BODY) as u64);
+            }
+        }
+
+        #[test]
+        fn oversize_content_length_is_413_before_the_body_is_read(
+            excess in any::<u64>(),
+            shift in 0u32..64,
+            body in vec(any::<u8>(), 0..64),
+        ) {
+            // Values up to `usize::MAX`: a body buffer sized from one
+            // before the check would abort the test process.
+            let len = (MAX_BODY as u64 + 1)
+                .saturating_add(excess >> shift)
+                .min(usize::MAX as u64);
+            let head = format!("POST /v1/query HTTP/1.1\r\ncontent-length: {len}\r\n\r\n");
+            let input = [head.as_bytes(), &body].concat();
+            let mut reader = Cursor::new(input.as_slice());
+            let r = parse_request(&mut reader);
+            prop_assert!(
+                matches!(r, Err(RequestError::Bad { status: 413, .. })),
+                "content-length {} gave {:?}",
+                len,
+                r
+            );
+            prop_assert_eq!(reader.position(), head.len() as u64);
+        }
+
+        #[test]
+        fn a_rendered_request_parses_back_to_itself(
+            method in vec(any::<u8>(), 1..8),
+            path in vec(any::<u8>(), 0..24),
+            query in vec(any::<u8>(), 0..24),
+            body in vec(any::<u8>(), 0..64),
+        ) {
+            let req = Request {
+                method: pick(&method, METHOD_CHARS),
+                path: format!("/{}", pick(&path, PATH_CHARS)),
+                query: pick(&query, QUERY_CHARS),
+                body: pick(&body, BODY_CHARS),
+            };
+            let wire = render(&req);
+            let parsed = parse_request(&mut wire.as_slice());
+            prop_assert!(
+                matches!(&parsed, Ok(r) if *r == req),
+                "{:?} parsed as {:?}",
+                req,
+                parsed
+            );
+        }
     }
 }

