@@ -6,7 +6,7 @@
 //! producer-consumer locality the SRF exists for).
 
 use crate::AppProgram;
-use stream_ir::{ExecConfig, Tape};
+use stream_ir::{execute, ExecConfig};
 use stream_kernels::convolve::{self, Taps};
 use stream_kernels::util::{to_f32, XorShift32};
 use stream_machine::Machine;
@@ -128,21 +128,20 @@ pub fn program_with(
 /// `(smoothed, laplacian)` planes for the interior rows.
 pub fn run_functional(cfg: &Config, clusters: usize) -> (Vec<f32>, Vec<f32>) {
     let machine = Machine::paper(stream_vlsi::Shape::new(clusters as u32, 5));
-    // One tape compile serves every row of the image.
-    let kernel = Tape::compile(&convolve::kernel(&machine));
+    let kernel = convolve::kernel(&machine);
     let taps = Taps::gaussian();
     let image = sample_image(cfg, 42);
     let mut smooth = Vec::new();
     let mut lap = Vec::new();
     for y in HALO..cfg.height - HALO {
         let rows: [Vec<f32>; 7] = std::array::from_fn(|k| image[y - HALO + k].clone());
-        let outs = kernel
-            .execute(
-                &convolve::params(&taps),
-                &convolve::input_streams(&rows),
-                &ExecConfig::with_clusters(clusters),
-            )
-            .expect("convolve executes");
+        let outs = execute(
+            &kernel,
+            &convolve::params(&taps),
+            &convolve::input_streams(&rows),
+            &ExecConfig::with_clusters(clusters),
+        )
+        .expect("convolve executes");
         smooth.extend(to_f32(&outs[0]));
         lap.extend(to_f32(&outs[1]));
     }

@@ -10,7 +10,7 @@
 
 use crate::kernels::{sad_init, sad_min};
 use crate::AppProgram;
-use stream_ir::{ExecConfig, Scalar, Tape};
+use stream_ir::{execute, ExecConfig, Scalar};
 use stream_kernels::blocksad;
 use stream_kernels::util::{to_i32, words_i32, XorShift32};
 use stream_machine::Machine;
@@ -155,11 +155,9 @@ fn sample_pair(cfg: &Config, seed: u32) -> (Vec<Vec<i32>>, Vec<Vec<i32>>) {
 /// (rows 1..height-1).
 pub fn run_functional(cfg: &Config, clusters: usize) -> Vec<Vec<i32>> {
     let machine = Machine::paper(stream_vlsi::Shape::new(clusters as u32, 5));
-    // Each kernel runs once per (row, disparity) cell: compile its
-    // execution tape once and reuse it across the whole sweep.
-    let sadk = Tape::compile(&blocksad::kernel(&machine));
-    let initk = Tape::compile(&sad_init(&machine));
-    let mink = Tape::compile(&sad_min(&machine));
+    let sadk = blocksad::kernel(&machine);
+    let initk = sad_init(&machine);
+    let mink = sad_min(&machine);
     let (left, right) = sample_pair(cfg, 77);
     let exec = ExecConfig::with_clusters(clusters);
 
@@ -169,30 +167,28 @@ pub fn run_functional(cfg: &Config, clusters: usize) -> Vec<Vec<i32>> {
         let sad_for = |d: usize| -> Vec<i32> {
             let rrows: [Vec<i32>; 3] =
                 std::array::from_fn(|k| right[y - 1 + k][d..d + cfg.width].to_vec());
-            let outs = sadk
-                .execute(&[], &blocksad::input_streams(&lrows, &rrows), &exec)
+            let outs = execute(&sadk, &[], &blocksad::input_streams(&lrows, &rrows), &exec)
                 .expect("blocksad executes");
             to_i32(&outs[0])
         };
         let s0 = sad_for(0);
-        let outs = initk
-            .execute(&[Scalar::I32(0)], &[words_i32(s0)], &exec)
-            .expect("sad_init executes");
+        let outs =
+            execute(&initk, &[Scalar::I32(0)], &[words_i32(s0)], &exec).expect("sad_init executes");
         let mut best_sad = to_i32(&outs[0]);
         let mut best_d = to_i32(&outs[1]);
         for d in 1..cfg.disparities {
             let sd = sad_for(d);
-            let outs = mink
-                .execute(
-                    &[Scalar::I32(d as i32)],
-                    &[
-                        words_i32(best_sad.clone()),
-                        words_i32(best_d.clone()),
-                        words_i32(sd),
-                    ],
-                    &exec,
-                )
-                .expect("sad_min executes");
+            let outs = execute(
+                &mink,
+                &[Scalar::I32(d as i32)],
+                &[
+                    words_i32(best_sad.clone()),
+                    words_i32(best_d.clone()),
+                    words_i32(sd),
+                ],
+                &exec,
+            )
+            .expect("sad_min executes");
             best_sad = to_i32(&outs[0]);
             best_d = to_i32(&outs[1]);
         }

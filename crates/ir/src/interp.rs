@@ -5,8 +5,11 @@
 //! clusters), scratchpads are per-cluster memories, COMM ops move words
 //! between clusters, and conditional streams compact/expand across clusters
 //! in cluster order.
+//!
+//! It walks the kernel's op list directly, one op at a time for every
+//! cluster: this is the one definition of what a kernel computes.
 
-use crate::{IrError, Kernel, Opcode, Scalar, StreamDecl, StreamDir, Tape, Ty, ValueId};
+use crate::{IrError, Kernel, Opcode, Scalar, StreamDir, Ty, ValueId};
 
 /// Execution configuration: how many clusters run the kernel SIMD, and how
 /// big each per-cluster scratchpad is.
@@ -45,7 +48,8 @@ impl Default for ExecConfig {
 ///
 /// Returns an error if stream lengths are ragged or not a whole number of
 /// SIMD strips, parameters mismatch, a scratchpad or COMM access is out of
-/// bounds, or an integer divide by zero occurs.
+/// bounds, an input word of the wrong type reaches an op that needs the
+/// other, or an integer divide by zero occurs.
 ///
 /// # Examples
 ///
@@ -92,16 +96,7 @@ pub fn infer_iterations(
     inputs: &[Vec<Scalar>],
     cfg: &ExecConfig,
 ) -> Result<usize, IrError> {
-    infer_iterations_decls(kernel.inputs(), inputs, cfg)
-}
-
-/// [`infer_iterations`] over bare stream declarations (shared with the
-/// compiled tape, which carries its own copy of the kernel's decls).
-pub(crate) fn infer_iterations_decls(
-    decls: &[StreamDecl],
-    inputs: &[Vec<Scalar>],
-    cfg: &ExecConfig,
-) -> Result<usize, IrError> {
+    let decls = kernel.inputs();
     if inputs.len() != decls.len() {
         return Err(IrError::WrongInputCount {
             expected: decls.len(),
@@ -129,7 +124,9 @@ pub(crate) fn infer_iterations_decls(
                 record_width: width * cfg.clusters,
             });
         }
-        let iters = records / cfg.clusters;
+        // With no clusters only empty streams get here, and they run zero
+        // iterations.
+        let iters = records.checked_div(cfg.clusters).unwrap_or(0);
         match iterations {
             None => iterations = Some(iters),
             Some(prev) if prev != iters => {
@@ -181,51 +178,10 @@ pub struct ExecOptions<'a> {
 
 /// Executes `kernel` with full [`ExecOptions`].
 ///
-/// Compiles an execution [`Tape`] and runs it; for repeated calls on the
-/// same kernel, compile the tape once with [`Tape::compile`] and reuse it.
-///
 /// # Errors
 ///
 /// As [`execute`].
 pub fn execute_with(
-    kernel: &Kernel,
-    opts: &ExecOptions<'_>,
-    inputs: &[Vec<Scalar>],
-    cfg: &ExecConfig,
-) -> Result<Vec<Vec<Scalar>>, IrError> {
-    Tape::compile(kernel).execute_with(opts, inputs, cfg)
-}
-
-/// Executes `kernel` with the legacy tree-walk interpreter, inferring the
-/// iteration count as [`execute`] does.
-///
-/// This is the slow reference semantics — kept as the differential-test
-/// oracle for the compiled [`Tape`], not for production use.
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_legacy(
-    kernel: &Kernel,
-    params: &[Scalar],
-    inputs: &[Vec<Scalar>],
-    cfg: &ExecConfig,
-) -> Result<Vec<Vec<Scalar>>, IrError> {
-    let opts = ExecOptions {
-        params,
-        sp_init: None,
-        iterations: None,
-    };
-    execute_with_legacy(kernel, &opts, inputs, cfg)
-}
-
-/// [`execute_with`] on the legacy tree-walk interpreter (the differential
-/// oracle; see [`execute_legacy`]).
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn execute_with_legacy(
     kernel: &Kernel,
     opts: &ExecOptions<'_>,
     inputs: &[Vec<Scalar>],
@@ -466,9 +422,7 @@ impl<'a> Interp<'a> {
             }
             Opcode::SpRead(ty) => {
                 for c in 0..self.clusters {
-                    let addr = self.vals[c][args[0].index()]
-                        .as_i32()
-                        .expect("sp addresses are i32 by construction");
+                    let addr = self.i32_operand(c, args[0], v)?;
                     let slot = self.sp_slot(c, addr, v)?;
                     let stored = self.sp[c][slot].unwrap_or(Scalar::zero(ty));
                     if stored.ty() != ty {
@@ -483,9 +437,7 @@ impl<'a> Interp<'a> {
             }
             Opcode::SpWrite => {
                 for c in 0..self.clusters {
-                    let addr = self.vals[c][args[0].index()]
-                        .as_i32()
-                        .expect("sp addresses are i32 by construction");
+                    let addr = self.i32_operand(c, args[0], v)?;
                     let slot = self.sp_slot(c, addr, v)?;
                     self.sp[c][slot] = Some(self.vals[c][args[1].index()]);
                 }
@@ -493,9 +445,7 @@ impl<'a> Interp<'a> {
             Opcode::Comm => {
                 let mut received = vec![Scalar::I32(0); self.clusters];
                 for (c, slot) in received.iter_mut().enumerate() {
-                    let src = self.vals[c][args[1].index()]
-                        .as_i32()
-                        .expect("comm sources are i32 by construction");
+                    let src = self.i32_operand(c, args[1], v)?;
                     if src < 0 || src as usize >= self.clusters {
                         return Err(IrError::BadCommSource {
                             at: v,
@@ -518,6 +468,20 @@ impl<'a> Interp<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Cluster `c`'s value of `operand`, a scratchpad address or COMM
+    /// source. The builder types those `I32`, but an input stream word of
+    /// the other type can still reach them at run time.
+    fn i32_operand(&self, c: usize, operand: ValueId, at: ValueId) -> Result<i32, IrError> {
+        match self.vals[c][operand.index()] {
+            Scalar::I32(x) => Ok(x),
+            word => Err(IrError::TypeMismatch {
+                at,
+                expected: Ty::I32,
+                found: word.ty(),
+            }),
+        }
     }
 
     fn broadcast(&mut self, v: ValueId, f: impl Fn(usize) -> Scalar) {
@@ -861,5 +825,75 @@ mod tests {
         let k = b.finish().unwrap();
         let outs = execute(&k, &[], &[vec![]], &cfg(8)).unwrap();
         assert!(outs[0].is_empty());
+    }
+
+    #[test]
+    fn zero_clusters_with_empty_streams_run_zero_iterations() {
+        let mut b = KernelBuilder::new("none");
+        let s = b.in_stream(Ty::I32);
+        let out = b.out_stream(Ty::I32);
+        let x = b.read(s);
+        b.write(out, x);
+        let k = b.finish().unwrap();
+        let outs = execute(&k, &[], &[vec![]], &cfg(0)).unwrap();
+        assert_eq!(outs, vec![Vec::<Scalar>::new()]);
+    }
+
+    #[test]
+    fn non_i32_sp_address_is_a_type_mismatch() {
+        // The address is an input word, which the stream's declared type
+        // does not bind. v1 is the sp_write, or the sp_read when there is
+        // no write.
+        let addressed = |write: bool| {
+            let mut b = KernelBuilder::new("sp_addr");
+            let s = b.in_stream(Ty::I32);
+            let out = b.out_stream(Ty::I32);
+            b.require_sp(4);
+            let addr = b.read(s);
+            if write {
+                b.sp_write(addr, addr);
+            }
+            let y = b.sp_read(addr, Ty::I32);
+            b.write(out, y);
+            b.finish().unwrap()
+        };
+        let input = vec![Scalar::I32(0), Scalar::F32(1.0)];
+        for write in [true, false] {
+            let err = execute(
+                &addressed(write),
+                &[],
+                std::slice::from_ref(&input),
+                &cfg(2),
+            );
+            assert_eq!(
+                err,
+                Err(IrError::TypeMismatch {
+                    at: ValueId(1),
+                    expected: Ty::I32,
+                    found: Ty::F32,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn non_i32_comm_source_is_a_type_mismatch() {
+        let mut b = KernelBuilder::new("comm_src");
+        let s = b.in_stream(Ty::I32);
+        let out = b.out_stream(Ty::I32);
+        let src = b.read(s);
+        let v = b.comm(src, src);
+        b.write(out, v);
+        let k = b.finish().unwrap();
+        let input = vec![Scalar::I32(0), Scalar::F32(0.0)];
+        let err = execute(&k, &[], &[input], &cfg(2));
+        assert_eq!(
+            err,
+            Err(IrError::TypeMismatch {
+                at: ValueId(1),
+                expected: Ty::I32,
+                found: Ty::F32,
+            })
+        );
     }
 }

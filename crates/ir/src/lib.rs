@@ -51,21 +51,13 @@ mod interp;
 mod kernel;
 mod op;
 mod scalar;
-mod tape;
 mod text;
 mod transform;
 
 pub use error::IrError;
-pub use interp::{
-    execute, execute_iters, execute_legacy, execute_with, execute_with_legacy, infer_iterations,
-    ExecConfig, ExecOptions,
-};
+pub use interp::{execute, execute_iters, execute_with, infer_iterations, ExecConfig, ExecOptions};
 pub use kernel::{Kernel, KernelBuilder, KernelStats, StreamDecl};
 pub use op::{Op, Opcode, StreamDir, StreamId, ValueId};
 pub use scalar::{Scalar, Ty};
-pub use tape::{Tape, TapeCheckKind, TapeFinding};
-
-#[doc(hidden)]
-pub use tape::TapeMutation;
 pub use text::{parse_kernel, to_text, ParseError};
 pub use transform::unroll;

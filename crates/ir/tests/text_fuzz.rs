@@ -1,9 +1,13 @@
 //! Deterministic fuzzing of the textual kernel format: `parse_kernel`
-//! never panics on lines assembled from the format's own vocabulary, and
-//! it inverts `to_text` on random builder kernels.
+//! never panics on lines assembled from the format's own vocabulary, what
+//! it accepts runs without panicking, and it inverts `to_text` on random
+//! builder kernels.
 
 use proptest::prelude::*;
-use stream_ir::{parse_kernel, to_text, Kernel, KernelBuilder, Scalar, Tape, Ty, ValueId};
+use stream_ir::{
+    execute_with, parse_kernel, to_text, ExecConfig, ExecOptions, Kernel, KernelBuilder, Scalar,
+    Ty, ValueId,
+};
 
 const OPCODES: [&str; 35] = [
     "const",
@@ -211,7 +215,7 @@ proptest! {
 
     /// Lines built from the format's keywords, value ids, stream ids and
     /// literals never make `parse_kernel` panic, and whatever it accepts
-    /// is a kernel that compiles to a tape and re-renders stably.
+    /// is a kernel that executes without panicking and re-renders stably.
     #[test]
     fn parse_kernel_never_panics_on_format_vocabulary(
         lines in proptest::collection::vec(any::<u64>(), 0..24),
@@ -231,7 +235,20 @@ proptest! {
             text.push('\n');
         }
         if let Ok(k) = parse_kernel(&text) {
-            let _ = Tape::compile(&k);
+            // One iteration at C = 4 on zero words of the declared types.
+            let cfg = ExecConfig::with_clusters(4);
+            let params: Vec<Scalar> = k.param_tys().iter().map(|&ty| Scalar::zero(ty)).collect();
+            let inputs: Vec<Vec<Scalar>> = k
+                .inputs()
+                .iter()
+                .map(|d| vec![Scalar::zero(d.ty); cfg.clusters * d.record_width as usize])
+                .collect();
+            let opts = ExecOptions {
+                params: &params,
+                sp_init: None,
+                iterations: Some(1),
+            };
+            let _ = execute_with(&k, &opts, &inputs, &cfg);
             let rendered = to_text(&k);
             let again = parse_kernel(&rendered).map(|k| to_text(&k));
             prop_assert_eq!(again, Ok(rendered));

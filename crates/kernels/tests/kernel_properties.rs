@@ -3,7 +3,7 @@
 //! the per-machine builds.
 
 use proptest::prelude::*;
-use stream_ir::{execute, ExecConfig, Tape};
+use stream_ir::{execute, ExecConfig};
 use stream_kernels::{blocksad, convolve, dct, fft, irast, noise, update, KernelId};
 use stream_machine::Machine;
 use stream_vlsi::Shape;
@@ -176,29 +176,4 @@ proptest! {
             prop_assert!(k.sp_words() <= 256, "{id} scratchpad");
         }
     }
-}
-
-/// The tape has one form on the interpreter benchmark's kernels: every op
-/// lowers to exactly one instruction, and hoisting moves convolve's
-/// iteration-invariant ops out of the loop. (The FFT stage has none.)
-#[test]
-fn tape_optimizations_engage_on_bench_kernels() {
-    let machine = Machine::baseline();
-    let conv = convolve::kernel(&machine);
-    for k in [&conv, &KernelId::Fft.build(&machine)] {
-        let tape = Tape::compile(k);
-        assert_eq!(
-            tape.hoisted_len() + tape.loop_len(),
-            k.ops().len(),
-            "{}",
-            k.name()
-        );
-    }
-    let tape = Tape::compile(&conv);
-    assert!(
-        tape.hoisted_len() > 0,
-        "{}: nothing hoisted out of {} ops",
-        conv.name(),
-        conv.ops().len()
-    );
 }

@@ -4,72 +4,19 @@
 use crate::sweep::Ctx;
 use crate::{ExperimentId, Report};
 use std::sync::Arc;
-use stream_ir::{execute_legacy, ExecConfig, Kernel, Scalar, Tape, Ty};
 use stream_kernels::KernelId;
 use stream_machine::Machine;
 use stream_sched::CompiledKernel;
 use stream_vlsi::Shape;
 
 /// Compiles a suite kernel for one machine through the sweep context's
-/// shared cache, then runs a two-iteration functional smoke of the
-/// compiled execution tape against the legacy oracle. (The schedule has
-/// passed the independent verifier: compiles and rehydrations both run
-/// it.)
+/// shared cache. (The schedule has passed the independent verifier:
+/// compiles and rehydrations both run it.)
 fn compiled(ctx: &Ctx, id: KernelId, shape: Shape) -> Arc<CompiledKernel> {
     let machine = Machine::paper(shape);
-    let kernel = id.build(&machine);
-    let c = ctx
-        .scope
-        .compile_default(&kernel, &machine)
-        .expect("suite kernels schedule on all paper machines");
-    tape_smoke(&kernel, shape.clusters as usize);
-    c
-}
-
-/// Differential functional smoke: executes `kernel` for two SIMD
-/// iterations through the compiled [`Tape`] and through the legacy
-/// tree-walk oracle, and requires bit-identical results (same outputs or
-/// the same error). Deterministic — it runs whether or not tracing is on,
-/// so figure output never depends on the trace flag.
-fn tape_smoke(kernel: &Kernel, clusters: usize) {
-    if !kernel.param_tys().is_empty() {
-        return; // parameterized kernels are exercised by their own tests
-    }
-    let iters = 2usize;
-    let inputs: Vec<Vec<Scalar>> = kernel
-        .inputs()
-        .iter()
-        .map(|d| {
-            let words = iters * clusters * d.record_width as usize;
-            (0..words)
-                .map(|i| match d.ty {
-                    Ty::I32 => Scalar::I32((i as i32 * 37) % 101 - 50),
-                    Ty::F32 => Scalar::F32(i as f32 * 0.375 - 4.0),
-                })
-                .collect()
-        })
-        .collect();
-    let cfg = ExecConfig::with_clusters(clusters);
-    let bits = |outs: Vec<Vec<Scalar>>| -> Vec<Vec<(Ty, u32)>> {
-        outs.into_iter()
-            .map(|s| {
-                s.into_iter()
-                    .map(|w| match w {
-                        Scalar::I32(v) => (Ty::I32, v as u32),
-                        Scalar::F32(v) => (Ty::F32, v.to_bits()),
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    let tape = Tape::compile(kernel).execute(&[], &inputs, &cfg).map(&bits);
-    let oracle = execute_legacy(kernel, &[], &inputs, &cfg).map(&bits);
-    assert_eq!(
-        tape,
-        oracle,
-        "tape/oracle divergence for {} at C={clusters}",
-        kernel.name()
-    );
+    ctx.scope
+        .compile_default(&id.build(&machine), &machine)
+        .expect("suite kernels schedule on all paper machines")
 }
 
 /// Table 2: kernel inner-loop characteristics, measured from our kernels,

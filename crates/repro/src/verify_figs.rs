@@ -1,22 +1,17 @@
 //! The `verify` experiment: sweep the full Figure 13 x Figure 14
 //! configuration grid, run every compiled kernel schedule through the
-//! independent verifier in `stream-verify`, lint every kernel's IR, and
-//! translation-validate every kernel's execution tape
-//! (`stream-tapecheck`).
+//! independent verifier in `stream-verify`, and lint every kernel's IR.
 //!
 //! A clean run is the evidence that the scheduler's output is legal by an
 //! implementation that shares none of its code — the paper's results rest
-//! on these schedules being real — and that every compiled tape is
-//! provably equivalent to the kernel IR it was compiled from.
+//! on these schedules being real.
 
 use crate::kernel_figs::{FIG13_NS, FIG14_CS};
 use crate::sweep::Ctx;
 use crate::{ExperimentId, Report};
-use stream_ir::Tape;
 use stream_kernels::KernelId;
 use stream_machine::Machine;
 use stream_sched::check_schedule;
-use stream_tapecheck::validate_tape;
 use stream_verify::lint_kernel;
 use stream_vlsi::Shape;
 
@@ -39,8 +34,6 @@ pub(crate) fn verify_impl(ctx: &Ctx) -> Report {
         "sched warnings",
         "lint errors",
         "lint warnings",
-        "tape errors",
-        "tape warnings",
     ]);
     // One job per (kernel, C, N) config; schedules come from the shared
     // cache, so a `repro all` run verifies the very schedules the figures
@@ -62,35 +55,22 @@ pub(crate) fn verify_impl(ctx: &Ctx) -> Report {
             .compile_default(&kernel, &machine)
             .expect("suite kernels schedule on all paper machines");
         let report = check_schedule(compiled.ddg(), compiled.schedule(), &machine);
-        let tape_report = validate_tape(&Tape::compile(&kernel));
         (
             lint.error_count(),
             lint.warning_count(),
             report.error_count(),
             report.warning_count(),
-            tape_report.error_count(),
-            tape_report.warning_count(),
         )
     });
     let configs_per_kernel = FIG14_CS.len() * FIG13_NS.len();
     let mut total_errors = 0usize;
     for (ki, id) in KernelId::ALL.iter().enumerate() {
-        let mut sums = (0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
-        for (le, lw, se, sw, te, tw) in
-            &checks[ki * configs_per_kernel..(ki + 1) * configs_per_kernel]
-        {
-            sums = (
-                sums.0 + le,
-                sums.1 + lw,
-                sums.2 + se,
-                sums.3 + sw,
-                sums.4 + te,
-                sums.5 + tw,
-            );
+        let mut sums = (0usize, 0usize, 0usize, 0usize);
+        for (le, lw, se, sw) in &checks[ki * configs_per_kernel..(ki + 1) * configs_per_kernel] {
+            sums = (sums.0 + le, sums.1 + lw, sums.2 + se, sums.3 + sw);
         }
-        let (lint_errors, lint_warnings, sched_errors, sched_warnings, tape_errors, tape_warnings) =
-            sums;
-        total_errors += sched_errors + lint_errors + tape_errors;
+        let (lint_errors, lint_warnings, sched_errors, sched_warnings) = sums;
+        total_errors += sched_errors + lint_errors;
         r.row([
             id.name().to_string(),
             configs_per_kernel.to_string(),
@@ -98,13 +78,11 @@ pub(crate) fn verify_impl(ctx: &Ctx) -> Report {
             sched_warnings.to_string(),
             lint_errors.to_string(),
             lint_warnings.to_string(),
-            tape_errors.to_string(),
-            tape_warnings.to_string(),
         ]);
     }
     r.note(format!(
         "verifier re-derives slot usage, dependences, ResMII/RecMII, and register pressure; \
-         tapes are translation-validated against their kernel IR; {total_errors} error(s) total"
+         {total_errors} error(s) total"
     ));
     r.note("diagnostic codes are cataloged in docs/lint_codes.md");
     r
@@ -125,7 +103,6 @@ mod tests {
         for row in &r.rows {
             assert_eq!(row[2], "0", "schedule errors for {}", row[0]);
             assert_eq!(row[4], "0", "lint errors for {}", row[0]);
-            assert_eq!(row[6], "0", "tape validation errors for {}", row[0]);
         }
     }
 }

@@ -12,8 +12,7 @@
 //! a freshly built DDG before it is accepted, so a recipe from a corrupted,
 //! stale, or even adversarial cache entry can never produce an illegal
 //! `CompiledKernel` — the worst outcome is a rejected recipe and a
-//! recompile. This is the same translation-validation posture the tape
-//! compiler takes (DESIGN.md §12), applied to the persistent cache.
+//! recompile.
 
 /// The compact, persistable essence of one compiled schedule: the chosen
 /// unroll factor, the initiation interval, and the per-DDG-node start

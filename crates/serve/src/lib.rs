@@ -36,7 +36,7 @@
 //!
 //! Every response carries an `X-Request-Id` header; the same id annotates
 //! (`req=<id>`) every span the request produced, down to grid jobs and
-//! tape execution, so one slow sweep is traceable end to end. See
+//! scheduler compiles, so one slow sweep is traceable end to end. See
 //! `docs/serve_api.md` for the wire schemas and a curl quickstart, and
 //! `docs/metrics.md` for the exported metric catalogue.
 

@@ -5,8 +5,8 @@
 //! Worker accounting rides the process-global [`stream_pool`] permit pool,
 //! sized to the daemon's worker budget, so total connection-handling
 //! parallelism is bounded no matter how many clients connect. The
-//! planner's sweep engine owns its own permit pool, and a tape runs
-//! serially on whichever thread calls it, so neither draws from this one.
+//! planner's sweep engine owns its own permit pool, so it does not draw
+//! from this one.
 //! A connection that cannot get a permit is handled *inline on the accept
 //! thread*: further accepts queue in the listen backlog until it finishes,
 //! which is the daemon's rate limiting (clients see latency, never dropped
@@ -192,7 +192,7 @@ fn accept_loop(
 fn handle_connection(mut conn: TcpStream, addr: SocketAddr, planner: &Planner, stop: &AtomicBool) {
     // Every request gets a process-unique id, correlated with all work
     // done on its behalf: spans opened under this scope — including grid
-    // jobs and tape execution on engine worker threads — carry a
+    // jobs and scheduler compiles on engine worker threads — carry a
     // `req=<id>` annotation, and the response echoes `X-Request-Id`.
     let request_id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
     let _correlation = stream_trace::request_scope(Some(request_id));

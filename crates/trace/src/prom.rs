@@ -53,7 +53,6 @@ fn help_for(name: &str) -> &'static str {
         ("serve.", "stream-serve daemon request handling."),
         ("sched.", "Modulo scheduler search effort."),
         ("sim.", "Cycle-level simulation accounting."),
-        ("tape.", "Tape interpreter execution accounting."),
     ] {
         if name.starts_with(prefix) {
             return help;

@@ -32,8 +32,8 @@ pub enum Phase {
 /// One finished span or instant event.
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
-    /// Category (the instrumented layer: `"sched"`, `"tape"`, `"grid"`,
-    /// `"sim"`, ...).
+    /// Category (the instrumented layer: `"sched"`, `"grid"`, `"sim"`,
+    /// ...).
     pub cat: &'static str,
     /// Event name.
     pub name: String,

@@ -23,9 +23,8 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes. `E0xx` are IR lint errors, `W0xx` IR lint
 /// warnings, `E1xx` schedule-verification errors, `W1xx` schedule
-/// warnings, `E2xx` tape translation-validation errors, `W2xx` tape
-/// value-range warnings. Codes never change meaning, and a retired code's
-/// number is never reused; see `docs/lint_codes.md`.
+/// warnings. Codes never change meaning, and a retired code's number is
+/// never reused; see `docs/lint_codes.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// E001: an operand names a value not defined before its use.
@@ -77,44 +76,13 @@ pub enum Code {
     /// W101: the schedule's steady-state MaxLive exceeds the cluster's LRF
     /// register capacity.
     RegisterPressure,
-    /// E201: a tape output word's expression differs from the kernel
-    /// reference (e.g. swapped non-commutative float operands).
-    TapeWriteMismatch,
-    /// E202: the tape writes a different set of output words than the
-    /// kernel (missing, extra, or duplicated).
-    TapeWriteCoverage,
-    /// E203: the tape's ordered potential-fault sites diverge from program
-    /// order, so some input would report a different first error.
-    TapeErrorOrder,
-    /// E204: a tape recurrence slot's initial bits or feed expression
-    /// differ from the kernel's binding.
-    TapeRecurrence,
-    /// E205: the tape violates the SSA slot layout (operand at or above
-    /// its destination, or a redefined slot).
-    TapeOperandOrder,
-    /// E206: a tape instruction reads a never-defined slot.
-    TapeUndefinedSlot,
-    /// E207: a fallible or per-iteration instruction was hoisted into the
-    /// once-per-call prologue.
-    TapeHoistedEffect,
-    // E208 is retired (see docs/lint_codes.md); the number is not reused.
-    /// E209: a conditional stream's (predicate, source) sequence diverges
-    /// from the kernel.
-    TapeCondStream,
-    // E210 is retired (see docs/lint_codes.md); the number is not reused.
-    /// E211: a stream access disagrees with the stream declaration
-    /// (index, record width, offset, conditionality).
-    TapeAccessShape,
-    // W201 is retired (see docs/lint_codes.md); the number is not reused.
-    /// W202: a tape bounds check is provably dead (always in range).
-    TapeDeadCheck,
-    /// W203: a tape access provably faults on every input reaching it.
-    TapeStaticFault,
+    // E201–E211 and W201–W203 are retired with the execution tape (see
+    // docs/lint_codes.md); the numbers are not reused.
 }
 
 impl Code {
     /// All codes, in catalog order.
-    pub const ALL: [Code; 31] = [
+    pub const ALL: [Code; 20] = [
         Code::UndefinedValue,
         Code::TypeMismatch,
         Code::UnknownOpcode,
@@ -135,17 +103,6 @@ impl Code {
         Code::ZeroIi,
         Code::LatencyDrift,
         Code::RegisterPressure,
-        Code::TapeWriteMismatch,
-        Code::TapeWriteCoverage,
-        Code::TapeErrorOrder,
-        Code::TapeRecurrence,
-        Code::TapeOperandOrder,
-        Code::TapeUndefinedSlot,
-        Code::TapeHoistedEffect,
-        Code::TapeCondStream,
-        Code::TapeAccessShape,
-        Code::TapeDeadCheck,
-        Code::TapeStaticFault,
     ];
 
     /// The stable code string, e.g. `"E102"`.
@@ -171,17 +128,6 @@ impl Code {
             Code::ZeroIi => "E105",
             Code::LatencyDrift => "E106",
             Code::RegisterPressure => "W101",
-            Code::TapeWriteMismatch => "E201",
-            Code::TapeWriteCoverage => "E202",
-            Code::TapeErrorOrder => "E203",
-            Code::TapeRecurrence => "E204",
-            Code::TapeOperandOrder => "E205",
-            Code::TapeUndefinedSlot => "E206",
-            Code::TapeHoistedEffect => "E207",
-            Code::TapeCondStream => "E209",
-            Code::TapeAccessShape => "E211",
-            Code::TapeDeadCheck => "W202",
-            Code::TapeStaticFault => "W203",
         }
     }
 
@@ -216,17 +162,6 @@ impl Code {
             Code::ZeroIi => "initiation interval is zero",
             Code::LatencyDrift => "latency disagrees with the verifier's independent table",
             Code::RegisterPressure => "steady-state MaxLive exceeds LRF register capacity",
-            Code::TapeWriteMismatch => "tape output expression differs from the kernel reference",
-            Code::TapeWriteCoverage => "tape writes a different set of output words",
-            Code::TapeErrorOrder => "tape potential-fault sites diverge from program order",
-            Code::TapeRecurrence => "tape recurrence init or feed differs from the kernel",
-            Code::TapeOperandOrder => "tape violates the SSA slot layout",
-            Code::TapeUndefinedSlot => "tape instruction reads a never-defined slot",
-            Code::TapeHoistedEffect => "fallible or per-iteration instruction hoisted to prologue",
-            Code::TapeCondStream => "conditional stream sequence diverges from the kernel",
-            Code::TapeAccessShape => "stream access disagrees with the stream declaration",
-            Code::TapeDeadCheck => "bounds check is provably dead (always in range)",
-            Code::TapeStaticFault => "access provably faults on every input reaching it",
         }
     }
 }

@@ -19,7 +19,6 @@
 //! * [`sim`] — the stream-program timing simulator,
 //! * [`apps`] — RENDER, DEPTH, CONV, QRD, FFT1K, FFT4K,
 //! * [`verify`] — independent schedule verification and IR lints,
-//! * [`tapecheck`] — translation validation for compiled execution tapes,
 //! * [`repro`] — per-table/figure reproduction reports,
 //! * [`store`] — the corruption-tolerant on-disk key/value store,
 //! * [`serve`] — the `stream-serve` query daemon and its planner,
@@ -52,7 +51,6 @@ pub use stream_sched as sched;
 pub use stream_serve as serve;
 pub use stream_sim as sim;
 pub use stream_store as store;
-pub use stream_tapecheck as tapecheck;
 pub use stream_tune as tune;
 pub use stream_verify as verify;
 pub use stream_vlsi as vlsi;

@@ -1,12 +1,12 @@
 //! Property-based tests (proptest) over the core invariants:
 //! schedule legality, unroll semantics, stream scatter/gather, FFT
-//! mathematics, and interpreter determinism.
+//! mathematics, and an interpreter that is deterministic and never panics.
 
 use proptest::prelude::*;
 use stream_scaling::grid::KernelCache;
 use stream_scaling::ir::{
-    execute, execute_with_legacy, parse_kernel, to_text, unroll, ExecConfig, ExecOptions, Kernel,
-    KernelBuilder, Scalar, Tape, Ty, ValueId,
+    execute, execute_with, parse_kernel, to_text, unroll, ExecConfig, ExecOptions, Kernel,
+    KernelBuilder, Scalar, Ty, ValueId,
 };
 use stream_scaling::kernels::fft::{dft_reference, fft_reference, C32};
 use stream_scaling::kernels::split::{gather_words, max_chain, scatter_words, split_plan};
@@ -122,113 +122,98 @@ fn condstream_kernel(script: &[u8]) -> Kernel {
     b.finish().expect("structurally valid")
 }
 
-/// Collapses interpreter outputs to `(type, bits)` words so comparisons
-/// are exact even for NaN and -0.0.
-fn output_bits(outs: Vec<Vec<Scalar>>) -> Vec<Vec<(Ty, u32)>> {
-    outs.into_iter()
-        .map(|s| {
-            s.into_iter()
-                .map(|w| match w {
-                    Scalar::I32(v) => (Ty::I32, v as u32),
-                    Scalar::F32(v) => (Ty::F32, v.to_bits()),
-                })
-                .collect()
-        })
-        .collect()
+/// A random kernel whose scratchpad addresses and COMM sources are words
+/// of an `I32` input stream, so the caller's data picks them: in range,
+/// out of range, or not `I32` at all.
+fn indexed_kernel(script: &[u8]) -> Kernel {
+    let mut b = KernelBuilder::new("random_indexed");
+    let index = b.in_stream(Ty::I32);
+    let data = b.in_stream(Ty::F32);
+    let out = b.out_stream(Ty::F32);
+    b.require_sp(8);
+    let mut vals: Vec<ValueId> = vec![b.read(data)];
+    for &op in script {
+        let a = vals[(op as usize / 4) % vals.len()];
+        let v = match op % 4 {
+            0 => {
+                let addr = b.read(index);
+                b.sp_write(addr, a);
+                b.sp_read(addr, Ty::F32)
+            }
+            1 => {
+                let addr = b.read(index);
+                b.sp_read(addr, Ty::F32)
+            }
+            2 => {
+                let src = b.read(index);
+                b.comm(a, src)
+            }
+            _ => {
+                let c = vals[(op as usize / 16) % vals.len()];
+                b.add(a, c)
+            }
+        };
+        vals.push(v);
+    }
+    let last = *vals.last().expect("nonempty");
+    b.write(out, last);
+    b.finish().expect("structurally valid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Execution returns `Ok` or `Err` and never panics, whatever the
+    /// caller passes: words of either type on any stream, ragged or short
+    /// streams, any cluster count including zero, and inferred or explicit
+    /// iteration counts.
+    #[test]
+    fn execution_never_panics(
+        script in proptest::collection::vec(any::<u8>(), 1..24),
+        kind in 0u8..4,
+        clusters in prop_oneof![Just(0usize), Just(1), Just(3), Just(4), Just(8), Just(16)],
+        explicit in any::<bool>(),
+        iterations in 0usize..=4,
+        aligned in any::<bool>(),
+        lens in proptest::collection::vec(0usize..96, 2..3),
+        words in proptest::collection::vec((any::<bool>(), -4i32..20), 1..64),
+    ) {
+        let k = match kind {
+            0 => elementwise_kernel(&script),
+            1 => structured_kernel(&script, clusters as u32),
+            2 => condstream_kernel(&script),
+            _ => indexed_kernel(&script),
+        };
+        let mut pool = words.iter().cycle().map(|&(int, v)| {
+            if int {
+                Scalar::I32(v)
+            } else {
+                Scalar::F32(v as f32 * 0.5)
+            }
+        });
+        // Aligned streams hold two whole strips; the others any length.
+        let inputs: Vec<Vec<Scalar>> = k
+            .inputs()
+            .iter()
+            .zip(&lens)
+            .map(|(d, &len)| {
+                let len = if aligned { 2 * clusters * d.record_width as usize } else { len };
+                pool.by_ref().take(len).collect()
+            })
+            .collect();
+        let opts = ExecOptions {
+            iterations: explicit.then_some(iterations),
+            ..ExecOptions::default()
+        };
+        let cfg = ExecConfig::with_clusters(clusters);
+        if let Ok(outs) = execute_with(&k, &opts, &inputs, &cfg) {
+            prop_assert_eq!(outs.len(), k.outputs().len());
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The compiled execution tape (one instruction per op, invariants
-    /// hoisted) is observationally identical to the legacy
-    /// tree-walk interpreter for random valid kernels (with and without
-    /// recurrences and conditional streams), random inputs, and C in
-    /// {1, 3, 4, 8, 16}: same outputs (bit for bit) and identical
-    /// `IrError` values when the inputs are truncated.
-    #[test]
-    fn tape_matches_legacy_interpreter(
-        script in proptest::collection::vec(any::<u8>(), 1..32),
-        kind in 0u8..3,
-        clusters in prop_oneof![Just(1usize), Just(3), Just(4), Just(8), Just(16)],
-        starve in any::<bool>(),
-    ) {
-        let k = match kind {
-            0 => elementwise_kernel(&script),
-            1 => structured_kernel(&script, clusters as u32),
-            _ => condstream_kernel(&script),
-        };
-        let iters = 3usize;
-        let inputs: Vec<Vec<Scalar>> = k
-            .inputs()
-            .iter()
-            .map(|d| {
-                let words = iters * clusters * d.record_width as usize;
-                (0..words)
-                    .map(|i| match d.ty {
-                        Ty::I32 => Scalar::I32((i as i32 * 37) % 101 - 50),
-                        Ty::F32 => Scalar::F32(i as f32 * 0.375 - 4.0),
-                    })
-                    .collect()
-            })
-            .collect();
-        let cfg = ExecConfig::with_clusters(clusters);
-        // `starve` demands more iterations than the inputs supply, so every
-        // path must fail with the same StreamExhausted error; otherwise the
-        // iteration count is inferred and every path must succeed.
-        let opts = ExecOptions {
-            iterations: starve.then_some(iters + 2),
-            ..ExecOptions::default()
-        };
-        let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
-        let tape = Tape::compile(&k).execute_with(&opts, &inputs, &cfg).map(output_bits);
-        prop_assert_eq!(&legacy, &tape);
-    }
-
-    /// The translation validator accepts every tape the compiler produces
-    /// for random valid kernels, and every validator-accepted tape is
-    /// observationally bit-exact against the legacy tree-walk interpreter.
-    /// This is the soundness contract from the other side: acceptance is
-    /// not vacuous (trunk tapes pass) and acceptance implies equivalence
-    /// on real inputs, not just symbolically.
-    #[test]
-    fn validated_tapes_are_bit_exact(
-        script in proptest::collection::vec(any::<u8>(), 1..32),
-        kind in 0u8..3,
-        clusters in prop_oneof![Just(1usize), Just(4), Just(8)],
-    ) {
-        use stream_scaling::tapecheck::validate_tape;
-        let k = match kind {
-            0 => elementwise_kernel(&script),
-            1 => structured_kernel(&script, clusters as u32),
-            _ => condstream_kernel(&script),
-        };
-        let iters = 4usize;
-        let inputs: Vec<Vec<Scalar>> = k
-            .inputs()
-            .iter()
-            .map(|d| {
-                let words = iters * clusters * d.record_width as usize;
-                (0..words)
-                    .map(|i| match d.ty {
-                        Ty::I32 => Scalar::I32((i as i32 * 13) % 97 - 48),
-                        Ty::F32 => Scalar::F32(i as f32 * 0.5 - 6.0),
-                    })
-                    .collect()
-            })
-            .collect();
-        let cfg = ExecConfig::with_clusters(clusters);
-        let opts = ExecOptions::default();
-        let legacy = execute_with_legacy(&k, &opts, &inputs, &cfg).map(output_bits);
-        let tape = Tape::compile(&k);
-        let report = validate_tape(&tape);
-        prop_assert!(
-            !report.has_errors(),
-            "validator rejected a trunk compile:\n{report}"
-        );
-        let got = tape.execute_with(&opts, &inputs, &cfg).map(output_bits);
-        prop_assert_eq!(&legacy, &got);
-    }
 
     /// Unrolling never changes what an elementwise kernel computes.
     #[test]
