@@ -21,10 +21,10 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
-use stream_ir::{to_text, Kernel};
+use stream_ir::Kernel;
 use stream_machine::{Machine, MachineConfig};
 use stream_sched::{CompileOptions, CompiledKernel, ScheduleError, ScheduleRecipe};
-use stream_store::{fnv1a, DiskStore, Key};
+use stream_store::{DiskStore, Key};
 use stream_trace::Counter;
 
 /// Cache key: the kernel's identity (name plus a fingerprint of its exact
@@ -42,7 +42,7 @@ impl CacheKey {
     fn new(kernel: &Kernel, machine: &Machine, opts: &CompileOptions) -> Self {
         Self {
             kernel: kernel.name().to_string(),
-            kernel_fingerprint: fnv1a(to_text(kernel).as_bytes()),
+            kernel_fingerprint: kernel.fingerprint(),
             machine: machine.config(),
             opts: opts.clone(),
         }
@@ -52,7 +52,7 @@ impl CacheKey {
 /// Version of the on-disk schedule payload. Bump whenever the key blob or
 /// payload layout below changes; old entries land in a differently named
 /// directory and are simply never read.
-const SCHEDULE_FORMAT_VERSION: u32 = 3;
+const SCHEDULE_FORMAT_VERSION: u32 = 4;
 
 impl CacheKey {
     /// A stable byte serialization of the full key. Doubles as the payload

@@ -4,6 +4,7 @@
 use crate::{IrError, Op, Opcode, Scalar, StreamDir, StreamId, Ty, ValueId};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use stream_machine::OpClass;
 
 /// Declaration of one kernel stream.
@@ -164,6 +165,51 @@ impl Kernel {
         out
     }
 
+    /// A stable 64-bit FNV-1a fingerprint of the kernel's identity, for
+    /// cache keys: the name, each input's and each output's word type,
+    /// `sp_words`, every op's opcode, immediate and operand ids, and the
+    /// recurrence bindings. Everything else a [`Kernel`] holds is derived
+    /// from those. Lists are length-prefixed, and constants enter as their
+    /// type and raw bits, so `0.0` and `-0.0` differ here although they
+    /// compare equal.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        h.write_usize(self.name.len());
+        h.write(self.name.as_bytes());
+        for decls in [&self.inputs, &self.outputs] {
+            h.write_usize(decls.len());
+            for d in decls {
+                d.ty.hash(&mut h);
+            }
+        }
+        h.write_u32(self.sp_words);
+        h.write_usize(self.ops.len());
+        for op in &self.ops {
+            std::mem::discriminant(&op.opcode).hash(&mut h);
+            match op.opcode {
+                Opcode::Const(s) | Opcode::Recur(s) => {
+                    s.ty().hash(&mut h);
+                    h.write_u32(match s {
+                        Scalar::I32(v) => v as u32,
+                        Scalar::F32(v) => v.to_bits(),
+                    });
+                }
+                Opcode::Param(index, ty) => {
+                    h.write_u32(index);
+                    ty.hash(&mut h);
+                }
+                Opcode::Read(s) | Opcode::Write(s) | Opcode::CondRead(s) | Opcode::CondWrite(s) => {
+                    s.hash(&mut h)
+                }
+                Opcode::SpRead(ty) => ty.hash(&mut h),
+                _ => {}
+            }
+            op.args.hash(&mut h);
+        }
+        self.recur_next.hash(&mut h);
+        h.finish()
+    }
+
     /// Program-order accesses to each input (`.0`) and output (`.1`) stream.
     /// The scheduler uses this to keep same-stream pops ordered.
     pub fn stream_access_order(&self) -> (Vec<Vec<ValueId>>, Vec<Vec<ValueId>>) {
@@ -178,6 +224,23 @@ impl Kernel {
             }
         }
         (ins, outs)
+    }
+}
+
+/// FNV-1a as a [`Hasher`], so [`Kernel::fingerprint`] can feed the derived
+/// `Hash` of ids, types and opcode discriminants.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -341,14 +404,9 @@ impl KernelBuilder {
     /// Appends `opcode` over `args` after checking the IR's typing and
     /// stream rules, or says which rule the operands break (`ctx` names the
     /// operation in the message). The one home of those rules: the typed
-    /// methods below panic with its message, and
-    /// [`parse_kernel`](crate::parse_kernel) reports it as a line error.
-    pub(crate) fn try_op(
-        &mut self,
-        opcode: Opcode,
-        args: &[ValueId],
-        ctx: &str,
-    ) -> Result<ValueId, String> {
+    /// methods below panic with its message. On an error the builder is
+    /// unchanged.
+    fn try_op(&mut self, opcode: Opcode, args: &[ValueId], ctx: &str) -> Result<ValueId, String> {
         if args.len() != opcode.arity() {
             return Err(format!(
                 "{ctx}: takes {} operand(s), found {}",
@@ -507,11 +565,7 @@ impl KernelBuilder {
 
     /// [`KernelBuilder::bind_next`], reporting a broken rule instead of
     /// panicking.
-    pub(crate) fn try_bind_next(
-        &mut self,
-        recurrence: ValueId,
-        next: ValueId,
-    ) -> Result<(), String> {
+    fn try_bind_next(&mut self, recurrence: ValueId, next: ValueId) -> Result<(), String> {
         self.check_value(next, "bind_next")?;
         match self.recur_next.get(&recurrence) {
             None => return Err(format!("bind_next: {recurrence} is not a recurrence")),
@@ -899,5 +953,65 @@ mod tests {
         assert_eq!(st.comms, 1);
         assert_eq!(st.sp_accesses, 2);
         assert_eq!(k.sp_words(), 16);
+    }
+
+    #[test]
+    fn broken_builder_rules_are_reported_and_change_nothing() {
+        type Case = fn(&mut KernelBuilder) -> Result<(), String>;
+        let cases: [(&str, Case); 7] = [
+            ("read: stream s1 is not declared", |b| {
+                b.try_op(Opcode::Read(StreamId(1)), &[], "read").map(drop)
+            }),
+            ("write: stream s3 is not declared", |b| {
+                b.try_op(Opcode::Write(StreamId(3)), &[ValueId(0)], "write")
+                    .map(drop)
+            }),
+            ("sqrt: v0 has type i32, expected f32", |b| {
+                b.try_op(Opcode::Sqrt, &[ValueId(0)], "sqrt").map(drop)
+            }),
+            ("add: v9 is not defined yet", |b| {
+                b.try_op(Opcode::Add, &[ValueId(0), ValueId(9)], "add")
+                    .map(drop)
+            }),
+            ("bind_next: v0 is not a recurrence", |b| {
+                b.try_bind_next(ValueId(0), ValueId(0))
+            }),
+            ("bind_next: v1 already bound", |b| {
+                b.try_bind_next(ValueId(1), ValueId(2))
+            }),
+            ("bind_next: recurrence v3 is f32, next v0 is i32", |b| {
+                b.try_bind_next(ValueId(3), ValueId(0))
+            }),
+        ];
+        for (want, case) in cases {
+            // v0 = read s0 (i32); v1 = recur f32, bound to v2 = add v1 v1;
+            // v3 = recur f32, unbound.
+            let mut b = KernelBuilder::new("rules");
+            let s = b.in_stream(Ty::I32);
+            b.out_stream(Ty::I32);
+            b.read(s);
+            let r = b.recurrence(Scalar::F32(0.0));
+            let n = b.add(r, r);
+            b.bind_next(r, n);
+            b.recurrence(Scalar::F32(1.0));
+            let (ops, bindings) = (b.ops.clone(), b.recur_next.clone());
+            assert_eq!(case(&mut b), Err(want.to_string()));
+            assert_eq!((b.ops, b.recur_next), (ops, bindings), "{want}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_keeps_signed_zeros_apart() {
+        let build = |zero: f32| {
+            let mut b = KernelBuilder::new("zero");
+            let o = b.out_stream(Ty::F32);
+            let z = b.const_f(zero);
+            b.write(o, z);
+            b.finish().unwrap()
+        };
+        let (pos, neg) = (build(0.0), build(-0.0));
+        assert_eq!(pos, neg);
+        assert_ne!(pos.fingerprint(), neg.fingerprint());
+        assert_eq!(pos.fingerprint(), build(0.0).fingerprint());
     }
 }

@@ -51,7 +51,6 @@ mod interp;
 mod kernel;
 mod op;
 mod scalar;
-mod text;
 mod transform;
 
 pub use error::IrError;
@@ -59,5 +58,4 @@ pub use interp::{execute, execute_iters, execute_with, infer_iterations, ExecCon
 pub use kernel::{Kernel, KernelBuilder, KernelStats, StreamDecl};
 pub use op::{Op, Opcode, StreamDir, StreamId, ValueId};
 pub use scalar::{Scalar, Ty};
-pub use text::{parse_kernel, to_text, ParseError};
 pub use transform::unroll;

@@ -1,5 +1,5 @@
-//! The diagnostics substrate: stable codes, severities, source spans, and
-//! the [`Report`] container every checker returns.
+//! The diagnostics substrate: stable codes, severities, and the [`Report`]
+//! container every checker returns.
 
 use std::fmt;
 
@@ -31,10 +31,6 @@ pub enum Code {
     UndefinedValue,
     /// E002: operand or result types violate the opcode's typing rule.
     TypeMismatch,
-    /// E003: unknown opcode mnemonic.
-    UnknownOpcode,
-    /// E004: value ids are not dense program-order (`v0, v1, ...`).
-    NonDenseIds,
     /// E005: an operand names an op that produces no value (a write).
     NoValueOperand,
     /// E006: a recurrence is unbound, rebound, or bound to a non-value.
@@ -47,9 +43,6 @@ pub enum Code {
     MissingLatency,
     /// E009: a stream access names an undeclared stream.
     UnknownStream,
-    /// E010: a line is syntactically malformed (bad literal, missing
-    /// tokens, stray directive).
-    Syntax,
     /// W001: a side-effect-free value is never used.
     DeadValue,
     /// W002: a declared input stream is never read.
@@ -76,23 +69,21 @@ pub enum Code {
     /// W101: the schedule's steady-state MaxLive exceeds the cluster's LRF
     /// register capacity.
     RegisterPressure,
-    // E201–E211 and W201–W203 are retired with the execution tape (see
+    // E003, E004 and E010 are retired with the textual kernel format, and
+    // E201–E211 and W201–W203 with the execution tape (see
     // docs/lint_codes.md); the numbers are not reused.
 }
 
 impl Code {
     /// All codes, in catalog order.
-    pub const ALL: [Code; 20] = [
+    pub const ALL: [Code; 17] = [
         Code::UndefinedValue,
         Code::TypeMismatch,
-        Code::UnknownOpcode,
-        Code::NonDenseIds,
         Code::NoValueOperand,
         Code::RecurrenceBinding,
         Code::DegenerateRecurrence,
         Code::MissingLatency,
         Code::UnknownStream,
-        Code::Syntax,
         Code::DeadValue,
         Code::UnusedInput,
         Code::UnusedOutput,
@@ -110,14 +101,11 @@ impl Code {
         match self {
             Code::UndefinedValue => "E001",
             Code::TypeMismatch => "E002",
-            Code::UnknownOpcode => "E003",
-            Code::NonDenseIds => "E004",
             Code::NoValueOperand => "E005",
             Code::RecurrenceBinding => "E006",
             Code::DegenerateRecurrence => "E007",
             Code::MissingLatency => "E008",
             Code::UnknownStream => "E009",
-            Code::Syntax => "E010",
             Code::DeadValue => "W001",
             Code::UnusedInput => "W002",
             Code::UnusedOutput => "W003",
@@ -144,14 +132,11 @@ impl Code {
         match self {
             Code::UndefinedValue => "operand uses a value not defined before it",
             Code::TypeMismatch => "operand or result types violate the opcode's typing rule",
-            Code::UnknownOpcode => "unknown opcode mnemonic",
-            Code::NonDenseIds => "value ids must be dense in program order",
             Code::NoValueOperand => "operand names an op that produces no value",
             Code::RecurrenceBinding => "recurrence unbound, rebound, or bound improperly",
             Code::DegenerateRecurrence => "recurrence next-chain cycles through recurrences only",
             Code::MissingLatency => "scheduling class missing from the verifier's latency table",
             Code::UnknownStream => "stream access names an undeclared stream",
-            Code::Syntax => "malformed line",
             Code::DeadValue => "side-effect-free value is never used",
             Code::UnusedInput => "declared input stream is never read",
             Code::UnusedOutput => "declared output stream is never written",
@@ -172,37 +157,14 @@ impl fmt::Display for Code {
     }
 }
 
-/// A 1-based source position in a textual kernel listing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Span {
-    /// 1-based line number.
-    pub line: u32,
-    /// 1-based column of the offending token.
-    pub col: u32,
-}
-
-impl Span {
-    /// A span at `line`, column 1.
-    pub fn line(line: u32) -> Self {
-        Self { line, col: 1 }
-    }
-}
-
-impl fmt::Display for Span {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.line, self.col)
-    }
-}
-
-/// One finding: a code, a human-readable message, and optionally where.
+/// One finding: a code and a human-readable message that names the value,
+/// stream or node at fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The stable code.
     pub code: Code,
     /// What went wrong, with concrete values.
     pub message: String,
-    /// Source position, when the checked artifact has one.
-    pub span: Option<Span>,
 }
 
 impl Diagnostic {
@@ -214,11 +176,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]: {}", self.severity(), self.code, self.message)?;
-        if let Some(span) = self.span {
-            write!(f, " at {span}")?;
-        }
-        Ok(())
+        write!(f, "{}[{}]: {}", self.severity(), self.code, self.message)
     }
 }
 
@@ -235,11 +193,10 @@ impl Report {
     }
 
     /// Records a diagnostic.
-    pub fn push(&mut self, code: Code, message: impl Into<String>, span: Option<Span>) {
+    pub fn push(&mut self, code: Code, message: impl Into<String>) {
         self.diags.push(Diagnostic {
             code,
             message: message.into(),
-            span,
         });
     }
 
@@ -328,8 +285,8 @@ mod tests {
     fn report_counts_by_severity() {
         let mut r = Report::new();
         assert!(r.is_clean());
-        r.push(Code::DependenceViolated, "x", None);
-        r.push(Code::DeadValue, "y", Some(Span::line(3)));
+        r.push(Code::DependenceViolated, "x");
+        r.push(Code::DeadValue, "y");
         assert!(r.has_errors());
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.warning_count(), 1);
@@ -339,15 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn display_names_code_and_span() {
+    fn display_names_the_code() {
         let mut r = Report::new();
-        r.push(
-            Code::UndefinedValue,
-            "v9 is not defined",
-            Some(Span { line: 4, col: 11 }),
-        );
+        r.push(Code::UndefinedValue, "v9 is not defined");
         let s = r.to_string();
         assert!(s.contains("error[E001]"), "{s}");
-        assert!(s.contains("4:11"), "{s}");
     }
 }

@@ -12,9 +12,6 @@
 //! - [`lint_kernel`] re-checks the structural and typing invariants of a
 //!   built [`stream_ir::Kernel`] and warns about dead values and unused
 //!   streams (`E00x`, `W00x`).
-//! - [`lint_text`] lints the textual kernel format leniently, reporting
-//!   every problem with line *and column* spans instead of stopping at the
-//!   first like `parse_kernel`.
 //!
 //! All checkers return a [`Report`] of [`Diagnostic`]s with stable
 //! [`Code`]s cataloged in `docs/lint_codes.md`. The crate deliberately
@@ -29,13 +26,11 @@ mod diag;
 mod latency;
 mod lint;
 mod schedule;
-mod text_lint;
 
-pub use diag::{Code, Diagnostic, Report, Severity, Span};
+pub use diag::{Code, Diagnostic, Report, Severity};
 pub use latency::LatencyTable;
-pub use lint::{lint_kernel, lint_kernel_with_table, span_of_input, span_of_output, span_of_value};
+pub use lint::{lint_kernel, lint_kernel_with_table};
 pub use schedule::{
     max_live, rec_mii, res_mii, verify_schedule, verify_schedule_with_table, DepEdge, DepGraph,
     DepKind, SchedNode,
 };
-pub use text_lint::lint_text;

@@ -1,34 +1,11 @@
 //! Lint pass over built [`Kernel`]s: structural re-checks the builder is
 //! supposed to enforce (so a builder regression is caught here), plus the
 //! warnings the builder deliberately allows — dead values and unused
-//! streams.
-//!
-//! Spans point into the kernel's [`stream_ir::to_text`] serialization,
-//! whose line layout is deterministic: the `kernel` header, one `in` line
-//! per input, one `out` line per output, an `sp` line when scratchpad is
-//! used, then one op line per value in program order.
+//! streams. Every message names the value (`v3: …`) or stream (`input
+//! stream s1 …`) at fault.
 
-use crate::{Code, LatencyTable, Report, Span};
+use crate::{Code, LatencyTable, Report};
 use stream_ir::{Kernel, Op, Opcode, StreamId, Ty, ValueId};
-
-fn header_lines(kernel: &Kernel) -> usize {
-    1 + kernel.inputs().len() + kernel.outputs().len() + usize::from(kernel.sp_words() > 0)
-}
-
-/// The line of `v`'s op in `to_text(kernel)`.
-pub fn span_of_value(kernel: &Kernel, v: ValueId) -> Span {
-    Span::line((header_lines(kernel) + 1 + v.index()) as u32)
-}
-
-/// The line of input stream `s`'s declaration in `to_text(kernel)`.
-pub fn span_of_input(_kernel: &Kernel, s: StreamId) -> Span {
-    Span::line((2 + s.index()) as u32)
-}
-
-/// The line of output stream `s`'s declaration in `to_text(kernel)`.
-pub fn span_of_output(kernel: &Kernel, s: StreamId) -> Span {
-    Span::line((2 + kernel.inputs().len() + s.index()) as u32)
-}
 
 /// Lints `kernel` with the default latency table.
 pub fn lint_kernel(kernel: &Kernel) -> Report {
@@ -45,7 +22,6 @@ pub fn lint_kernel_with_table(kernel: &Kernel, table: &LatencyTable) -> Report {
 
     for (i, op) in ops.iter().enumerate() {
         let v = ValueId(i as u32);
-        let span = Some(span_of_value(kernel, v));
         if op.args.len() != op.opcode.arity() {
             report.push(
                 Code::TypeMismatch,
@@ -55,7 +31,6 @@ pub fn lint_kernel_with_table(kernel: &Kernel, table: &LatencyTable) -> Report {
                     op.opcode.arity(),
                     op.args.len()
                 ),
-                span,
             );
             continue;
         }
@@ -65,14 +40,12 @@ pub fn lint_kernel_with_table(kernel: &Kernel, table: &LatencyTable) -> Report {
                 report.push(
                     Code::UndefinedValue,
                     format!("{v}: operand {a} is not defined before use"),
-                    span,
                 );
                 operands_ok = false;
             } else if !ops[a.index()].opcode.produces_value() {
                 report.push(
                     Code::NoValueOperand,
                     format!("{v}: operand {a} produces no value"),
-                    span,
                 );
                 operands_ok = false;
             }
@@ -81,14 +54,13 @@ pub fn lint_kernel_with_table(kernel: &Kernel, table: &LatencyTable) -> Report {
             continue;
         }
         if let Some((code, msg)) = check_op_types(kernel, v, op) {
-            report.push(code, msg, span);
+            report.push(code, msg);
         }
         if let Some(class) = kernel.class_of(v) {
             if table.get(class).is_none() {
                 report.push(
                     Code::MissingLatency,
                     format!("{v}: class {class} has no latency-table entry"),
-                    span,
                 );
             }
         }
@@ -253,7 +225,6 @@ fn check_recurrences(kernel: &Kernel, report: &mut Report) {
                 report.push(
                     Code::DegenerateRecurrence,
                     format!("{r}: recurrence next-chain cycles through recurrences only"),
-                    Some(span_of_value(kernel, r)),
                 );
                 break;
             }
@@ -295,7 +266,6 @@ fn check_dead_values(kernel: &Kernel, report: &mut Report) {
             report.push(
                 Code::DeadValue,
                 format!("{v}: {:?} result is never used", op.opcode),
-                Some(span_of_value(kernel, v)),
             );
         }
     }
@@ -306,11 +276,7 @@ fn check_stream_usage(kernel: &Kernel, report: &mut Report) {
     for (i, decl) in kernel.inputs().iter().enumerate() {
         if decl.record_width == 0 {
             let s = StreamId(i as u32);
-            report.push(
-                Code::UnusedInput,
-                format!("input stream {s} is never read"),
-                Some(span_of_input(kernel, s)),
-            );
+            report.push(Code::UnusedInput, format!("input stream {s} is never read"));
         }
     }
     for (i, decl) in kernel.outputs().iter().enumerate() {
@@ -319,7 +285,6 @@ fn check_stream_usage(kernel: &Kernel, report: &mut Report) {
             report.push(
                 Code::UnusedOutput,
                 format!("output stream {s} is never written"),
-                Some(span_of_output(kernel, s)),
             );
         }
     }
@@ -328,7 +293,7 @@ fn check_stream_usage(kernel: &Kernel, report: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stream_ir::{parse_kernel, to_text, KernelBuilder, Scalar};
+    use stream_ir::{KernelBuilder, Scalar};
     use stream_machine::OpClass;
 
     fn saxpy() -> Kernel {
@@ -352,20 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_point_at_to_text_lines() {
-        let k = saxpy();
-        let text = to_text(&k);
-        let lines: Vec<&str> = text.lines().collect();
-        let span = span_of_value(&k, ValueId(3)); // the mul
-        assert!(lines[span.line as usize - 1].contains("mul"));
-        let span = span_of_input(&k, StreamId(1));
-        assert!(lines[span.line as usize - 1].starts_with("in"));
-        let span = span_of_output(&k, StreamId(0));
-        assert!(lines[span.line as usize - 1].starts_with("out"));
-    }
-
-    #[test]
-    fn dead_value_warns_at_its_line() {
+    fn dead_value_warning_names_the_value() {
         let mut b = KernelBuilder::new("dead");
         let s = b.in_stream(Ty::I32);
         let out = b.out_stream(Ty::I32);
@@ -378,7 +330,7 @@ mod tests {
         assert!(!r.has_errors());
         assert_eq!(r.count(Code::DeadValue), 1);
         let d = &r.diagnostics()[0];
-        assert_eq!(d.span, Some(span_of_value(&k, ValueId(1))));
+        assert!(d.message.starts_with("v1: "), "{d}");
     }
 
     #[test]
@@ -419,12 +371,5 @@ mod tests {
         let table = LatencyTable::default().without(OpClass::FloatMul);
         let r = lint_kernel_with_table(&k, &table);
         assert_eq!(r.count(Code::MissingLatency), 1);
-    }
-
-    #[test]
-    fn parsed_kernels_lint_like_built_ones() {
-        let k = saxpy();
-        let back = parse_kernel(&to_text(&k)).unwrap();
-        assert_eq!(lint_kernel(&k), lint_kernel(&back));
     }
 }

@@ -224,7 +224,7 @@ pub fn verify_schedule_with_table(
 ) -> Report {
     let mut report = Report::new();
     if ii == 0 {
-        report.push(Code::ZeroIi, "initiation interval is zero", None);
+        report.push(Code::ZeroIi, "initiation interval is zero");
         return report;
     }
     if times.len() != graph.nodes.len() {
@@ -235,7 +235,6 @@ pub fn verify_schedule_with_table(
                 times.len(),
                 graph.nodes.len()
             ),
-            None,
         );
         return report;
     }
@@ -244,7 +243,6 @@ pub fn verify_schedule_with_table(
             report.push(
                 Code::ShapeMismatch,
                 format!("edge {i} ({} -> {}) leaves the node range", e.from, e.to),
-                None,
             );
             return report;
         }
@@ -256,7 +254,6 @@ pub fn verify_schedule_with_table(
             None => report.push(
                 Code::MissingLatency,
                 format!("node {i}: class {} has no latency-table entry", n.class),
-                None,
             ),
             Some(expected) if expected != n.latency => report.push(
                 Code::LatencyDrift,
@@ -264,7 +261,6 @@ pub fn verify_schedule_with_table(
                     "node {i}: class {} scheduled with latency {}, table derives {}",
                     n.class, n.latency, expected
                 ),
-                None,
             ),
             Some(_) => {}
         }
@@ -277,7 +273,6 @@ pub fn verify_schedule_with_table(
                     "data edge {i} ({} -> {}) carries latency {}, its producer has {}",
                     e.from, e.to, e.latency, graph.nodes[e.from].latency
                 ),
-                None,
             );
         }
     }
@@ -296,7 +291,6 @@ pub fn verify_schedule_with_table(
                 report.push(
                     Code::SlotOversubscribed,
                     format!("modulo slot {slot} issues {used} {kind} ops, machine has {cap}"),
-                    None,
                 );
             }
         }
@@ -313,7 +307,6 @@ pub fn verify_schedule_with_table(
                     "edge {i}: t({}) + {} = {} > t({}) + {}*{} = {}",
                     e.from, e.latency, produced, e.to, ii, e.distance, needed
                 ),
-                None,
             );
         }
     }
@@ -332,7 +325,6 @@ pub fn verify_schedule_with_table(
         report.push(
             Code::IiBelowMii,
             format!("II {ii} below max(ResMII {res}, RecMII {rec}) = {mii}"),
-            None,
         );
     }
 
@@ -343,7 +335,6 @@ pub fn verify_schedule_with_table(
         report.push(
             Code::RegisterPressure,
             format!("steady-state MaxLive {live} exceeds LRF capacity {cap}"),
-            None,
         );
     }
 

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("functional check passed on {n} pixels");
 
-    // The portable textual form (parseable back with `parse_kernel`).
-    println!("\n== kernel text ==\n{}", stream_ir::to_text(&kernel));
+    // The kernel body, one op per line with its scheduling class.
+    println!("\n== kernel ==\n{}", kernel.dump());
 
     // Compile for a range of machines and report the schedule.
     println!(

@@ -1,12 +1,13 @@
 //! Property-based tests (proptest) over the core invariants:
 //! schedule legality, unroll semantics, stream scatter/gather, FFT
-//! mathematics, and an interpreter that is deterministic and never panics.
+//! mathematics, kernel fingerprints, and an interpreter that is
+//! deterministic and never panics.
 
 use proptest::prelude::*;
 use stream_scaling::grid::KernelCache;
 use stream_scaling::ir::{
-    execute, execute_with, parse_kernel, to_text, unroll, ExecConfig, ExecOptions, Kernel,
-    KernelBuilder, Scalar, Ty, ValueId,
+    execute, execute_with, unroll, ExecConfig, ExecOptions, Kernel, KernelBuilder, Scalar, Ty,
+    ValueId,
 };
 use stream_scaling::kernels::fft::{dft_reference, fft_reference, C32};
 use stream_scaling::kernels::split::{gather_words, max_chain, scatter_words, split_plan};
@@ -160,6 +161,84 @@ fn indexed_kernel(script: &[u8]) -> Kernel {
     b.finish().expect("structurally valid")
 }
 
+/// A random well-typed kernel over every opcode family: both word types,
+/// a parameter, constants, a recurrence, plain and conditional streams,
+/// the scratchpad, and COMM. `consts` supplies the constants' bits.
+fn builder_kernel(script: &[u8], consts: &[u32]) -> Kernel {
+    let mut b = KernelBuilder::new(format!("fuzz{}", script.len()));
+    let si = b.in_stream(Ty::I32);
+    let sf = b.in_stream(Ty::F32);
+    let sc = b.in_stream(Ty::F32);
+    let oi = b.out_stream(Ty::I32);
+    let of = b.out_stream(Ty::F32);
+    let oc = b.out_stream(Ty::I32);
+    b.require_sp(16);
+    let acc = b.recurrence(Scalar::F32(0.5));
+    let mut ints: Vec<ValueId> = vec![b.read(si), b.param(Ty::I32), b.iter_index()];
+    let mut floats: Vec<ValueId> = vec![b.read(sf), acc];
+    for (i, &op) in script.iter().enumerate() {
+        let k = consts[i % consts.len()];
+        let x = ints[usize::from(op) % ints.len()];
+        let y = ints[usize::from(op / 3) % ints.len()];
+        let f = floats[usize::from(op) % floats.len()];
+        let g = floats[usize::from(op / 5) % floats.len()];
+        match op % BUILDER_OPS {
+            0 => ints.push(b.const_i(k as i32)),
+            1 => {
+                let c = f32::from_bits(k);
+                floats.push(b.const_f(if c.is_finite() { c } else { k as f32 }));
+            }
+            2 => ints.push(b.add(x, y)),
+            3 => floats.push(b.sub(f, g)),
+            4 => floats.push(b.mul(f, g)),
+            5 => ints.push(b.div(x, y)),
+            6 => floats.push(b.max(f, g)),
+            7 => ints.push(b.min(x, y)),
+            8 => ints.push(b.xor(x, y)),
+            9 => ints.push(b.shr(x, y)),
+            10 => ints.push(b.lt(f, g)),
+            11 => ints.push(b.ne(x, y)),
+            12 => floats.push(b.sqrt(f)),
+            13 => floats.push(b.floor(f)),
+            14 => ints.push(b.ftoi(f)),
+            15 => floats.push(b.itof(x)),
+            16 => floats.push(b.select(x, f, g)),
+            17 => {
+                let cid = b.cluster_id();
+                let n = b.cluster_count();
+                let src = b.sub(n, cid);
+                floats.push(b.comm(f, src));
+            }
+            18 => {
+                b.sp_write(x, f);
+                floats.push(b.sp_read(x, Ty::F32));
+            }
+            19 => ints.push(b.or(x, y)),
+            20 => ints.push(b.shl(x, y)),
+            21 => ints.push(b.eq(f, g)),
+            _ => {
+                let v = b.neg(x);
+                ints.push(b.abs(v));
+            }
+        }
+    }
+    let last_i = *ints.last().expect("nonempty");
+    let last_f = *floats.last().expect("nonempty");
+    let next = b.add(acc, last_f);
+    b.bind_next(acc, next);
+    b.write(oi, last_i);
+    b.write(of, next);
+    let one = b.const_i(1);
+    let pred = b.and(last_i, one);
+    let popped = b.cond_read(sc, pred);
+    let sign = b.le(popped, next);
+    b.cond_write(oc, pred, sign);
+    b.finish().expect("structurally valid")
+}
+
+/// The number of op shapes `builder_kernel` picks from with each script byte.
+const BUILDER_OPS: u8 = 23;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -170,19 +249,21 @@ proptest! {
     #[test]
     fn execution_never_panics(
         script in proptest::collection::vec(any::<u8>(), 1..24),
-        kind in 0u8..4,
+        kind in 0u8..5,
         clusters in prop_oneof![Just(0usize), Just(1), Just(3), Just(4), Just(8), Just(16)],
         explicit in any::<bool>(),
         iterations in 0usize..=4,
         aligned in any::<bool>(),
-        lens in proptest::collection::vec(0usize..96, 2..3),
+        lens in proptest::collection::vec(0usize..96, 3..4),
         words in proptest::collection::vec((any::<bool>(), -4i32..20), 1..64),
+        consts in proptest::collection::vec(any::<u32>(), 1..8),
     ) {
         let k = match kind {
             0 => elementwise_kernel(&script),
             1 => structured_kernel(&script, clusters as u32),
             2 => condstream_kernel(&script),
-            _ => indexed_kernel(&script),
+            3 => indexed_kernel(&script),
+            _ => builder_kernel(&script, &consts),
         };
         let mut pool = words.iter().cycle().map(|&(int, v)| {
             if int {
@@ -201,13 +282,44 @@ proptest! {
                 pool.by_ref().take(len).collect()
             })
             .collect();
+        let params: Vec<Scalar> = pool.by_ref().take(k.param_tys().len()).collect();
         let opts = ExecOptions {
+            params: &params,
+            sp_init: None,
             iterations: explicit.then_some(iterations),
-            ..ExecOptions::default()
         };
         let cfg = ExecConfig::with_clusters(clusters);
         if let Ok(outs) = execute_with(&k, &opts, &inputs, &cfg) {
             prop_assert_eq!(outs.len(), k.outputs().len());
+        }
+    }
+
+    /// Building the same kernel twice gives the same fingerprint, and two
+    /// kernels that differ in one script byte or one constant bit share a
+    /// fingerprint only if they are equal. A replaced script byte either
+    /// picks any op or keeps its op over other operands.
+    #[test]
+    fn kernel_fingerprint_tells_kernels_apart(
+        script in proptest::collection::vec(any::<u8>(), 1..48),
+        consts in proptest::collection::vec(any::<u32>(), 1..8),
+        edit in 0u8..3,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let a = builder_kernel(&script, &consts);
+        prop_assert_eq!(a.fingerprint(), builder_kernel(&script, &consts).fingerprint());
+        let (mut script_b, mut consts_b) = (script.clone(), consts.clone());
+        match edit {
+            0 => consts_b[at % consts.len()] ^= 1 << (byte % 32),
+            1 => script_b[at % script.len()] = byte,
+            _ => {
+                let i = at % script.len();
+                script_b[i] = script[i] % BUILDER_OPS + BUILDER_OPS * (byte % (255 / BUILDER_OPS));
+            }
+        }
+        let b = builder_kernel(&script_b, &consts_b);
+        if a.fingerprint() == b.fingerprint() {
+            prop_assert_eq!(&a, &b);
         }
     }
 }
@@ -387,23 +499,6 @@ proptest! {
         prop_assert_eq!(&a, &c);
     }
 
-    /// The textual kernel format round-trips arbitrary kernels exactly.
-    #[test]
-    fn kernel_text_round_trips(
-        script in proptest::collection::vec(any::<u8>(), 1..32),
-        structured in any::<bool>(),
-    ) {
-        let k = if structured {
-            structured_kernel(&script, 8)
-        } else {
-            elementwise_kernel(&script)
-        };
-        let text = to_text(&k);
-        let back = parse_kernel(&text).unwrap();
-        prop_assert_eq!(&k, &back);
-        prop_assert_eq!(to_text(&back), text);
-    }
-
     /// Cost model sanity across random shapes: positive, finite, and
     /// monotone total area in both dimensions.
     #[test]
@@ -420,19 +515,35 @@ proptest! {
     }
 }
 
-/// Every suite kernel round-trips through the textual format on every
-/// paper machine (deterministic companion to the property above).
+/// Every suite and application kernel on every Figure 13/14 machine: two
+/// builds share a fingerprint exactly when they are equal (deterministic
+/// companion to the property above).
 #[test]
-fn suite_kernels_round_trip_as_text() {
+fn suite_kernels_share_a_fingerprint_exactly_when_equal() {
+    use std::collections::HashSet;
+    use stream_scaling::apps::AppId;
     use stream_scaling::kernels::KernelId;
-    for &(c, n) in &[(8u32, 5u32), (128, 10)] {
-        let machine = Machine::paper(Shape::new(c, n));
-        for id in KernelId::ALL {
-            let k = id.build(&machine);
-            let back = parse_kernel(&to_text(&k)).unwrap_or_else(|e| panic!("{id}: {e}"));
-            assert_eq!(k, back, "{id} at C={c} N={n}");
+    use stream_scaling::repro::{FIG13_NS, FIG14_CS};
+    let mut builds = 0;
+    let mut distinct: Vec<(Kernel, u64)> = Vec::new();
+    for c in FIG14_CS {
+        for n in FIG13_NS {
+            let machine = Machine::paper(Shape::new(c, n));
+            let suite = KernelId::ALL.iter().map(|id| id.build(&machine));
+            let apps = AppId::ALL.iter().flat_map(|app| app.kernels(&machine));
+            for k in suite.chain(apps) {
+                builds += 1;
+                let fp = k.fingerprint();
+                match distinct.iter().find(|(d, _)| *d == k) {
+                    Some(&(_, seen)) => assert_eq!(fp, seen, "{} at C={c} N={n}", k.name()),
+                    None => distinct.push((k, fp)),
+                }
+            }
         }
     }
+    assert!(1 < distinct.len() && distinct.len() < builds);
+    let fingerprints: HashSet<u64> = distinct.iter().map(|&(_, fp)| fp).collect();
+    assert_eq!(fingerprints.len(), distinct.len());
 }
 
 /// The scheduler's per-SCC RecMII equals the verifier's independent
