@@ -88,9 +88,7 @@ pub fn program_with(
         let rows_out = band.min(cfg.height - HALO - y);
         // Load the band's input rows (y - HALO .. y + rows_out + HALO).
         let rows_in = rows_out + 2 * HALO;
-        let row_streams: Vec<_> = (0..rows_in)
-            .map(|r| p.load(format!("row{}", y + r - HALO), width / PACK))
-            .collect();
+        let row_streams: Vec<_> = (0..rows_in).map(|_| p.load(width / PACK)).collect();
         let mut r = 0usize;
         while r < rows_out {
             let rows = scale.min(rows_out - r);

@@ -94,12 +94,8 @@ pub fn program_with(
     while y < cfg.height - 1 {
         let rows_out = band.min(cfg.height - 1 - y);
         let rows_in = rows_out + 2;
-        let left: Vec<_> = (0..rows_in)
-            .map(|r| p.load(format!("L{}", y + r - 1), width / PACK))
-            .collect();
-        let right: Vec<_> = (0..rows_in)
-            .map(|r| p.load(format!("R{}", y + r - 1), right_width / PACK))
-            .collect();
+        let left: Vec<_> = (0..rows_in).map(|_| p.load(width / PACK)).collect();
+        let right: Vec<_> = (0..rows_in).map(|_| p.load(right_width / PACK)).collect();
         let mut r = 0usize;
         while r < rows_out {
             let batch = scale.min(rows_out - r);

@@ -81,7 +81,7 @@ pub fn program_with(
         let tw = if twiddles_resident {
             resident_twiddles[s]
         } else {
-            p.load(format!("twiddle{s}"), twiddle_words_per_stage)
+            p.load(twiddle_words_per_stage)
         };
         let outs = p.kernel(&kernel, &[data, tw], &[data_words], records);
         data = outs[0];

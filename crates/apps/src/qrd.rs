@@ -84,7 +84,7 @@ pub fn program_with(
         // Panel factorization: load the panel once, then per column compute
         // the reflector and update the rest of the panel.
         let panel_words = (panel_cols * round_up(sub_rows, 8) * 8 / 8) as u64;
-        let panel = p.load(format!("panel{j0}"), panel_words);
+        let panel = p.load(panel_words);
         let mut vs = Vec::new();
         for jj in 0..panel_cols {
             let col_records = (padded_norm / 8) as u64;
@@ -103,15 +103,11 @@ pub fn program_with(
         // reflectors applied while the strip is resident.
         let trailing = cfg.cols.saturating_sub(j0 + panel_cols);
         let strips = round_up(trailing, sc) / sc;
-        for s in 0..strips {
+        for _ in 0..strips {
             let strip_words = (sc * row_iters * 8) as u64;
             // Column strips gather with the panel stride through the
             // row-major matrix (memory-access-scheduling territory).
-            let mut strip = p.load_patterned(
-                format!("strip{j0}_{s}"),
-                strip_words,
-                AccessPattern::Strided,
-            );
+            let mut strip = p.load_patterned(strip_words, AccessPattern::Strided);
             for &v in &vs {
                 let recs = (sc * row_iters) as u64;
                 let dots = p.kernel(&kdot, &[strip, v], &[sc as u64], recs);

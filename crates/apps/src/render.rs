@@ -140,9 +140,9 @@ pub fn program_with(
 
     let mut p = ProgramBuilder::new();
     // Geometry.
-    let vx = p.load("vx", n_verts);
-    let vy = p.load("vy", n_verts);
-    let vz = p.load("vz", n_verts);
+    let vx = p.load(n_verts);
+    let vy = p.load(n_verts);
+    let vz = p.load(n_verts);
     // The transformed vertices feed host-side span setup (a documented
     // substitution); they are consumed from the SRF, not stored.
     let _screen = p.kernel(
@@ -169,8 +169,8 @@ pub fn program_with(
         let n_frags: u64 = chunk.iter().map(|s| s.width as u64).sum();
         // 16-bit span fields pack two to a word in memory; fragment colors
         // store packed as well (see DESIGN.md substitutions).
-        let ints = p.load("span_ints", 4 * n_spans / 2);
-        let floats = p.load("span_floats", 2 * n_spans);
+        let ints = p.load(4 * n_spans / 2);
+        let floats = p.load(2 * n_spans);
         let rast = p.kernel(&kirast, &[ints, floats], &[n_frags, n_frags], n_spans);
         let coords = p.kernel(&kdecode, &[rast[0]], &[n_frags, n_frags], n_frags);
         let shade = p.kernel(&knoise, &[coords[0], coords[1]], &[n_frags], n_frags);

@@ -7,6 +7,15 @@
 //! process**: concurrent requests for the same key block on the first
 //! compiler invocation and share its result.
 //!
+//! It memoizes at two levels. A *set* entry, keyed by the full compile
+//! options, holds the scheduler's pick among the offered unroll factors. A
+//! *factor* entry, keyed by one unroll factor and the software-pipelining
+//! flag, holds that factor's compile
+//! ([`CompiledKernel::compile_factor`]). A set miss picks among factor
+//! entries ([`CompiledKernel::pick`]), so every unroll set that offers a
+//! factor reuses its schedule, and two sets that pick the same factor
+//! share one `Arc<CompiledKernel>`.
+//!
 //! An optional **disk tier** ([`DiskTier`], attached with
 //! [`KernelCache::attach_disk`]) makes warm lookups survive restarts: on a
 //! memory miss the cache first tries to *rehydrate* a persisted
@@ -23,7 +32,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 use stream_ir::Kernel;
 use stream_machine::{Machine, MachineConfig};
-use stream_sched::{CompileOptions, CompiledKernel, ScheduleError, ScheduleRecipe};
+use stream_sched::{CompileOptions, CompiledKernel, MiiBounds, ScheduleError, ScheduleRecipe};
 use stream_store::{DiskStore, Key};
 use stream_trace::Counter;
 
@@ -47,6 +56,26 @@ impl CacheKey {
             opts: opts.clone(),
         }
     }
+}
+
+/// Key of one unroll factor's compile: the kernel's identity, the machine
+/// configuration, the factor, and whether software pipelining is on (the
+/// only compile option a single factor's schedule depends on).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct FactorKey {
+    kernel: String,
+    kernel_fingerprint: u64,
+    machine: MachineConfig,
+    unroll: u32,
+    software_pipelining: bool,
+}
+
+/// One memoized factor compile: the unrolled graph's MII bounds and the
+/// compiled kernel, `None` when no legal schedule fits.
+#[derive(Debug, Clone)]
+struct FactorEntry {
+    bounds: MiiBounds,
+    compiled: Option<Arc<CompiledKernel>>,
 }
 
 /// Version of the on-disk schedule payload. Bump whenever the key blob or
@@ -147,12 +176,16 @@ impl DiskTier {
 }
 
 type CacheSlot = Arc<OnceLock<Result<Arc<CompiledKernel>, ScheduleError>>>;
+/// `None` inside the slot: the kernel does not unroll by the factor.
+type FactorSlot = Arc<OnceLock<Option<FactorEntry>>>;
 
 thread_local! {
     static THREAD_COMPILES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Scheduler runs any [`KernelCache`] has performed on the calling thread.
+/// Set compiles (lookups that ran the scheduler's pick rather than
+/// hitting memory or disk) any [`KernelCache`] has performed on the
+/// calling thread.
 ///
 /// A caller that differences this around a piece of work counts exactly the
 /// compiles that work ran itself: a compile of a key another thread was
@@ -169,9 +202,13 @@ pub fn thread_compiles() -> u64 {
 /// deterministic for a given key). Global hit/miss counters are exact:
 /// *misses* is the number of distinct keys compiled, *hits* is every other
 /// lookup — both independent of thread scheduling.
+///
+/// Under the per-set entries sit memory-only per-factor entries (see the
+/// module docs); only set entries are written to the disk tier.
 #[derive(Debug, Default)]
 pub struct KernelCache {
     map: Mutex<HashMap<CacheKey, CacheSlot>>,
+    factors: Mutex<HashMap<FactorKey, FactorSlot>>,
     disk: OnceLock<DiskTier>,
     // Standalone trace counters: always exact (they are this cache's
     // statistics, not optional telemetry). The process-wide cache from
@@ -181,6 +218,7 @@ pub struct KernelCache {
     hits: Counter,
     misses: Counter,
     compiles: Counter,
+    factor_compiles: Counter,
     disk_hits: Counter,
     disk_misses: Counter,
 }
@@ -192,16 +230,20 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that missed the memory tier (= distinct keys seen).
     pub misses: u64,
-    /// Memory misses that actually ran the scheduler (a miss served by the
-    /// disk tier is not a compile; without a disk tier, `compiles ==
+    /// Memory misses that actually ran the scheduler's pick (a miss served
+    /// by the disk tier is not a compile; without a disk tier, `compiles ==
     /// misses`).
     pub compiles: u64,
+    /// Distinct `(kernel, machine, unroll factor, software pipelining)`
+    /// compiles run under the set compiles and for
+    /// [`KernelCache::unroll_bounds`]; each is run once per process.
+    pub factor_compiles: u64,
     /// Memory misses rehydrated from the disk tier.
     pub disk_hits: u64,
     /// Memory misses the disk tier could not serve (absent, corrupt, or
     /// failed-to-rehydrate entries — all fall through to the compiler).
     pub disk_misses: u64,
-    /// Entries currently resident in memory.
+    /// Set entries currently resident in memory.
     pub entries: usize,
 }
 
@@ -258,12 +300,17 @@ impl KernelCache {
             let compiled = {
                 let mut compile_span = stream_trace::span("grid", "compile");
                 compile_span.arg("kernel", kernel.name());
-                CompiledKernel::compile(kernel, machine, opts)
+                let swp = opts.software_pipelining;
+                let factors = opts
+                    .unroll_factors
+                    .iter()
+                    .filter_map(|&u| self.factor(kernel, machine, u, swp)?.compiled);
+                CompiledKernel::pick(kernel, machine, factors)
             };
             if let (Some(tier), Ok(c)) = (self.disk.get(), &compiled) {
                 tier.save(&key, c);
             }
-            compiled.map(Arc::new)
+            compiled
         });
         if missed_here {
             self.misses.incr();
@@ -271,6 +318,48 @@ impl KernelCache {
             self.hits.incr();
         }
         result.clone()
+    }
+
+    /// The compile of `kernel` unrolled by `u` on `machine`, from its
+    /// factor entry, compiling it on first use. `None` if the kernel does
+    /// not unroll by `u`.
+    fn factor(
+        &self,
+        kernel: &Kernel,
+        machine: &Machine,
+        u: u32,
+        software_pipelining: bool,
+    ) -> Option<FactorEntry> {
+        let key = FactorKey {
+            kernel: kernel.name().to_string(),
+            kernel_fingerprint: kernel.fingerprint(),
+            machine: machine.config(),
+            unroll: u,
+            software_pipelining,
+        };
+        let slot: FactorSlot = {
+            let mut map = self.factors.lock().expect("kernel cache poisoned");
+            Arc::clone(map.entry(key).or_default())
+        };
+        slot.get_or_init(|| {
+            self.factor_compiles.incr();
+            let (bounds, compiled) =
+                CompiledKernel::compile_factor(kernel, machine, u, software_pipelining)?;
+            Some(FactorEntry {
+                bounds,
+                compiled: compiled.map(Arc::new),
+            })
+        })
+        .clone()
+    }
+
+    /// The MII bounds of `kernel` unrolled by `u` on `machine`, read from
+    /// the software-pipelined factor entry the set compiles share (and
+    /// compiling it if absent). `None` if the kernel does not unroll by
+    /// `u`. An upper bound on elements per cycle per cluster at factor `u`
+    /// is `u / mii()`.
+    pub fn unroll_bounds(&self, kernel: &Kernel, machine: &Machine, u: u32) -> Option<MiiBounds> {
+        self.factor(kernel, machine, u, true).map(|f| f.bounds)
     }
 
     /// Attaches a persistent tier: memory misses first try to rehydrate a
@@ -293,6 +382,7 @@ impl KernelCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
             compiles: self.compiles.get(),
+            factor_compiles: self.factor_compiles.get(),
             disk_hits: self.disk_hits.get(),
             disk_misses: self.disk_misses.get(),
             entries: self.map.lock().expect("kernel cache poisoned").len(),
@@ -326,6 +416,7 @@ pub fn global_cache() -> &'static KernelCache {
         stream_trace::register_counter("grid.cache.hit", &cache.hits);
         stream_trace::register_counter("grid.cache.miss", &cache.misses);
         stream_trace::register_counter("cache.compiles", &cache.compiles);
+        stream_trace::register_counter("cache.factor_compiles", &cache.factor_compiles);
         stream_trace::register_counter("cache.disk_hit", &cache.disk_hits);
         stream_trace::register_counter("cache.disk_miss", &cache.disk_misses);
     });
@@ -477,7 +568,11 @@ mod tests {
             let cache = KernelCache::new();
             cache.get_or_compile(&kernel, &machine, &opts).unwrap();
             let cached = cache.get_or_compile(&kernel, &machine, &opts).unwrap();
-            assert_eq!(fresh.listing(), cached.listing(), "{id}");
+            assert_eq!(
+                fresh.listing(&kernel, &machine),
+                cached.listing(&kernel, &machine),
+                "{id}"
+            );
             assert_eq!(fresh.ii(), cached.ii(), "{id}");
             assert_eq!(fresh.unroll_factor(), cached.unroll_factor(), "{id}");
         }
@@ -590,7 +685,10 @@ mod tests {
         let rehydrated = warm.get_or_compile(&k, &machine, &opts).unwrap();
         let s = warm.stats();
         assert_eq!((s.compiles, s.disk_hits, s.disk_misses), (0, 1, 0));
-        assert_eq!(rehydrated.listing(), fresh.listing());
+        assert_eq!(
+            rehydrated.listing(&k, &machine),
+            fresh.listing(&k, &machine)
+        );
         assert_eq!(rehydrated.ii(), fresh.ii());
         assert_eq!(rehydrated.unroll_factor(), fresh.unroll_factor());
     }
@@ -648,7 +746,10 @@ mod tests {
         let recompiled = recovered.get_or_compile(&k, &machine, &opts).unwrap();
         let s = recovered.stats();
         assert_eq!((s.compiles, s.disk_hits, s.disk_misses), (1, 0, 1));
-        assert_eq!(recompiled.listing(), fresh.listing());
+        assert_eq!(
+            recompiled.listing(&k, &machine),
+            fresh.listing(&k, &machine)
+        );
 
         let healed = disk_cache(&root);
         healed.get_or_compile(&k, &machine, &opts).unwrap();
@@ -697,5 +798,123 @@ mod tests {
         poisoned.get_or_compile(&k, &machine, &opts).unwrap();
         let s = poisoned.stats();
         assert_eq!((s.compiles, s.disk_hits, s.disk_misses), (1, 0, 1));
+    }
+
+    /// The tuner's seven unroll-factor sets (`stream_tune::TuneSpace`'s
+    /// default), over eight distinct factors.
+    const TUNER_SETS: [&[u32]; 7] = [
+        &[1, 2, 4, 8],
+        &[1],
+        &[1, 2],
+        &[1, 2, 3],
+        &[1, 2, 4],
+        &[1, 2, 4, 6],
+        &[1, 2, 4, 8, 12, 16],
+    ];
+
+    #[test]
+    fn unroll_sets_share_factor_compiles_and_picks() {
+        let cache = KernelCache::new();
+        let machine = Machine::paper(Shape::new(8, 5));
+        let kernel = KernelId::Convolve.build(&machine);
+        let picks: Vec<Arc<CompiledKernel>> = TUNER_SETS
+            .iter()
+            .map(|set| {
+                let opts = CompileOptions::new().unroll_factors(set.to_vec());
+                let cached = cache.get_or_compile(&kernel, &machine, &opts).unwrap();
+                let fresh = CompiledKernel::compile(&kernel, &machine, &opts).unwrap();
+                assert_eq!(cached.recipe(), fresh.recipe(), "{set:?}");
+                cached
+            })
+            .collect();
+        let s = cache.stats();
+        assert_eq!((s.factor_compiles, s.compiles), (8, 7));
+        let mut distinct = 0;
+        for (i, a) in picks.iter().enumerate() {
+            let mut first = true;
+            for b in &picks[..i] {
+                let same = a.unroll_factor() == b.unroll_factor();
+                assert_eq!(Arc::ptr_eq(a, b), same);
+                first &= !same;
+            }
+            distinct += usize::from(first);
+        }
+        assert!(distinct < picks.len(), "no two sets picked alike");
+    }
+
+    #[test]
+    fn unroll_bounds_read_the_factor_entries() {
+        use stream_sched::Ddg;
+        let cache = KernelCache::new();
+        let machine = Machine::paper(Shape::new(16, 5));
+        let kernel = KernelId::Update.build(&machine);
+        cache
+            .get_or_compile(&kernel, &machine, &CompileOptions::new())
+            .unwrap();
+        assert_eq!(cache.stats().factor_compiles, 4);
+        for u in [1, 2, 4, 8] {
+            let unrolled = stream_ir::unroll(&kernel, u).unwrap();
+            let want = MiiBounds::compute(&Ddg::build(&unrolled, &machine), &machine);
+            assert_eq!(cache.unroll_bounds(&kernel, &machine, u), Some(want));
+        }
+        assert_eq!(cache.stats().factor_compiles, 4);
+        // An absent factor is compiled once, then read.
+        let b3 = cache.unroll_bounds(&kernel, &machine, 3);
+        assert_eq!(cache.unroll_bounds(&kernel, &machine, 3), b3);
+        assert_eq!(cache.stats().factor_compiles, 5);
+        // The no-SWP ablation has factor entries of its own.
+        cache
+            .get_or_compile(
+                &kernel,
+                &machine,
+                &CompileOptions::new().without_software_pipelining(),
+            )
+            .unwrap();
+        assert_eq!(cache.stats().factor_compiles, 9);
+    }
+
+    #[test]
+    fn concurrent_overlapping_sets_compile_each_factor_once() {
+        let cache = KernelCache::new();
+        let machine = Machine::baseline();
+        let k = toy_kernel("t", 8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (cache, machine, k) = (&cache, &machine, &k);
+                s.spawn(move || {
+                    for set in TUNER_SETS.iter().cycle().skip(t).take(3) {
+                        let opts = CompileOptions::new().unroll_factors(set.to_vec());
+                        cache.get_or_compile(k, machine, &opts).unwrap();
+                    }
+                });
+            }
+        });
+        // 8 threads × 3 consecutive sets cover all seven sets and all
+        // eight factors.
+        let s = cache.stats();
+        assert_eq!((s.factor_compiles, s.compiles, s.misses), (8, 7, 7));
+        assert_eq!(s.hits, 8 * 3 - 7);
+    }
+
+    #[test]
+    fn rehydrated_kernels_keep_a_clean_verification_and_listing() {
+        let (root, _guard) = scratch("verification");
+        let machine = Machine::paper(Shape::new(8, 5));
+        let kernel = KernelId::Fft.build(&machine);
+        let opts = CompileOptions::new();
+        disk_cache(&root)
+            .get_or_compile(&kernel, &machine, &opts)
+            .unwrap();
+        let warm = disk_cache(&root);
+        let rehydrated = warm.get_or_compile(&kernel, &machine, &opts).unwrap();
+        let s = warm.stats();
+        assert_eq!((s.disk_hits, s.compiles, s.factor_compiles), (1, 0, 0));
+        let fresh = CompiledKernel::compile(&kernel, &machine, &opts).unwrap();
+        assert!(!rehydrated.verification().has_errors());
+        assert_eq!(rehydrated.verification(), fresh.verification());
+        assert_eq!(
+            rehydrated.listing(&kernel, &machine),
+            fresh.listing(&kernel, &machine)
+        );
     }
 }

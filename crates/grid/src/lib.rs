@@ -16,7 +16,8 @@
 //! * [`KernelCache`] — a shared, thread-safe compiled-kernel cache keyed by
 //!   `(kernel identity, MachineConfig, CompileOptions)` so each schedule is
 //!   compiled exactly once per process no matter how many experiments ask
-//!   for it. [`CacheScope`] layers deterministic per-consumer hit/miss
+//!   for it. Under those entries it memoizes each unroll factor's compile,
+//!   so option sets that offer the same factor share its schedule. [`CacheScope`] layers deterministic per-consumer hit/miss
 //!   accounting on top (counts depend only on the consumer's own lookups,
 //!   not on which thread or experiment populated the cache first).
 //!
@@ -61,7 +62,7 @@ pub use cache::{
 pub use engine::{Engine, Sweep, SweepStats};
 
 /// Samples current grid/pool state into the trace registry's always-on
-/// gauges: `cache.entries` (schedules resident in memory),
+/// gauges: `cache.entries` (per-set schedules resident in memory),
 /// `store.disk_bytes` (bytes held by the global cache's disk tier, 0
 /// without one), and `pool.permits_free` / `pool.permits_capacity` (the
 /// process-wide permit pool). Touching [`global_cache`] here also

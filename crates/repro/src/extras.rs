@@ -447,8 +447,8 @@ pub(crate) fn ablation_memory_impl(ctx: &Ctx) -> Report {
     // One job per access pattern.
     let all_cycles = ctx.map(patterns.to_vec(), |(_, pattern)| {
         let mut p = ProgramBuilder::new();
-        for i in 0..32 {
-            let strip = p.load_patterned(format!("strip{i}"), 2048, pattern);
+        for _ in 0..32 {
+            let strip = p.load_patterned(2048, pattern);
             let v = p.resident(256);
             let dots = p.kernel(kernel, &[strip, v], &[8], 256);
             p.store_patterned(dots[0], pattern);

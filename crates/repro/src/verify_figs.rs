@@ -1,6 +1,7 @@
 //! The `verify` experiment: sweep the full Figure 13 x Figure 14
-//! configuration grid, run every compiled kernel schedule through the
-//! independent verifier in `stream-verify`, and lint every kernel's IR.
+//! configuration grid, tally the independent verifier's report (from
+//! `stream-verify`) on every compiled kernel schedule, and lint every
+//! kernel's IR.
 //!
 //! A clean run is the evidence that the scheduler's output is legal by an
 //! implementation that shares none of its code — the paper's results rest
@@ -11,7 +12,6 @@ use crate::sweep::Ctx;
 use crate::{ExperimentId, Report};
 use stream_kernels::KernelId;
 use stream_machine::Machine;
-use stream_sched::check_schedule;
 use stream_verify::lint_kernel;
 use stream_vlsi::Shape;
 
@@ -37,7 +37,8 @@ pub(crate) fn verify_impl(ctx: &Ctx) -> Report {
     ]);
     // One job per (kernel, C, N) config; schedules come from the shared
     // cache, so a `repro all` run verifies the very schedules the figures
-    // measured rather than recompiling its own.
+    // measured rather than recompiling its own. Each schedule carries the
+    // independent verifier's report from its compile or rehydration.
     let cells: Vec<(KernelId, u32, u32)> = KernelId::ALL
         .iter()
         .flat_map(|&id| {
@@ -54,7 +55,7 @@ pub(crate) fn verify_impl(ctx: &Ctx) -> Report {
             .scope
             .compile_default(&kernel, &machine)
             .expect("suite kernels schedule on all paper machines");
-        let report = check_schedule(compiled.ddg(), compiled.schedule(), &machine);
+        let report = compiled.verification();
         (
             lint.error_count(),
             lint.warning_count(),

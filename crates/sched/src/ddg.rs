@@ -63,8 +63,7 @@ pub struct Ddg {
 }
 
 /// Edge indices grouped by one endpoint, each group in edge order, stored
-/// as compressed rows: two allocations per graph instead of one per node,
-/// with no spare capacity, since every compiled kernel keeps its graph.
+/// as compressed rows: two allocations per graph instead of one per node.
 #[derive(Debug, Clone)]
 struct Adjacency {
     /// Row `v` is `edges[start[v]..start[v + 1]]`.
@@ -183,9 +182,7 @@ impl Ddg {
 
     /// Assembles a graph from its nodes and edges, indexing the edges by
     /// endpoint.
-    pub(crate) fn from_parts(mut nodes: Vec<Node>, mut edges: Vec<Edge>) -> Self {
-        nodes.shrink_to_fit();
-        edges.shrink_to_fit();
+    pub(crate) fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Self {
         let succs = Adjacency::new(nodes.len(), edges.iter().map(|e| e.from));
         let preds = Adjacency::new(nodes.len(), edges.iter().map(|e| e.to));
         Self {

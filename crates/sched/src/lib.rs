@@ -15,8 +15,10 @@
 //!    switches impose, and the pipelined intercluster COMM latency),
 //! 2. [`MiiBounds::compute`] — ResMII / RecMII lower bounds,
 //! 3. [`modulo_schedule`] — Rau-style iterative modulo scheduling,
-//! 4. [`CompiledKernel::compile`] — unroll-factor search under LRF register
-//!    capacity and microcode-size constraints.
+//! 4. [`CompiledKernel::compile_factor`] — one unroll factor's schedule
+//!    under LRF register capacity and microcode-size constraints,
+//! 5. [`CompiledKernel::pick`] — the fastest of the offered factors;
+//!    [`CompiledKernel::compile`] runs steps 4 and 5 over a factor list.
 //!
 //! # Examples
 //!

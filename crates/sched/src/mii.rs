@@ -2,7 +2,6 @@
 //! recurrence-constrained (RecMII).
 
 use crate::Ddg;
-use stream_ir::Kernel;
 use stream_machine::{FuKind, Machine};
 
 /// The two lower bounds on a modulo schedule's initiation interval.
@@ -22,36 +21,6 @@ impl MiiBounds {
             res_mii: res_mii(ddg, machine),
             rec_mii: rec_mii(ddg),
         }
-    }
-
-    /// The bounds of `kernel` unrolled by `u` on `machine`, without running
-    /// the scheduler; `None` if the kernel cannot be unrolled by `u`. This
-    /// is the cost-model entry point: an upper bound on elements/cycle/
-    /// cluster is `u / mii()`.
-    ///
-    /// ```
-    /// use stream_ir::{KernelBuilder, Ty};
-    /// use stream_machine::Machine;
-    /// use stream_sched::{CompileOptions, CompiledKernel, MiiBounds};
-    ///
-    /// let mut b = KernelBuilder::new("double");
-    /// let s = b.in_stream(Ty::F32);
-    /// let o = b.out_stream(Ty::F32);
-    /// let x = b.read(s);
-    /// let y = b.add(x, x);
-    /// b.write(o, y);
-    /// let kernel = b.finish()?;
-    /// let machine = Machine::baseline();
-    ///
-    /// let bounds = MiiBounds::for_unroll(&kernel, &machine, 4).expect("unrollable");
-    /// let opts = CompileOptions::new().unroll_factors([4]);
-    /// let compiled = CompiledKernel::compile(&kernel, &machine, &opts)?;
-    /// assert!(compiled.ii() >= bounds.mii());
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn for_unroll(kernel: &Kernel, machine: &Machine, u: u32) -> Option<Self> {
-        let ddg = Ddg::build(&crate::perf::unrolled(kernel, u)?, machine);
-        Some(Self::compute(&ddg, machine))
     }
 
     /// The minimum initiation interval, `max(ResMII, RecMII)`, at least 1.

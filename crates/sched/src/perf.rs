@@ -4,10 +4,12 @@
 
 use crate::modulo::{schedule_at_ii_memo, HeightsMemo};
 use crate::{Ddg, MiiBounds, ModuloSchedule};
+use std::borrow::Borrow;
 use std::error::Error;
 use std::fmt;
 use stream_ir::{unroll, Kernel};
 use stream_machine::Machine;
+use stream_verify::Report;
 
 /// `kernel` unrolled by `u`, or `None` if it cannot be unrolled that far.
 pub(crate) fn unrolled(kernel: &Kernel, u: u32) -> Option<Kernel> {
@@ -105,14 +107,15 @@ impl Default for CompileOptions {
 }
 
 /// A kernel compiled for one machine: the chosen unroll factor, its modulo
-/// schedule, and the static performance numbers derived from them.
+/// schedule, and the static performance numbers derived from them. It
+/// holds no dependence graph; [`CompiledKernel::listing`] rebuilds one.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     name: String,
     unroll: u32,
     schedule: ModuloSchedule,
-    ddg: Ddg,
     bounds: MiiBounds,
+    verification: Report,
     schedule_length: u32,
     registers: u32,
     base_alu_ops: u32,
@@ -121,9 +124,9 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Compiles `kernel` for `machine`: builds the dependence graph for each
-    /// candidate unroll factor, modulo-schedules it, and keeps the fastest
-    /// legal result.
+    /// Compiles `kernel` for `machine`: compiles each candidate unroll
+    /// factor ([`CompiledKernel::compile_factor`]) and keeps the fastest
+    /// legal result ([`CompiledKernel::pick`]).
     ///
     /// # Errors
     ///
@@ -137,143 +140,169 @@ impl CompiledKernel {
     ) -> Result<Self, ScheduleError> {
         let mut compile_span = stream_trace::span("sched", "compile");
         compile_span.arg("kernel", kernel.name());
-        let base_alu_ops = kernel.stats().alu_ops;
-        let mut best: Option<CompiledKernel> = None;
-        for &u in &opts.unroll_factors {
-            let Some(unrolled) = unrolled(kernel, u) else {
-                continue;
-            };
-            let ddg = Ddg::build(&unrolled, machine);
-            let bounds = MiiBounds::compute(&ddg, machine);
-            stream_trace::record("sched.res_mii", u64::from(bounds.res_mii));
-            stream_trace::record("sched.rec_mii", u64::from(bounds.rec_mii));
-
-            // ResMII/RecMII prune: elements/cycle is at most `u / MII`, so
-            // a candidate that cannot beat the incumbent even at its II
-            // lower bound is skipped before the (expensive) scheduling.
-            // The margin mirrors the `better` predicate below — a pruned
-            // candidate could never have won either of its branches.
-            if let Some(b) = &best {
-                let upper = f64::from(u) / f64::from(bounds.mii());
-                if upper <= b.elements_per_cycle_per_cluster() * 0.9999 {
-                    continue;
-                }
-            }
-
-            // II search upward from MII, sharing priority heights across
-            // attempts (and with the register-deepening loop below). With
-            // an incumbent in hand the search stops early at the deepest II
-            // that could still beat it: past that point even a successful
-            // schedule loses both branches of the `better` predicate below,
-            // so truncating the search never changes the chosen result.
-            let mii = bounds.mii();
-            let mut hi = mii.saturating_mul(2) + 32;
-            if let Some(b) = &best {
-                let bb = b.elements_per_cycle_per_cluster() * 0.9999;
-                let mut cap = (f64::from(u) / bb) as u32;
-                while cap > 0 && f64::from(u) / f64::from(cap) <= bb {
-                    cap -= 1;
-                }
-                hi = hi.min(cap);
-            }
-            let mut heights = HeightsMemo::new(&ddg);
-            let Some(mut sched) =
-                (mii..=hi).find_map(|ii| schedule_at_ii_memo(&ddg, machine, ii, &mut heights))
-            else {
-                continue;
-            };
-
-            // No-SWP ablation: stretch the initiation interval to the flat
-            // schedule length so iterations never overlap. (Dependence and
-            // resource legality are preserved: every op finishes within one
-            // interval and distinct cycles stay distinct modulo the longer
-            // II.)
-            if !opts.software_pipelining {
-                let flat = sched.length(&ddg).max(1);
-                sched = crate::ModuloSchedule {
-                    ii: flat,
-                    times: sched.times,
-                };
-                debug_assert_eq!(sched.verify(&ddg, machine), Ok(()));
-            }
-
-            // Register pressure: deepen the II (less iteration overlap, so
-            // fewer rotating copies) until the estimate fits the LRF
-            // capacity. A flat schedule is reached at II = schedule length;
-            // past that nothing improves.
-            let cap = machine.register_capacity();
-            let mut registers = sched.register_estimate(&ddg);
-            if registers > cap {
-                let _deepen = stream_trace::span("sched", "deepen");
-                while registers > cap {
-                    let next_ii = (sched.ii + sched.ii.div_ceil(4))
-                        .min(sched.length(&ddg))
-                        .min(MAX_SCHEDULE_LENGTH);
-                    if next_ii <= sched.ii {
-                        break;
-                    }
-                    let Some(s) = schedule_at_ii_memo(&ddg, machine, next_ii, &mut heights) else {
-                        break;
-                    };
-                    sched = s;
-                    registers = sched.register_estimate(&ddg);
-                }
-                if registers > cap {
-                    continue;
-                }
-            }
-
-            let length = sched.length(&ddg);
-            if length > MAX_SCHEDULE_LENGTH {
-                continue;
-            }
-
-            // Every candidate passes the independent verifier, in every
-            // build profile; a rejection is a scheduler bug.
-            let report = crate::check_schedule(&ddg, &sched, machine);
-            debug_assert!(
-                !report.has_errors(),
-                "scheduler produced an illegal schedule for {}:\n{report}",
-                kernel.name()
-            );
-            if report.has_errors() {
-                continue;
-            }
-
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let a = f64::from(u) / f64::from(sched.ii);
-                    let bb = b.elements_per_cycle_per_cluster();
-                    a > bb * 1.0001 || (a > bb * 0.9999 && u < b.unroll)
-                }
-            };
-            if better {
-                // Only a new incumbent is built, and it takes the
-                // candidate's graph by move.
-                best = Some(CompiledKernel {
-                    name: kernel.name().to_string(),
-                    unroll: u,
-                    registers,
-                    schedule_length: length,
-                    schedule: sched,
-                    ddg,
-                    bounds,
-                    base_alu_ops,
-                    clusters: machine.clusters(),
-                    pipeline_fill: machine.pipeline_fill_cycles(),
-                });
-            }
-        }
-        if let Some(b) = &best {
+        let factors = opts
+            .unroll_factors
+            .iter()
+            .filter_map(|&u| Self::compile_factor(kernel, machine, u, opts.software_pipelining)?.1);
+        let best = Self::pick(kernel, machine, factors);
+        if let Ok(b) = &best {
             compile_span.arg("ii", b.schedule.ii);
             compile_span.arg("unroll", b.unroll);
-            stream_trace::record("sched.ii", u64::from(b.schedule.ii));
         }
-        best.ok_or_else(|| ScheduleError {
+        best
+    }
+
+    /// Compiles `kernel` for `machine` at the single unroll factor `u`:
+    /// unrolls it, builds its dependence graph and MII bounds, searches the
+    /// II upward from MII, stretches the II to the flat schedule length
+    /// when `software_pipelining` is off, deepens the II until the
+    /// registers fit, and checks the result against the microcode store
+    /// and the independent verifier.
+    ///
+    /// Returns `None` if the kernel cannot be unrolled by `u`; otherwise
+    /// the unrolled graph's MII bounds and the compiled kernel, which is
+    /// `None` when no legal schedule fits the machine. The result does not
+    /// depend on any other factor, so callers may memoize it per factor.
+    pub fn compile_factor(
+        kernel: &Kernel,
+        machine: &Machine,
+        u: u32,
+        software_pipelining: bool,
+    ) -> Option<(MiiBounds, Option<Self>)> {
+        let mut span = stream_trace::span("sched", "factor");
+        span.arg("kernel", kernel.name());
+        span.arg("unroll", u);
+        let ddg = Ddg::build(&unrolled(kernel, u)?, machine);
+        let bounds = MiiBounds::compute(&ddg, machine);
+        stream_trace::record("sched.res_mii", u64::from(bounds.res_mii));
+        stream_trace::record("sched.rec_mii", u64::from(bounds.rec_mii));
+        let compiled =
+            Self::schedule_unrolled(kernel, machine, u, software_pipelining, &ddg, bounds);
+        Some((bounds, compiled))
+    }
+
+    /// The body of [`CompiledKernel::compile_factor`] once `ddg`, the graph
+    /// of `kernel` unrolled by `u`, and its `bounds` are built.
+    fn schedule_unrolled(
+        kernel: &Kernel,
+        machine: &Machine,
+        u: u32,
+        software_pipelining: bool,
+        ddg: &Ddg,
+        bounds: MiiBounds,
+    ) -> Option<Self> {
+        // II search upward from MII, sharing priority heights across
+        // attempts (and with the register-deepening loop below).
+        let mii = bounds.mii();
+        let mut heights = HeightsMemo::new(ddg);
+        let mut sched = (mii..=mii.saturating_mul(2) + 32)
+            .find_map(|ii| schedule_at_ii_memo(ddg, machine, ii, &mut heights))?;
+
+        // No-SWP ablation: stretch the initiation interval to the flat
+        // schedule length so iterations never overlap. (Dependence and
+        // resource legality are preserved: every op finishes within one
+        // interval and distinct cycles stay distinct modulo the longer
+        // II.)
+        if !software_pipelining {
+            let flat = sched.length(ddg).max(1);
+            sched = crate::ModuloSchedule {
+                ii: flat,
+                times: sched.times,
+            };
+            debug_assert_eq!(sched.verify(ddg, machine), Ok(()));
+        }
+
+        // Register pressure: deepen the II (less iteration overlap, so
+        // fewer rotating copies) until the estimate fits the LRF
+        // capacity. A flat schedule is reached at II = schedule length;
+        // past that nothing improves.
+        let cap = machine.register_capacity();
+        let mut registers = sched.register_estimate(ddg);
+        if registers > cap {
+            let _deepen = stream_trace::span("sched", "deepen");
+            while registers > cap {
+                let next_ii = (sched.ii + sched.ii.div_ceil(4))
+                    .min(sched.length(ddg))
+                    .min(MAX_SCHEDULE_LENGTH);
+                if next_ii <= sched.ii {
+                    break;
+                }
+                let Some(s) = schedule_at_ii_memo(ddg, machine, next_ii, &mut heights) else {
+                    break;
+                };
+                sched = s;
+                registers = sched.register_estimate(ddg);
+            }
+            if registers > cap {
+                return None;
+            }
+        }
+
+        let length = sched.length(ddg);
+        if length > MAX_SCHEDULE_LENGTH {
+            return None;
+        }
+
+        // Every candidate passes the independent verifier, in every
+        // build profile; a rejection is a scheduler bug.
+        let verification = crate::check_schedule(ddg, &sched, machine);
+        debug_assert!(
+            !verification.has_errors(),
+            "scheduler produced an illegal schedule for {}:\n{verification}",
+            kernel.name()
+        );
+        if verification.has_errors() {
+            return None;
+        }
+        Some(CompiledKernel {
+            name: kernel.name().to_string(),
+            unroll: u,
+            registers,
+            schedule_length: length,
+            schedule: sched,
+            bounds,
+            verification,
+            base_alu_ops: kernel.stats().alu_ops,
+            clusters: machine.clusters(),
+            pipeline_fill: machine.pipeline_fill_cycles(),
+        })
+    }
+
+    /// Picks the fastest of `kernel`'s compiled unroll factors on
+    /// `machine`, offered in search order: a factor replaces the incumbent
+    /// if it retires more than 0.01% more elements per cycle, or comes
+    /// within 0.01% of it with a smaller unroll factor. Works over owned
+    /// kernels and shared (`Arc`) ones alike, so a cache can pick among
+    /// memoized factors without copying them.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError`] if `factors` is empty.
+    pub fn pick<K: Borrow<Self>>(
+        kernel: &Kernel,
+        machine: &Machine,
+        factors: impl IntoIterator<Item = K>,
+    ) -> Result<K, ScheduleError> {
+        let best = factors
+            .into_iter()
+            .fold(None, |best: Option<K>, cand| match best {
+                Some(b) if !cand.borrow().beats(b.borrow()) => Some(b),
+                _ => Some(cand),
+            });
+        let best = best.ok_or_else(|| ScheduleError {
             kernel: kernel.name().to_string(),
             machine: machine.to_string(),
-        })
+        })?;
+        stream_trace::record("sched.ii", u64::from(best.borrow().schedule.ii));
+        Ok(best)
+    }
+
+    /// Whether this factor's compile replaces `incumbent` in
+    /// [`CompiledKernel::pick`].
+    fn beats(&self, incumbent: &Self) -> bool {
+        let a = self.elements_per_cycle_per_cluster();
+        let b = incumbent.elements_per_cycle_per_cluster();
+        a > b * 1.0001 || (a > b * 0.9999 && self.unroll < incumbent.unroll)
     }
 
     /// Compiles with default options.
@@ -340,7 +369,8 @@ impl CompiledKernel {
         if registers > machine.register_capacity() {
             return None;
         }
-        if crate::check_schedule(&ddg, &sched, machine).has_errors() {
+        let verification = crate::check_schedule(&ddg, &sched, machine);
+        if verification.has_errors() {
             return None;
         }
         let bounds = MiiBounds::compute(&ddg, machine);
@@ -351,8 +381,8 @@ impl CompiledKernel {
             registers,
             schedule_length: length,
             schedule: sched,
-            ddg,
             bounds,
+            verification,
             base_alu_ops: kernel.stats().alu_ops,
             clusters: machine.clusters(),
             pipeline_fill: machine.pipeline_fill_cycles(),
@@ -440,14 +470,24 @@ impl CompiledKernel {
         &self.schedule
     }
 
-    /// The dependence graph the schedule was built over.
-    pub fn ddg(&self) -> &Ddg {
-        &self.ddg
+    /// The independent verifier's report on this schedule: the one it
+    /// passed at compile or rehydration time. It holds no errors (a
+    /// schedule with errors is never built) but may hold warnings.
+    pub fn verification(&self) -> &Report {
+        &self.verification
     }
 
     /// Human-readable VLIW listing of the steady-state kernel: one line per
     /// modulo slot showing the operations issued there, each tagged with
-    /// its value id and software-pipeline stage.
+    /// its value id and software-pipeline stage. `kernel` and `machine`
+    /// are the ones this kernel was compiled from; the listing rebuilds
+    /// their dependence graph.
+    ///
+    /// # Panics
+    ///
+    /// If `kernel` cannot be unrolled by this kernel's unroll factor or its
+    /// unrolled graph has a different node count than the schedule — that
+    /// is, if it is not the kernel this schedule was compiled from.
     ///
     /// # Examples
     ///
@@ -465,13 +505,23 @@ impl CompiledKernel {
     /// let x = b.read(s);
     /// let y = b.add(x, x);
     /// b.write(o, y);
-    /// let c = CompiledKernel::compile_default(&b.finish()?, &Machine::baseline())?;
-    /// let listing = c.listing();
+    /// let kernel = b.finish()?;
+    /// let machine = Machine::baseline();
+    /// let c = CompiledKernel::compile_default(&kernel, &machine)?;
+    /// let listing = c.listing(&kernel, &machine);
     /// assert!(listing.contains("slot"));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn listing(&self) -> String {
+    pub fn listing(&self, kernel: &Kernel, machine: &Machine) -> String {
         use std::fmt::Write as _;
+        let unrolled = unrolled(kernel, self.unroll).expect("listing: kernel does not unroll");
+        let ddg = Ddg::build(&unrolled, machine);
+        assert_eq!(
+            ddg.nodes().len(),
+            self.schedule.times.len(),
+            "listing: {} is not the kernel this schedule was compiled from",
+            kernel.name()
+        );
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -485,8 +535,7 @@ impl CompiledKernel {
         );
         for slot in 0..self.schedule.ii {
             let mut ops: Vec<String> = Vec::new();
-            for (i, node) in self.ddg.nodes().iter().enumerate() {
-                let t = self.schedule.times[i];
+            for (node, &t) in ddg.nodes().iter().zip(&self.schedule.times) {
                 if t % self.schedule.ii == slot {
                     ops.push(format!(
                         "{}[{}]@s{}",
@@ -676,31 +725,77 @@ mod tests {
     #[test]
     fn single_factor_compile_matches_the_search_pick() {
         // Offering only the factor the full search picked reproduces the
-        // search's result bit for bit: pruning and the truncated II search
-        // never change the winner's own schedule.
+        // search's result bit for bit: a factor's compile never depends on
+        // the other factors offered.
         let k = mul_add_kernel(7);
         for m in [Machine::baseline(), Machine::paper(Shape::new(8, 5))] {
             let full = CompiledKernel::compile_default(&k, &m).unwrap();
             let opts = CompileOptions::new().unroll_factors([full.unroll_factor()]);
             let alone = CompiledKernel::compile(&k, &m, &opts).unwrap();
-            assert_eq!(alone.listing(), full.listing());
+            assert_eq!(alone.listing(&k, &m), full.listing(&k, &m));
+            assert_eq!(alone.recipe(), full.recipe());
             assert_eq!(alone.registers(), full.registers());
             assert_eq!(alone.schedule_length(), full.schedule_length());
         }
     }
 
     #[test]
-    fn mii_bounds_answer_without_scheduling() {
+    fn factor_compiles_report_bounds_and_feed_the_pick() {
         let k = mul_add_kernel(7);
         let m = Machine::baseline();
-        let b1 = MiiBounds::for_unroll(&k, &m, 1).unwrap();
-        let b4 = MiiBounds::for_unroll(&k, &m, 4).unwrap();
-        assert!(b4.mii() >= b1.mii());
-        // The compiled result respects the bound and reports the same one.
-        let opts = CompileOptions::new().unroll_factors([4]);
-        let c = CompiledKernel::compile(&k, &m, &opts).unwrap();
-        assert!(c.ii() >= b4.mii());
-        assert_eq!(c.bounds(), b4);
+        let factors: Vec<(MiiBounds, Option<CompiledKernel>)> = [1, 2, 4, 8]
+            .iter()
+            .map(|&u| CompiledKernel::compile_factor(&k, &m, u, true).unwrap())
+            .collect();
+        assert!(factors[2].0.mii() >= factors[0].0.mii());
+        for (bounds, compiled) in &factors {
+            let c = compiled.as_ref().unwrap();
+            assert!(c.ii() >= bounds.mii());
+            assert_eq!(c.bounds(), *bounds);
+            assert!(!c.verification().has_errors());
+        }
+        // Picking among the factor compiles is the full search.
+        let picked =
+            CompiledKernel::pick(&k, &m, factors.iter().filter_map(|f| f.1.as_ref())).unwrap();
+        let full = CompiledKernel::compile_default(&k, &m).unwrap();
+        assert_eq!(picked.recipe(), full.recipe());
+        let none: [CompiledKernel; 0] = [];
+        assert!(CompiledKernel::pick(&k, &m, none).is_err());
+    }
+
+    #[test]
+    fn pick_prefers_the_smaller_factor_inside_the_tie_band() {
+        // Factor 4's compile and a copy relabelled as factor 8 at twice
+        // the II retire exactly the same elements per cycle; the smaller
+        // factor wins whichever is offered first.
+        let mut b = KernelBuilder::new("six");
+        let s = b.in_stream(Ty::F32);
+        let out = b.out_stream(Ty::F32);
+        let x = b.read(s);
+        let a = b.add(x, x);
+        let b2 = b.add(x, x);
+        let c2 = b.add(x, x);
+        let d = b.mul(a, b2);
+        let e = b.mul(c2, x);
+        let f = b.add(d, e);
+        b.write(out, f);
+        let k = b.finish().unwrap();
+        let m = Machine::baseline();
+        let x4 = CompiledKernel::compile_factor(&k, &m, 4, true)
+            .unwrap()
+            .1
+            .unwrap();
+        let mut x8 = x4.clone();
+        x8.unroll *= 2;
+        x8.schedule.ii *= 2;
+        assert_eq!(
+            x8.elements_per_cycle_per_cluster(),
+            x4.elements_per_cycle_per_cluster()
+        );
+        for order in [[&x4, &x8], [&x8, &x4]] {
+            let picked = CompiledKernel::pick(&k, &m, order).unwrap();
+            assert_eq!(picked.unroll_factor(), 4);
+        }
     }
 
     #[test]
@@ -724,7 +819,8 @@ mod tests {
         assert_eq!(warm.unroll_factor(), fresh.unroll_factor());
         assert_eq!(warm.registers(), fresh.registers());
         assert_eq!(warm.schedule_length(), fresh.schedule_length());
-        assert_eq!(warm.listing(), fresh.listing());
+        assert_eq!(warm.listing(&k, &m), fresh.listing(&k, &m));
+        assert_eq!(warm.verification(), fresh.verification());
         // And the codec roundtrip survives the disk-byte boundary.
         let decoded = crate::ScheduleRecipe::decode(&recipe.encode()).unwrap();
         assert!(CompiledKernel::rehydrate(&k, &m, &opts, &decoded).is_some());

@@ -270,6 +270,7 @@ mod tests {
         // flag: consolidated cache counters, tuner counters, serve gauges.
         for series in [
             "# TYPE cache_compiles counter",
+            "# TYPE cache_factor_compiles counter",
             "# TYPE tune_searches counter",
             "# TYPE serve_planner_cells gauge",
             "# TYPE pool_permits_capacity gauge",
@@ -354,6 +355,7 @@ mod tests {
 
         let wire = fetch(get_req("/v1/stats"));
         assert!(wire.contains("\"planner\""), "{wire}");
+        assert!(wire.contains("\"factor_compiles\""), "{wire}");
         // Every response is correlated with a unique request id.
         assert!(wire.contains("x-request-id: "), "{wire}");
         let ids: Vec<&str> = [&a, &b]

@@ -586,6 +586,7 @@ fn stats_response(planner: &Planner) -> Response {
                     ("hits", Value::Number(k.hits as f64)),
                     ("misses", Value::Number(k.misses as f64)),
                     ("compiles", Value::Number(k.compiles as f64)),
+                    ("factor_compiles", Value::Number(k.factor_compiles as f64)),
                     ("disk_hits", Value::Number(k.disk_hits as f64)),
                     ("disk_misses", Value::Number(k.disk_misses as f64)),
                 ]),

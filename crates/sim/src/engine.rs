@@ -340,7 +340,7 @@ mod tests {
     fn simple_program(machine: &Machine, words: u64, flops: usize) -> StreamProgram {
         let k = work_kernel(machine, flops);
         let mut p = ProgramBuilder::new();
-        let a = p.load("in", words);
+        let a = p.load(words);
         let outs = p.kernel(&k, &[a], &[words], words);
         p.store(outs[0]);
         p.finish()
@@ -408,7 +408,7 @@ mod tests {
         let k = work_kernel(&m, 2);
         let mut p = ProgramBuilder::new();
         let ghost = StreamVar(7);
-        let _ = p.load("x", 64); // stream 0
+        let _ = p.load(64); // stream 0
         let _o = p.kernel(&k, &[ghost], &[64], 64);
         let err = simulate(&p.finish(), &m, &SystemParams::paper_2007());
         assert!(err.is_err());
@@ -422,9 +422,9 @@ mod tests {
         let k = work_kernel(&m, 40);
         let words = 1 << 12;
         let mut p = ProgramBuilder::new();
-        let a = p.load("a", words);
+        let a = p.load(words);
         let outs = p.kernel(&k, &[a], &[words], words);
-        let b = p.load("b", words);
+        let b = p.load(words);
         let outs2 = p.kernel(&k, &[b], &[words], words);
         p.store(outs[0]);
         p.store(outs2[0]);
@@ -470,7 +470,7 @@ mod tests {
         let k = work_kernel(&m, 2);
         let run = |pattern: crate::AccessPattern| -> u64 {
             let mut p = ProgramBuilder::new();
-            let a = p.load_patterned("in", 4096, pattern);
+            let a = p.load_patterned(4096, pattern);
             let outs = p.kernel(&k, &[a], &[4096], 4096);
             p.store_patterned(outs[0], pattern);
             simulate(&p.finish(), &m, &sys).unwrap().cycles

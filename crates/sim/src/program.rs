@@ -51,8 +51,6 @@ pub enum StreamInstr {
         dst: StreamVar,
         /// Transfer size in words.
         words: u64,
-        /// Label for reports.
-        label: String,
         /// DRAM access pattern.
         pattern: AccessPattern,
     },
@@ -157,7 +155,7 @@ impl StreamProgram {
 /// let kernel = Arc::new(CompiledKernel::compile_default(&kb.finish()?, &machine)?);
 ///
 /// let mut p = ProgramBuilder::new();
-/// let input = p.load("pixels", 4096);
+/// let input = p.load(4096);
 /// let out = p.kernel(&kernel, &[input], &[4096], 4096);
 /// p.store(out[0]);
 /// let program = p.finish();
@@ -190,22 +188,16 @@ impl ProgramBuilder {
     }
 
     /// Loads `words` from memory into a new stream (sequential pattern).
-    pub fn load(&mut self, label: impl Into<String>, words: u64) -> StreamVar {
-        self.load_patterned(label, words, AccessPattern::Sequential)
+    pub fn load(&mut self, words: u64) -> StreamVar {
+        self.load_patterned(words, AccessPattern::Sequential)
     }
 
     /// Loads `words` with an explicit DRAM access pattern.
-    pub fn load_patterned(
-        &mut self,
-        label: impl Into<String>,
-        words: u64,
-        pattern: AccessPattern,
-    ) -> StreamVar {
+    pub fn load_patterned(&mut self, words: u64, pattern: AccessPattern) -> StreamVar {
         let dst = self.new_stream(words);
         self.program.instrs.push(StreamInstr::Load {
             dst,
             words,
-            label: label.into(),
             pattern,
         });
         dst
@@ -275,7 +267,7 @@ mod tests {
     fn builder_assigns_stream_ids() {
         let k = copy_kernel();
         let mut p = ProgramBuilder::new();
-        let a = p.load("a", 100);
+        let a = p.load(100);
         let outs = p.kernel(&k, &[a], &[100, 50], 100);
         p.store(outs[0]);
         let prog = p.finish();
@@ -288,7 +280,7 @@ mod tests {
     fn totals_account_memory_and_alu() {
         let k = copy_kernel();
         let mut p = ProgramBuilder::new();
-        let a = p.load("a", 256);
+        let a = p.load(256);
         let outs = p.kernel(&k, &[a], &[256], 256);
         p.store(outs[0]);
         let prog = p.finish();

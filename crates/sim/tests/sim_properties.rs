@@ -31,7 +31,7 @@ fn random_program(machine: &Machine, script: &[u8]) -> StreamProgram {
         match op % 4 {
             0 | 1 => {
                 let words = 64 * (1 + u64::from(op % 8));
-                live.push(p.load(format!("l{op}"), words));
+                live.push(p.load(words));
             }
             2 => {
                 if let Some(&src) = live.last() {

@@ -104,16 +104,20 @@ pub struct DiskStore {
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl DiskStore {
-    /// Opens (creating if needed) the store for `namespace` at payload
-    /// schema `version` under `root`.
+    /// Opens the store for `namespace` at payload schema `version` under
+    /// `root`, creating `root` if needed. The namespace directory itself is
+    /// created by the first [`DiskStore::put`], so opening a store (as a
+    /// daemon does at start-up) costs no directory creation on the
+    /// filesystem's journal; until then every read is a miss.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error if the directory cannot be created.
+    /// Returns the underlying error if `root` cannot be created.
     pub fn open(root: &Path, namespace: &str, version: u32) -> io::Result<Self> {
-        let dir = root.join(format!("{namespace}.v{version}"));
-        fs::create_dir_all(&dir)?;
-        Ok(Self { dir })
+        fs::create_dir_all(root)?;
+        Ok(Self {
+            dir: root.join(format!("{namespace}.v{version}")),
+        })
     }
 
     /// The directory entries live in.
@@ -166,7 +170,14 @@ impl DiskStore {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, &frame)?;
+        if let Err(e) = fs::write(&tmp, &frame) {
+            // The first write creates the namespace directory.
+            if e.kind() != io::ErrorKind::NotFound {
+                return Err(e);
+            }
+            fs::create_dir_all(&self.dir)?;
+            fs::write(&tmp, &frame)?;
+        }
         let path = self.entry_path(key);
         if let Err(e) = fs::rename(&tmp, &path) {
             let _ = fs::remove_file(&tmp);
@@ -289,6 +300,21 @@ mod tests {
     }
 
     #[test]
+    fn the_first_put_creates_the_namespace_directory() {
+        let root = scratch();
+        let s = DiskStore::open(&root, "t", 1).unwrap();
+        assert!(root.is_dir());
+        assert!(!s.dir().exists());
+        let k = Key::of(b"alpha");
+        assert_eq!(s.get(k), None);
+        assert_eq!((s.len(), s.bytes()), (0, 0));
+        s.put(k, b"payload").unwrap();
+        assert!(s.dir().is_dir());
+        assert_eq!(s.get(k).as_deref(), Some(&b"payload"[..]));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn empty_payload_roundtrips() {
         let root = scratch();
         let s = DiskStore::open(&root, "t", 1).unwrap();
@@ -341,6 +367,7 @@ mod tests {
         let root = scratch();
         let s = DiskStore::open(&root, "t", 1).unwrap();
         let k = Key::of(b"garbage");
+        fs::create_dir_all(s.dir()).unwrap();
         fs::write(s.entry_path(k), b"not a frame at all").unwrap();
         assert_eq!(s.get(k), None);
         fs::remove_dir_all(&root).unwrap();
@@ -489,6 +516,7 @@ mod tests {
         let root = scratch();
         let s = DiskStore::open(&root, "t", 1).unwrap();
         let k = Key::of(b"huge");
+        fs::create_dir_all(s.dir()).unwrap();
         fs::write(s.entry_path(k), &frame).unwrap();
         assert_eq!(s.get(k), None);
         fs::remove_dir_all(&root).unwrap();

@@ -21,9 +21,9 @@
 //!
 //! Compiling a candidate is the expensive part (one modulo-scheduler
 //! search per kernel per distinct option set). Before compiling anything,
-//! each candidate is bounded from below using only ResMII/RecMII bounds
-//! ([`MiiBounds::for_unroll`], no scheduling): a kernel unrolled
-//! by `u` retires at most `u / MII(u)` records per cycle per cluster, so
+//! each candidate is bounded from below using only ResMII/RecMII bounds: a
+//! kernel unrolled by `u` retires at most `u / MII(u)` records per cycle
+//! per cluster, so
 //!
 //! ```text
 //! lb(candidate) = Σ_kernels  records(kernel) · min_{u ∈ set} MII(u)/u / C
@@ -33,17 +33,22 @@
 //! simulator's total is never below kernel-busy. Strip batching never
 //! reduces total records, so the bound is strip-invariant. Any candidate
 //! whose bound already meets the incumbent's cycles is discarded unseen.
+//! The bounds come from the process-wide kernel cache
+//! ([`stream_grid::KernelCache::unroll_bounds`]): they are read off the
+//! per-factor compiles that every set compile offering the factor shares,
+//! so a bound adds no scheduler work for a factor some evaluated set
+//! offers too.
 //!
 //! A second rule — *identity pruning* — removes candidates whose outcome
-//! is already known: the scheduler's factor selection is a deterministic
-//! argmax over the offered set, so if an evaluated superset's chosen
-//! factors all lie inside a candidate subset, the subset would compile to
-//! the identical program (same strip scale → same simulated cycles) and
-//! is skipped without a compile. (The argmax is subset-stable except
-//! inside the scheduler's 0.01 % epc tie band; a candidate pruned in that
-//! corner could differ only by an epsilon-equivalent schedule, and the
-//! never-worse-than-default guarantee is unaffected because the default
-//! point is always evaluated directly.)
+//! is already known: the scheduler's pick folds over each offered factor's
+//! own compile, and no factor's compile depends on the others offered. So
+//! if an evaluated superset's chosen factors all lie inside a candidate
+//! subset, the subset would compile to the identical program (same strip
+//! scale → same simulated cycles) and is skipped without a compile. (The
+//! pick is subset-stable by construction except inside its 0.01 % epc tie
+//! band; a candidate pruned in that corner could differ only by an
+//! epsilon-equivalent schedule, and the never-worse-than-default guarantee
+//! is unaffected because the default point is always evaluated directly.)
 //!
 //! Together the two rules make the search run measurably fewer scheduler
 //! invocations than the raw cross-product; the compile count is exposed
@@ -197,12 +202,14 @@ impl KernelBound {
         }
     }
 
-    /// The MII bounds of this kernel unrolled by `u`, computed once.
+    /// The MII bounds of this kernel unrolled by `u`, looked up once per
+    /// search in the process-wide kernel cache's factor entry — the one
+    /// the set compiles offering `u` share.
     fn bounds(&mut self, machine: &Machine, u: u32) -> Option<MiiBounds> {
         if let Some(&(_, b)) = self.bounds.iter().find(|(f, _)| *f == u) {
             return b;
         }
-        let b = MiiBounds::for_unroll(&self.kernel, machine, u);
+        let b = stream_grid::global_cache().unroll_bounds(&self.kernel, machine, u);
         self.bounds.push((u, b));
         b
     }

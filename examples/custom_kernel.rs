@@ -70,7 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // And the steady-state VLIW listing on the baseline machine.
-    let compiled = CompiledKernel::compile_default(&kernel, &Machine::baseline())?;
-    println!("\n== VLIW listing (C=8 N=5) ==\n{}", compiled.listing());
+    let baseline = Machine::baseline();
+    let compiled = CompiledKernel::compile_default(&kernel, &baseline)?;
+    println!(
+        "\n== VLIW listing (C=8 N=5) ==\n{}",
+        compiled.listing(&kernel, &baseline)
+    );
     Ok(())
 }

@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (machine, c) = compiled.expect("compiled above");
     let n = 1 << 16;
     let mut p = ProgramBuilder::new();
-    let x_stream = p.load("x", n);
-    let y_stream = p.load("y", n);
+    let x_stream = p.load(n);
+    let y_stream = p.load(n);
     let outs = p.kernel(&Arc::new(c), &[x_stream, y_stream], &[n], n);
     p.store(outs[0]);
     let report = simulate(&p.finish(), &machine, &SystemParams::paper_2007())?;

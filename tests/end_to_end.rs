@@ -46,7 +46,7 @@ fn write_verify_compile_simulate() {
         // Sized so input + output fit the baseline machine's 44k-word SRF.
         let n = 1 << 14;
         let mut p = ProgramBuilder::new();
-        let data = p.load("in", n);
+        let data = p.load(n);
         let o = p.kernel(&compiled, &[data], &[n], n);
         p.store(o[0]);
         let r = simulate(&p.finish(), &machine, &sys).expect("simulates");

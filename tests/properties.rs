@@ -398,9 +398,11 @@ proptest! {
         prop_assert_eq!(first.unroll_factor(), fresh.unroll_factor());
         prop_assert_eq!(first.schedule_length(), fresh.schedule_length());
         prop_assert_eq!(first.registers(), fresh.registers());
-        prop_assert_eq!(first.listing(), fresh.listing());
-        let report = check_schedule(first.ddg(), first.schedule(), &machine);
+        prop_assert_eq!(first.listing(&k, &machine), fresh.listing(&k, &machine));
+        let ddg = Ddg::build(&unroll(&k, first.unroll_factor()).unwrap(), &machine);
+        let report = check_schedule(&ddg, first.schedule(), &machine);
         prop_assert!(!report.has_errors(), "cached schedule fails verification:\n{report}");
+        prop_assert_eq!(first.verification(), &report);
     }
 
     /// Stream scatter/gather round-trips for every width/split combination.
@@ -651,5 +653,44 @@ fn suite_schedules_match_the_pinned_digest() {
     assert_eq!(
         digest, 0xbdff_5471_70d0_72e9,
         "schedule digest {digest:#018x}"
+    );
+}
+
+/// FNV-1a over the schedule recipes the tuner's seven unroll sets pick for
+/// every suite and application kernel (deduplicated by fingerprint) at
+/// three machine shapes. All compiles go through one cache, so later sets
+/// reuse the factor schedules earlier sets compiled; the digest pins that
+/// the reuse picks exactly what a standalone search over each set picks.
+#[test]
+fn tuner_schedules_match_the_pinned_digest() {
+    use std::collections::HashSet;
+    use stream_scaling::apps::AppId;
+    use stream_scaling::kernels::KernelId;
+    use stream_scaling::tune::TuneSpace;
+    let sets = TuneSpace::default().unroll_sets;
+    let cache = KernelCache::new();
+    let mut bytes = Vec::new();
+    for (c, n) in [(8, 5), (64, 8), (128, 10)] {
+        let machine = Machine::paper(Shape::new(c, n));
+        let mut seen = HashSet::new();
+        let kernels = KernelId::ALL
+            .iter()
+            .map(|id| id.build(&machine))
+            .chain(AppId::ALL.iter().flat_map(|app| app.kernels(&machine)))
+            .filter(|k| seen.insert(k.fingerprint()));
+        for k in kernels {
+            for set in &sets {
+                let opts = CompileOptions::default().unroll_factors(set.clone());
+                let compiled = cache
+                    .get_or_compile(&k, &machine, &opts)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                bytes.extend_from_slice(&compiled.recipe().encode());
+            }
+        }
+    }
+    let digest = stream_scaling::store::fnv1a(&bytes);
+    assert_eq!(
+        digest, 0x6b35_1dc8_6118_2b6f,
+        "tuner schedule digest {digest:#018x}"
     );
 }
