@@ -79,8 +79,7 @@ impl AppId {
 
     /// The IR kernels this application's program calls, built for
     /// `machine`, keyed by their kernel names (the same names the compiled
-    /// program's kernel instructions report). The auto-tuner uses this to
-    /// bound candidate configurations without compiling them.
+    /// program's kernel instructions report), without building the program.
     pub fn kernels(&self, machine: &Machine) -> Vec<stream_ir::Kernel> {
         use crate::kernels as ak;
         use stream_kernels::{blocksad, convolve, fft, irast, noise};

@@ -32,7 +32,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 use stream_ir::Kernel;
 use stream_machine::{Machine, MachineConfig};
-use stream_sched::{CompileOptions, CompiledKernel, MiiBounds, ScheduleError, ScheduleRecipe};
+use stream_sched::{CompileOptions, CompiledKernel, ScheduleError, ScheduleRecipe};
 use stream_store::{DiskStore, Key};
 use stream_trace::Counter;
 
@@ -68,14 +68,6 @@ struct FactorKey {
     machine: MachineConfig,
     unroll: u32,
     software_pipelining: bool,
-}
-
-/// One memoized factor compile: the unrolled graph's MII bounds and the
-/// compiled kernel, `None` when no legal schedule fits.
-#[derive(Debug, Clone)]
-struct FactorEntry {
-    bounds: MiiBounds,
-    compiled: Option<Arc<CompiledKernel>>,
 }
 
 /// Version of the on-disk schedule payload. Bump whenever the key blob or
@@ -176,8 +168,9 @@ impl DiskTier {
 }
 
 type CacheSlot = Arc<OnceLock<Result<Arc<CompiledKernel>, ScheduleError>>>;
-/// `None` inside the slot: the kernel does not unroll by the factor.
-type FactorSlot = Arc<OnceLock<Option<FactorEntry>>>;
+/// `None` inside the slot: the kernel does not unroll by the factor, or no
+/// legal schedule fits.
+type FactorSlot = Arc<OnceLock<Option<Arc<CompiledKernel>>>>;
 
 thread_local! {
     static THREAD_COMPILES: Cell<u64> = const { Cell::new(0) };
@@ -235,8 +228,7 @@ pub struct CacheStats {
     /// misses`).
     pub compiles: u64,
     /// Distinct `(kernel, machine, unroll factor, software pipelining)`
-    /// compiles run under the set compiles and for
-    /// [`KernelCache::unroll_bounds`]; each is run once per process.
+    /// compiles run under the set compiles; each is run once per process.
     pub factor_compiles: u64,
     /// Memory misses rehydrated from the disk tier.
     pub disk_hits: u64,
@@ -304,7 +296,7 @@ impl KernelCache {
                 let factors = opts
                     .unroll_factors
                     .iter()
-                    .filter_map(|&u| self.factor(kernel, machine, u, swp)?.compiled);
+                    .filter_map(|&u| self.factor(kernel, machine, u, swp));
                 CompiledKernel::pick(kernel, machine, factors)
             };
             if let (Some(tier), Ok(c)) = (self.disk.get(), &compiled) {
@@ -322,14 +314,14 @@ impl KernelCache {
 
     /// The compile of `kernel` unrolled by `u` on `machine`, from its
     /// factor entry, compiling it on first use. `None` if the kernel does
-    /// not unroll by `u`.
+    /// not unroll by `u` or no legal schedule fits.
     fn factor(
         &self,
         kernel: &Kernel,
         machine: &Machine,
         u: u32,
         software_pipelining: bool,
-    ) -> Option<FactorEntry> {
+    ) -> Option<Arc<CompiledKernel>> {
         let key = FactorKey {
             kernel: kernel.name().to_string(),
             kernel_fingerprint: kernel.fingerprint(),
@@ -343,23 +335,9 @@ impl KernelCache {
         };
         slot.get_or_init(|| {
             self.factor_compiles.incr();
-            let (bounds, compiled) =
-                CompiledKernel::compile_factor(kernel, machine, u, software_pipelining)?;
-            Some(FactorEntry {
-                bounds,
-                compiled: compiled.map(Arc::new),
-            })
+            CompiledKernel::compile_factor(kernel, machine, u, software_pipelining).map(Arc::new)
         })
         .clone()
-    }
-
-    /// The MII bounds of `kernel` unrolled by `u` on `machine`, read from
-    /// the software-pipelined factor entry the set compiles share (and
-    /// compiling it if absent). `None` if the kernel does not unroll by
-    /// `u`. An upper bound on elements per cycle per cluster at factor `u`
-    /// is `u / mii()`.
-    pub fn unroll_bounds(&self, kernel: &Kernel, machine: &Machine, u: u32) -> Option<MiiBounds> {
-        self.factor(kernel, machine, u, true).map(|f| f.bounds)
     }
 
     /// Attaches a persistent tier: memory misses first try to rehydrate a
@@ -843,34 +821,27 @@ mod tests {
     }
 
     #[test]
-    fn unroll_bounds_read_the_factor_entries() {
-        use stream_sched::Ddg;
+    fn the_no_swp_ablation_gets_factor_entries_of_its_own() {
         let cache = KernelCache::new();
         let machine = Machine::paper(Shape::new(16, 5));
         let kernel = KernelId::Update.build(&machine);
-        cache
+        let swp = cache
             .get_or_compile(&kernel, &machine, &CompileOptions::new())
             .unwrap();
         assert_eq!(cache.stats().factor_compiles, 4);
-        for u in [1, 2, 4, 8] {
-            let unrolled = stream_ir::unroll(&kernel, u).unwrap();
-            let want = MiiBounds::compute(&Ddg::build(&unrolled, &machine), &machine);
-            assert_eq!(cache.unroll_bounds(&kernel, &machine, u), Some(want));
-        }
-        assert_eq!(cache.stats().factor_compiles, 4);
-        // An absent factor is compiled once, then read.
-        let b3 = cache.unroll_bounds(&kernel, &machine, 3);
-        assert_eq!(cache.unroll_bounds(&kernel, &machine, 3), b3);
-        assert_eq!(cache.stats().factor_compiles, 5);
-        // The no-SWP ablation has factor entries of its own.
-        cache
+        let flat = cache
             .get_or_compile(
                 &kernel,
                 &machine,
                 &CompileOptions::new().without_software_pipelining(),
             )
             .unwrap();
-        assert_eq!(cache.stats().factor_compiles, 9);
+        // The flat schedule does not reuse the pipelined factor entries:
+        // each factor is compiled again, with one stage.
+        let s = cache.stats();
+        assert_eq!((s.factor_compiles, s.compiles), (8, 2));
+        assert_eq!(flat.stages(), 1);
+        assert!(swp.stages() > 1);
     }
 
     #[test]

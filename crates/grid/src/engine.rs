@@ -18,16 +18,17 @@ pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 type TaskQueue<'a, T> = Mutex<VecDeque<(usize, Job<'a, T>)>>;
 
-/// The parallel sweep engine: a target worker count, a permit pool bounding
-/// live threads across **nested** runs, and the shared kernel cache.
+/// The parallel sweep engine: a target worker count, a permit pool of its
+/// own bounding live threads across concurrent runs, and the shared kernel
+/// cache.
 ///
 /// `Engine::new(1)` never spawns a thread — every job runs inline on the
 /// calling thread in submission order, preserving strictly serial behavior.
 /// With more workers, the calling thread always participates, and each
 /// `run` call tries to borrow up to `workers - 1` extra threads from the
-/// engine-wide permit pool; nested runs (an experiment sweeping its grid
-/// while `repro all` sweeps experiments) therefore never exceed the
-/// configured parallelism by more than the set of blocked parents.
+/// engine's permit pool; concurrent runs on one engine (the daemon's
+/// queries) therefore share its worker budget, and a run that finds no
+/// permit left runs its jobs inline.
 #[derive(Debug)]
 pub struct Engine {
     workers: usize,
@@ -63,11 +64,6 @@ impl SweepStats {
     /// Total busy time across all jobs, microseconds.
     pub fn busy_micros(&self) -> u64 {
         self.job_micros.iter().sum()
-    }
-
-    /// The longest single job, microseconds.
-    pub fn max_job_micros(&self) -> u64 {
-        self.job_micros.iter().copied().max().unwrap_or(0)
     }
 
     /// Folds another run's counters into this one (for experiments that

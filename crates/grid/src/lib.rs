@@ -10,14 +10,16 @@
 //!   [`std::thread::scope`] (no external dependencies). Jobs are submitted
 //!   as a batch and results come back **in submission order**, so a sweep
 //!   parallelized through the engine renders byte-identically to its serial
-//!   equivalent. A process-wide permit pool bounds the total number of live
-//!   worker threads even when engine runs nest (e.g. `repro all` running
-//!   experiments concurrently while each experiment sweeps its own grid).
+//!   equivalent. Each engine owns a permit pool that bounds its live
+//!   worker threads across concurrent runs on it (e.g. the daemon's
+//!   queries); `repro all` runs its experiments one after another, each
+//!   grid on the whole engine.
 //! * [`KernelCache`] — a shared, thread-safe compiled-kernel cache keyed by
 //!   `(kernel identity, MachineConfig, CompileOptions)` so each schedule is
 //!   compiled exactly once per process no matter how many experiments ask
 //!   for it. Under those entries it memoizes each unroll factor's compile,
-//!   so option sets that offer the same factor share its schedule. [`CacheScope`] layers deterministic per-consumer hit/miss
+//!   so option sets that offer the same factor share its schedule.
+//!   [`CacheScope`] layers deterministic per-consumer hit/miss
 //!   accounting on top (counts depend only on the consumer's own lookups,
 //!   not on which thread or experiment populated the cache first).
 //!

@@ -2,11 +2,12 @@
 //! threads.
 //!
 //! A [`PermitPool`] holds a budget of *extra* threads (beyond the calling
-//! thread) that concurrent parallel regions may borrow from. The sweep
-//! engine ([`stream-grid`]) owns one pool per engine so nested sweeps stay
-//! bounded by that engine's configured parallelism; the serve daemon's
-//! connection workers draw from the process-wide [`global`] pool, sized
-//! to the same worker budget as its sweep engine.
+//! thread) that concurrent parallel regions may borrow from. Each sweep
+//! engine (`stream_grid::Engine`) owns a pool of its own, so concurrent
+//! runs on one engine stay bounded by its configured parallelism. The
+//! process-wide [`global`] pool, sized to the same worker budget, only
+//! dispatches the serve daemon's connection workers and feeds the
+//! `pool.*` gauges.
 //!
 //! Permits are advisory capacity, not locks: `take` never blocks, it just
 //! returns however many permits (possibly zero) are free right now. Callers

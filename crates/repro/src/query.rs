@@ -72,11 +72,6 @@ impl Query {
         &self.ids
     }
 
-    /// The explicitly requested worker count, if any.
-    pub fn jobs_requested(&self) -> Option<usize> {
-        self.jobs
-    }
-
     /// An engine sized for this query.
     pub fn engine(&self) -> Engine {
         match self.jobs {

@@ -136,14 +136,9 @@ fn fu_index(kind: FuKind) -> usize {
 }
 
 /// Attempts a modulo schedule at exactly `ii`, with an operation budget
-/// proportional to the graph size. Returns `None` if the budget is exhausted
-/// before a legal schedule is found.
-pub fn schedule_at_ii(ddg: &Ddg, machine: &Machine, ii: u32) -> Option<ModuloSchedule> {
-    schedule_at_ii_memo(ddg, machine, ii, &mut HeightsMemo::new(ddg))
-}
-
-/// [`schedule_at_ii`] with priority heights memoized across successive II
-/// attempts (see [`HeightsMemo`]).
+/// proportional to the graph size and priority heights memoized across
+/// successive II attempts (see [`HeightsMemo`]). Returns `None` if the
+/// budget is exhausted before a legal schedule is found.
 pub(crate) fn schedule_at_ii_memo(
     ddg: &Ddg,
     machine: &Machine,

@@ -143,7 +143,7 @@ impl CompiledKernel {
         let factors = opts
             .unroll_factors
             .iter()
-            .filter_map(|&u| Self::compile_factor(kernel, machine, u, opts.software_pipelining)?.1);
+            .filter_map(|&u| Self::compile_factor(kernel, machine, u, opts.software_pipelining));
         let best = Self::pick(kernel, machine, factors);
         if let Ok(b) = &best {
             compile_span.arg("ii", b.schedule.ii);
@@ -159,16 +159,16 @@ impl CompiledKernel {
     /// registers fit, and checks the result against the microcode store
     /// and the independent verifier.
     ///
-    /// Returns `None` if the kernel cannot be unrolled by `u`; otherwise
-    /// the unrolled graph's MII bounds and the compiled kernel, which is
-    /// `None` when no legal schedule fits the machine. The result does not
+    /// Returns `None` if the kernel cannot be unrolled by `u` or no legal
+    /// schedule fits the machine; the compiled kernel keeps the unrolled
+    /// graph's MII bounds ([`CompiledKernel::bounds`]). The result does not
     /// depend on any other factor, so callers may memoize it per factor.
     pub fn compile_factor(
         kernel: &Kernel,
         machine: &Machine,
         u: u32,
         software_pipelining: bool,
-    ) -> Option<(MiiBounds, Option<Self>)> {
+    ) -> Option<Self> {
         let mut span = stream_trace::span("sched", "factor");
         span.arg("kernel", kernel.name());
         span.arg("unroll", u);
@@ -176,27 +176,13 @@ impl CompiledKernel {
         let bounds = MiiBounds::compute(&ddg, machine);
         stream_trace::record("sched.res_mii", u64::from(bounds.res_mii));
         stream_trace::record("sched.rec_mii", u64::from(bounds.rec_mii));
-        let compiled =
-            Self::schedule_unrolled(kernel, machine, u, software_pipelining, &ddg, bounds);
-        Some((bounds, compiled))
-    }
 
-    /// The body of [`CompiledKernel::compile_factor`] once `ddg`, the graph
-    /// of `kernel` unrolled by `u`, and its `bounds` are built.
-    fn schedule_unrolled(
-        kernel: &Kernel,
-        machine: &Machine,
-        u: u32,
-        software_pipelining: bool,
-        ddg: &Ddg,
-        bounds: MiiBounds,
-    ) -> Option<Self> {
         // II search upward from MII, sharing priority heights across
         // attempts (and with the register-deepening loop below).
         let mii = bounds.mii();
-        let mut heights = HeightsMemo::new(ddg);
+        let mut heights = HeightsMemo::new(&ddg);
         let mut sched = (mii..=mii.saturating_mul(2) + 32)
-            .find_map(|ii| schedule_at_ii_memo(ddg, machine, ii, &mut heights))?;
+            .find_map(|ii| schedule_at_ii_memo(&ddg, machine, ii, &mut heights))?;
 
         // No-SWP ablation: stretch the initiation interval to the flat
         // schedule length so iterations never overlap. (Dependence and
@@ -204,12 +190,12 @@ impl CompiledKernel {
         // interval and distinct cycles stay distinct modulo the longer
         // II.)
         if !software_pipelining {
-            let flat = sched.length(ddg).max(1);
+            let flat = sched.length(&ddg).max(1);
             sched = crate::ModuloSchedule {
                 ii: flat,
                 times: sched.times,
             };
-            debug_assert_eq!(sched.verify(ddg, machine), Ok(()));
+            debug_assert_eq!(sched.verify(&ddg, machine), Ok(()));
         }
 
         // Register pressure: deepen the II (less iteration overlap, so
@@ -217,35 +203,35 @@ impl CompiledKernel {
         // capacity. A flat schedule is reached at II = schedule length;
         // past that nothing improves.
         let cap = machine.register_capacity();
-        let mut registers = sched.register_estimate(ddg);
+        let mut registers = sched.register_estimate(&ddg);
         if registers > cap {
             let _deepen = stream_trace::span("sched", "deepen");
             while registers > cap {
                 let next_ii = (sched.ii + sched.ii.div_ceil(4))
-                    .min(sched.length(ddg))
+                    .min(sched.length(&ddg))
                     .min(MAX_SCHEDULE_LENGTH);
                 if next_ii <= sched.ii {
                     break;
                 }
-                let Some(s) = schedule_at_ii_memo(ddg, machine, next_ii, &mut heights) else {
+                let Some(s) = schedule_at_ii_memo(&ddg, machine, next_ii, &mut heights) else {
                     break;
                 };
                 sched = s;
-                registers = sched.register_estimate(ddg);
+                registers = sched.register_estimate(&ddg);
             }
             if registers > cap {
                 return None;
             }
         }
 
-        let length = sched.length(ddg);
+        let length = sched.length(&ddg);
         if length > MAX_SCHEDULE_LENGTH {
             return None;
         }
 
         // Every candidate passes the independent verifier, in every
         // build profile; a rejection is a scheduler bug.
-        let verification = crate::check_schedule(ddg, &sched, machine);
+        let verification = crate::check_schedule(&ddg, &sched, machine);
         debug_assert!(
             !verification.has_errors(),
             "scheduler produced an illegal schedule for {}:\n{verification}",
@@ -743,20 +729,22 @@ mod tests {
     fn factor_compiles_report_bounds_and_feed_the_pick() {
         let k = mul_add_kernel(7);
         let m = Machine::baseline();
-        let factors: Vec<(MiiBounds, Option<CompiledKernel>)> = [1, 2, 4, 8]
+        let factors: Vec<CompiledKernel> = [1, 2, 4, 8]
             .iter()
             .map(|&u| CompiledKernel::compile_factor(&k, &m, u, true).unwrap())
             .collect();
-        assert!(factors[2].0.mii() >= factors[0].0.mii());
-        for (bounds, compiled) in &factors {
-            let c = compiled.as_ref().unwrap();
-            assert!(c.ii() >= bounds.mii());
-            assert_eq!(c.bounds(), *bounds);
+        assert!(factors[2].bounds().mii() >= factors[0].bounds().mii());
+        for (c, u) in factors.iter().zip([1, 2, 4, 8]) {
+            let unrolled = unroll(&k, u).unwrap();
+            assert_eq!(
+                c.bounds(),
+                MiiBounds::compute(&Ddg::build(&unrolled, &m), &m)
+            );
+            assert!(c.ii() >= c.bounds().mii());
             assert!(!c.verification().has_errors());
         }
         // Picking among the factor compiles is the full search.
-        let picked =
-            CompiledKernel::pick(&k, &m, factors.iter().filter_map(|f| f.1.as_ref())).unwrap();
+        let picked = CompiledKernel::pick(&k, &m, &factors).unwrap();
         let full = CompiledKernel::compile_default(&k, &m).unwrap();
         assert_eq!(picked.recipe(), full.recipe());
         let none: [CompiledKernel; 0] = [];
@@ -781,10 +769,7 @@ mod tests {
         b.write(out, f);
         let k = b.finish().unwrap();
         let m = Machine::baseline();
-        let x4 = CompiledKernel::compile_factor(&k, &m, 4, true)
-            .unwrap()
-            .1
-            .unwrap();
+        let x4 = CompiledKernel::compile_factor(&k, &m, 4, true).unwrap();
         let mut x8 = x4.clone();
         x8.unroll *= 2;
         x8.schedule.ii *= 2;

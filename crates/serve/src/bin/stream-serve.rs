@@ -22,8 +22,8 @@ options:
   --cache-dir DIR    persist schedule + tuning caches under DIR
                      (default: $STREAM_CACHE_DIR if set)
 
-endpoints: /health /metrics /v1/experiments /v1/run/<id> /v1/sweep /v1/query /v1/stats
-           /v1/shutdown
+endpoints: /health /metrics /v1/experiments /v1/run/<id> /v1/sweep /v1/query /v1/tune
+           /v1/stats /v1/shutdown
 
 environment:
   STREAM_FLIGHT_RECORDER   off/0/false disables the always-on flight recorder

@@ -20,49 +20,32 @@
 //! # Pruning: fewer scheduler runs than the cross-product
 //!
 //! Compiling a candidate is the expensive part (one modulo-scheduler
-//! search per kernel per distinct option set). Before compiling anything,
-//! each candidate is bounded from below using only ResMII/RecMII bounds: a
-//! kernel unrolled by `u` retires at most `u / MII(u)` records per cycle
-//! per cluster, so
+//! search per kernel per distinct option set). *Identity pruning* skips
+//! candidates whose outcome is already known: the scheduler's pick folds
+//! over each offered factor's own compile, and no factor's compile depends
+//! on the others offered. So if an evaluated superset's chosen factors all
+//! lie inside a candidate subset, the subset would compile to the identical
+//! program (same strip scale → same simulated cycles) and is skipped
+//! without a compile. (The pick is subset-stable by construction except
+//! inside its 0.01 % epc tie band; a candidate pruned in that corner could
+//! differ only by an epsilon-equivalent schedule, and the
+//! never-worse-than-default guarantee is unaffected because the default
+//! point is always evaluated directly.)
 //!
-//! ```text
-//! lb(candidate) = Σ_kernels  records(kernel) · min_{u ∈ set} MII(u)/u / C
-//! ```
-//!
-//! is a valid lower bound on the program's kernel-busy cycles — and the
-//! simulator's total is never below kernel-busy. Strip batching never
-//! reduces total records, so the bound is strip-invariant. Any candidate
-//! whose bound already meets the incumbent's cycles is discarded unseen.
-//! The bounds come from the process-wide kernel cache
-//! ([`stream_grid::KernelCache::unroll_bounds`]): they are read off the
-//! per-factor compiles that every set compile offering the factor shares,
-//! so a bound adds no scheduler work for a factor some evaluated set
-//! offers too.
-//!
-//! A second rule — *identity pruning* — removes candidates whose outcome
-//! is already known: the scheduler's pick folds over each offered factor's
-//! own compile, and no factor's compile depends on the others offered. So
-//! if an evaluated superset's chosen factors all lie inside a candidate
-//! subset, the subset would compile to the identical program (same strip
-//! scale → same simulated cycles) and is skipped without a compile. (The
-//! pick is subset-stable by construction except inside its 0.01 % epc tie
-//! band; a candidate pruned in that corner could differ only by an
-//! epsilon-equivalent schedule, and the never-worse-than-default guarantee
-//! is unaffected because the default point is always evaluated directly.)
-//!
-//! Together the two rules make the search run measurably fewer scheduler
-//! invocations than the raw cross-product; the compile count is exposed
-//! as `tune.sched_compiles` and asserted strictly below the cross-product
-//! in tests.
+//! The rule makes the search run measurably fewer scheduler invocations
+//! than the raw cross-product; the compile count is exposed as
+//! `tune.sched_compiles` and asserted strictly below the cross-product in
+//! tests.
 //!
 //! # Persistence
 //!
 //! With [`attach_global_disk`], finished searches are written to a
 //! `tune-<version>` namespace keyed by (app, machine config, search
 //! space). Warm restarts replay winners with **zero** searches — but
-//! rehydrated entries are re-validated (both the default and the winning
-//! program are rebuilt and re-simulated; the stored cycle counts must
-//! still match) rather than trusted.
+//! rehydrated entries are re-validated (the winner must be a point of the
+//! space, and both the default and the winning program are rebuilt and
+//! re-simulated; the stored cycle counts must still match) rather than
+//! trusted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,9 +61,8 @@ use std::fmt;
 use std::sync::Once;
 
 use stream_apps::AppId;
-use stream_ir::Kernel;
 use stream_machine::{Machine, SystemParams};
-use stream_sched::{CompileOptions, MiiBounds};
+use stream_sched::CompileOptions;
 use stream_sim::{simulate, SimError, StreamInstr, StreamProgram};
 use stream_trace::Counter;
 
@@ -109,7 +91,8 @@ pub struct TuneStats {
     pub searches: u64,
     /// Results served by the persistent tier after re-validation.
     pub rehydrated: u64,
-    /// Candidates discarded by the MII lower bound before compiling.
+    /// Candidates skipped by identity pruning: an evaluated superset's
+    /// picks show they would compile to a program already simulated.
     pub pruned: u64,
     /// Candidates actually simulated (includes each search's baseline).
     pub candidates: u64,
@@ -142,7 +125,7 @@ pub struct Tuned {
     pub tuned_cycles: u64,
     /// Whether this result was rehydrated from the persistent tier.
     pub from_disk: bool,
-    /// Candidates discarded by the lower bound in this call.
+    /// Candidates skipped by identity pruning in this call.
     pub pruned: u64,
     /// Candidates simulated in this call (0 when rehydrated/disabled).
     pub evaluated: u64,
@@ -184,37 +167,6 @@ impl Tuned {
     }
 }
 
-/// Per-kernel pruning state: the kernel, its MII bounds per unroll factor
-/// (`None` where it cannot be unrolled that far), and the total records the
-/// default program feeds it.
-struct KernelBound {
-    kernel: Kernel,
-    bounds: Vec<(u32, Option<MiiBounds>)>,
-    records: u64,
-}
-
-impl KernelBound {
-    fn new(kernel: Kernel, records: u64) -> Self {
-        Self {
-            kernel,
-            bounds: Vec::new(),
-            records,
-        }
-    }
-
-    /// The MII bounds of this kernel unrolled by `u`, looked up once per
-    /// search in the process-wide kernel cache's factor entry — the one
-    /// the set compiles offering `u` share.
-    fn bounds(&mut self, machine: &Machine, u: u32) -> Option<MiiBounds> {
-        if let Some(&(_, b)) = self.bounds.iter().find(|(f, _)| *f == u) {
-            return b;
-        }
-        let b = stream_grid::global_cache().unroll_bounds(&self.kernel, machine, u);
-        self.bounds.push((u, b));
-        b
-    }
-}
-
 /// One processed unroll set: which factor the scheduler actually chose
 /// per kernel, and which strip scales have been covered with it.
 struct SetRecord {
@@ -234,44 +186,6 @@ fn unroll_picks(program: &StreamProgram) -> BTreeMap<String, u32> {
     picks
 }
 
-fn kernel_record_totals(program: &StreamProgram) -> BTreeMap<String, u64> {
-    let mut totals = BTreeMap::new();
-    for instr in program.instrs() {
-        if let StreamInstr::Kernel {
-            kernel, records, ..
-        } = instr
-        {
-            *totals.entry(kernel.name().to_string()).or_insert(0) += records;
-        }
-    }
-    totals
-}
-
-/// Lower bound (in cycles) on any program running `bounds`' kernels with
-/// an unroll-factor set `set`, from MII bounds alone. `None` only if some
-/// kernel has no feasible factor in the set — impossible for the shipped
-/// space (every set contains 1), but callers treat it as "cannot prune".
-fn lower_bound(bounds: &mut [KernelBound], machine: &Machine, set: &[u32]) -> Option<f64> {
-    let c = f64::from(machine.clusters());
-    let mut lb = 0.0f64;
-    for kb in bounds.iter_mut() {
-        if kb.records == 0 {
-            continue;
-        }
-        let mut best_ratio = f64::INFINITY;
-        for &u in set {
-            if let Some(b) = kb.bounds(machine, u) {
-                best_ratio = best_ratio.min(f64::from(b.mii()) / f64::from(u));
-            }
-        }
-        if !best_ratio.is_finite() {
-            return None;
-        }
-        lb += kb.records as f64 * best_ratio / c;
-    }
-    Some(lb)
-}
-
 fn default_report(
     id: AppId,
     machine: &Machine,
@@ -284,14 +198,19 @@ fn default_report(
     }
 }
 
-/// Validates a stored winner: both the default and the winning program
-/// must rebuild and re-simulate to exactly the stored cycle counts.
+/// Validates a stored winner: it must be one of `space`'s candidates, and
+/// both the default and the winning program must rebuild and re-simulate
+/// to exactly the stored cycle counts.
 fn revalidate(
     id: AppId,
     machine: &Machine,
     sys: &SystemParams,
+    space: &TuneSpace,
     stored: &persist::StoredTuned,
 ) -> bool {
+    if !space.candidates().contains(&stored.winner) {
+        return false;
+    }
     if !matches!(default_report(id, machine, sys), Ok((_, c)) if c == stored.default_cycles) {
         return false;
     }
@@ -332,7 +251,7 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
     let space = TuneSpace::default();
 
     if let Some(stored) = persist::load(id.name(), machine, &space) {
-        if revalidate(id, machine, sys, &stored) {
+        if revalidate(id, machine, sys, &space, &stored) {
             REHYDRATED.incr();
             let delta = stream_grid::thread_compiles() - compiles_before;
             SCHED_COMPILES.add(delta);
@@ -353,23 +272,11 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
     SEARCHES.incr();
     CANDIDATES.incr();
 
-    let totals = kernel_record_totals(&default_program);
-    let mut bounds: Vec<KernelBound> = id
-        .kernels(machine)
-        .into_iter()
-        .map(|kernel| {
-            let records = totals.get(kernel.name()).copied().unwrap_or(0);
-            KernelBound::new(kernel, records)
-        })
-        .collect();
-
     let mut best = Candidate::default_point();
     let mut best_cycles = default_cycles;
     let mut pruned = 0u64;
     let mut evaluated = 1u64; // the default point
-                              // The bound depends only on the unroll set, not the strip scale;
-                              // memoize per set so the three strip variants share one computation.
-    let mut lb_memo: Vec<(Vec<u32>, Option<f64>)> = Vec::new();
+
     // Processed (set, strip) points with the factors the scheduler chose,
     // for identity pruning (see the module docs): set → per-kernel picks
     // plus the strip scales already covered.
@@ -393,29 +300,6 @@ pub fn try_tune_app(id: AppId, machine: &Machine, sys: &SystemParams) -> Result<
             pruned += 1;
             PRUNED.incr();
             continue;
-        }
-        let lb = match lb_memo.iter().find(|(s, _)| *s == cand.unroll_factors) {
-            Some((_, lb)) => *lb,
-            None => {
-                let lb = lower_bound(&mut bounds, machine, &cand.unroll_factors);
-                lb_memo.push((cand.unroll_factors.clone(), lb));
-                lb
-            }
-        };
-        match lb {
-            // No feasible factor at all: the compile would fail.
-            None => {
-                pruned += 1;
-                PRUNED.incr();
-                continue;
-            }
-            // Provably cannot beat the incumbent: skip without compiling.
-            Some(lb) if lb >= best_cycles as f64 => {
-                pruned += 1;
-                PRUNED.incr();
-                continue;
-            }
-            Some(_) => {}
         }
         evaluated += 1;
         CANDIDATES.incr();
@@ -553,30 +437,43 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_is_below_observed_cycles() {
+    fn revalidate_rejects_winners_outside_the_space() {
+        // Calls `revalidate` directly, so no disk tier is attached. Each
+        // stored entry carries the true default cycles, and a winner that
+        // builds carries its own true cycles, so only the winner's place in
+        // the space can reject it.
         let m = Machine::baseline();
-        let (program, cycles) = default_report(AppId::Conv, &m, &sys()).unwrap();
-        let totals = kernel_record_totals(&program);
-        let mut bounds: Vec<KernelBound> = AppId::Conv
-            .kernels(&m)
-            .into_iter()
-            .map(|kernel| {
-                let records = totals.get(kernel.name()).copied().unwrap_or(0);
-                KernelBound::new(kernel, records)
-            })
-            .collect();
-        let lb = lower_bound(&mut bounds, &m, &[1, 2, 4, 8]).unwrap();
-        assert!(
-            lb <= cycles as f64,
-            "bound {lb} exceeds observed {cycles} cycles"
-        );
-        assert!(lb > 0.0);
-        // Each kernel's bound per factor is derived once, then reused.
-        let again = lower_bound(&mut bounds, &m, &[1, 2, 4, 8]).unwrap();
-        assert_eq!(again, lb);
-        assert!(bounds
-            .iter()
-            .all(|kb| kb.records == 0 || kb.bounds.len() == 4));
+        let space = TuneSpace::default();
+        let (_, default_cycles) = default_report(AppId::Conv, &m, &sys()).unwrap();
+        let outside = [
+            (vec![], 1),
+            (vec![0], 1),
+            (vec![1, 3, 5], 1),
+            (vec![1, 2, 4, 8], 0),
+            (vec![1, 2, 4, 8], 8),
+        ];
+        for (unroll_factors, strip_scale) in outside {
+            let winner = Candidate {
+                unroll_factors,
+                strip_scale,
+            };
+            let tuned_cycles = if winner.unroll_factors.contains(&1) {
+                let app =
+                    AppId::Conv.program_with(&m, &winner.compile_options(), winner.strip_scale);
+                simulate(&app.program, &m, &sys()).map_or(default_cycles, |r| r.cycles)
+            } else {
+                default_cycles
+            };
+            let stored = persist::StoredTuned {
+                winner,
+                default_cycles,
+                tuned_cycles,
+            };
+            assert!(
+                !revalidate(AppId::Conv, &m, &sys(), &space, &stored),
+                "{stored:?}"
+            );
+        }
     }
 
     #[test]

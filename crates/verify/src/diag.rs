@@ -27,22 +27,12 @@ impl fmt::Display for Severity {
 /// never reused; see `docs/lint_codes.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
-    /// E001: an operand names a value not defined before its use.
-    UndefinedValue,
-    /// E002: operand or result types violate the opcode's typing rule.
-    TypeMismatch,
-    /// E005: an operand names an op that produces no value (a write).
-    NoValueOperand,
-    /// E006: a recurrence is unbound, rebound, or bound to a non-value.
-    RecurrenceBinding,
     /// E007: a recurrence next-chain cycles through recurrences only,
     /// carrying a zero-latency dependence with no scheduled producer.
     DegenerateRecurrence,
     /// E008: an op's scheduling class is missing from the verifier's
     /// independent latency table.
     MissingLatency,
-    /// E009: a stream access names an undeclared stream.
-    UnknownStream,
     /// W001: a side-effect-free value is never used.
     DeadValue,
     /// W002: a declared input stream is never read.
@@ -69,21 +59,18 @@ pub enum Code {
     /// W101: the schedule's steady-state MaxLive exceeds the cluster's LRF
     /// register capacity.
     RegisterPressure,
-    // E003, E004 and E010 are retired with the textual kernel format, and
-    // E201–E211 and W201–W203 with the execution tape (see
-    // docs/lint_codes.md); the numbers are not reused.
+    // E001, E002, E005, E006 and E009 are retired because only the
+    // builder constructs kernels and it enforces their rules, E003, E004
+    // and E010 with the textual kernel format, and E201–E211 and
+    // W201–W203 with the execution tape (see docs/lint_codes.md); the
+    // numbers are not reused.
 }
 
 impl Code {
     /// All codes, in catalog order.
-    pub const ALL: [Code; 17] = [
-        Code::UndefinedValue,
-        Code::TypeMismatch,
-        Code::NoValueOperand,
-        Code::RecurrenceBinding,
+    pub const ALL: [Code; 12] = [
         Code::DegenerateRecurrence,
         Code::MissingLatency,
-        Code::UnknownStream,
         Code::DeadValue,
         Code::UnusedInput,
         Code::UnusedOutput,
@@ -99,13 +86,8 @@ impl Code {
     /// The stable code string, e.g. `"E102"`.
     pub fn as_str(&self) -> &'static str {
         match self {
-            Code::UndefinedValue => "E001",
-            Code::TypeMismatch => "E002",
-            Code::NoValueOperand => "E005",
-            Code::RecurrenceBinding => "E006",
             Code::DegenerateRecurrence => "E007",
             Code::MissingLatency => "E008",
-            Code::UnknownStream => "E009",
             Code::DeadValue => "W001",
             Code::UnusedInput => "W002",
             Code::UnusedOutput => "W003",
@@ -130,13 +112,8 @@ impl Code {
     /// One-line catalog description.
     pub fn description(&self) -> &'static str {
         match self {
-            Code::UndefinedValue => "operand uses a value not defined before it",
-            Code::TypeMismatch => "operand or result types violate the opcode's typing rule",
-            Code::NoValueOperand => "operand names an op that produces no value",
-            Code::RecurrenceBinding => "recurrence unbound, rebound, or bound improperly",
             Code::DegenerateRecurrence => "recurrence next-chain cycles through recurrences only",
             Code::MissingLatency => "scheduling class missing from the verifier's latency table",
-            Code::UnknownStream => "stream access names an undeclared stream",
             Code::DeadValue => "side-effect-free value is never used",
             Code::UnusedInput => "declared input stream is never read",
             Code::UnusedOutput => "declared output stream is never written",
@@ -237,11 +214,6 @@ impl Report {
     pub fn count(&self, code: Code) -> usize {
         self.diags.iter().filter(|d| d.code == code).count()
     }
-
-    /// Merges `other`'s diagnostics into this report.
-    pub fn merge(&mut self, other: Report) {
-        self.diags.extend(other.diags);
-    }
 }
 
 impl fmt::Display for Report {
@@ -298,8 +270,8 @@ mod tests {
     #[test]
     fn display_names_the_code() {
         let mut r = Report::new();
-        r.push(Code::UndefinedValue, "v9 is not defined");
+        r.push(Code::DegenerateRecurrence, "v9: cycles through recurrences");
         let s = r.to_string();
-        assert!(s.contains("error[E001]"), "{s}");
+        assert!(s.contains("error[E007]"), "{s}");
     }
 }

@@ -9,9 +9,9 @@
 //!   `t(to) + II·distance ≥ t(from) + latency`, recomputes ResMII and
 //!   RecMII independently, and re-derives steady-state register pressure
 //!   (diagnostics `E101`–`E106`, `W101`).
-//! - [`lint_kernel`] re-checks the structural and typing invariants of a
-//!   built [`stream_ir::Kernel`] and warns about dead values and unused
-//!   streams (`E00x`, `W00x`).
+//! - [`lint_kernel`] flags what a built [`stream_ir::Kernel`] can still
+//!   get wrong — degenerate recurrences and latency-table gaps — and warns
+//!   about dead values and unused streams (`E007`, `E008`, `W00x`).
 //!
 //! All checkers return a [`Report`] of [`Diagnostic`]s with stable
 //! [`Code`]s cataloged in `docs/lint_codes.md`. The crate deliberately
