@@ -171,10 +171,14 @@ mod tests {
             })
             .collect();
         let program = AppId::Depth.program(&m).program;
+        // The program's table holds each kernel once, however often it is
+        // called.
+        assert_eq!(program.kernels().len(), cached.len());
         let mut calls = 0;
         for instr in program.instrs() {
-            if let StreamInstr::Kernel { kernel, .. } = instr {
+            if let StreamInstr::Kernel(call) = instr {
                 calls += 1;
+                let kernel = program.kernel(call);
                 let entry = cached
                     .iter()
                     .find(|c| c.name() == kernel.name())

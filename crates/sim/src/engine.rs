@@ -146,12 +146,10 @@ pub fn simulate(
     sim_span.arg("instrs", program.instrs().len());
     let mut stalls = [0u64; 4]; // host, data, memory, clusters
 
-    let n_streams = program.stream_count();
-    // Completion time of each stream's producer, and the producing/last-
-    // consuming instruction indices for residency intervals.
-    let mut ready: Vec<Option<u64>> = vec![None; n_streams];
-    let mut produced_at: Vec<Option<u64>> = vec![None; n_streams];
-    let mut last_use_end: Vec<u64> = vec![0; n_streams];
+    // Per stream: the instruction that produced it and the one that uses it
+    // last (the latest end; the producer until something reads it), both
+    // indices into `timeline`.
+    let mut streams: Vec<[u32; 2]> = vec![[UNPRODUCED; 2]; program.stream_count()];
 
     let issue_cycles = system.host_issue_cycles();
     let mut issue_done = 0u64;
@@ -159,39 +157,32 @@ pub fn simulate(
     let mut clusters_free = 0u64;
     let mut kernel_busy = 0u64;
     let mut memory_busy = 0u64;
-    let mut timeline = Vec::with_capacity(program.instrs().len());
+    let mut timeline: Vec<InstrTiming> = Vec::with_capacity(program.instrs().len());
 
-    for instr in program.instrs() {
+    for (i, instr) in program.instrs().iter().enumerate() {
+        let i = i as u32;
         issue_done += issue_cycles;
-        let timing = match instr {
+        match *instr {
             StreamInstr::Resident { dst, .. } => {
-                ready[dst.0 as usize] = Some(0);
-                produced_at[dst.0 as usize] = Some(0);
-                InstrTiming { start: 0, end: 0 }
+                timeline.push(InstrTiming { start: 0, end: 0 });
+                streams[dst.0 as usize] = [i; 2];
             }
             StreamInstr::Load {
                 dst,
                 words,
                 pattern,
-                ..
             } => {
                 let start = issue_done.max(mem_bw_free);
                 stalls[if start == issue_done { 0 } else { 2 }] += 1;
-                let bw = transfer_cycles(*words, *pattern, system);
+                let bw = transfer_cycles(words, pattern, system);
                 let end = start + u64::from(system.memory_latency_cycles) + bw;
                 mem_bw_free = start + bw;
                 memory_busy += bw;
-                ready[dst.0 as usize] = Some(end);
-                produced_at[dst.0 as usize] = Some(start);
-                last_use_end[dst.0 as usize] = last_use_end[dst.0 as usize].max(end);
-                InstrTiming { start, end }
+                timeline.push(InstrTiming { start, end });
+                streams[dst.0 as usize] = [i; 2];
             }
             StreamInstr::Store { src, pattern } => {
-                let data = ready
-                    .get(src.0 as usize)
-                    .copied()
-                    .flatten()
-                    .ok_or(SimError::UseBeforeDef(*src))?;
+                let data = ready(&streams, &timeline, src)?;
                 let start = issue_done.max(data).max(mem_bw_free);
                 stalls[if start == issue_done {
                     0
@@ -200,28 +191,18 @@ pub fn simulate(
                 } else {
                     2
                 }] += 1;
-                let words = program.size(*src);
-                let bw = transfer_cycles(words, *pattern, system);
+                let bw = transfer_cycles(program.size(src), pattern, system);
                 let end = start + u64::from(system.memory_latency_cycles) + bw;
                 mem_bw_free = start + bw;
                 memory_busy += bw;
-                last_use_end[src.0 as usize] = last_use_end[src.0 as usize].max(end);
-                InstrTiming { start, end }
+                timeline.push(InstrTiming { start, end });
+                used_by(&mut streams, &timeline, src, i);
             }
-            StreamInstr::Kernel {
-                kernel,
-                inputs,
-                outputs,
-                records,
-            } => {
+            StreamInstr::Kernel(call) => {
+                let inputs = program.inputs(&call);
                 let mut data_ready = 0u64;
-                for s in inputs {
-                    let r = ready
-                        .get(s.0 as usize)
-                        .copied()
-                        .flatten()
-                        .ok_or(SimError::UseBeforeDef(*s))?;
-                    data_ready = data_ready.max(r);
+                for &s in inputs {
+                    data_ready = data_ready.max(ready(&streams, &timeline, s)?);
                 }
                 let start = issue_done.max(data_ready).max(clusters_free);
                 stalls[if start == issue_done {
@@ -231,46 +212,25 @@ pub fn simulate(
                 } else {
                     3
                 }] += 1;
-                let dur = kernel.call_cycles(*records);
+                let dur = program.kernel(&call).call_cycles(call.records());
                 let end = start + dur;
                 clusters_free = end;
                 kernel_busy += dur;
-                for s in inputs {
-                    last_use_end[s.0 as usize] = last_use_end[s.0 as usize].max(end);
+                timeline.push(InstrTiming { start, end });
+                for &s in inputs {
+                    used_by(&mut streams, &timeline, s, i);
                 }
-                for (s, _) in outputs {
-                    ready[s.0 as usize] = Some(end);
-                    produced_at[s.0 as usize] = Some(start);
-                    last_use_end[s.0 as usize] = last_use_end[s.0 as usize].max(end);
+                for s in program.outputs(&call) {
+                    streams[s.0 as usize] = [i; 2];
                 }
-                InstrTiming { start, end }
             }
-        };
-        timeline.push(timing);
+        }
     }
 
     let cycles = timeline.iter().map(|t| t.end).max().unwrap_or(0);
     let host_busy = issue_cycles * program.instrs().len() as u64;
 
-    // SRF residency sweep: each produced stream occupies its words from
-    // producer start to its last use.
-    let mut events: Vec<(u64, i64)> = Vec::new();
-    for s in 0..n_streams {
-        if let Some(start) = produced_at[s] {
-            let words = program.size(StreamVar(s as u32)) as i64;
-            let end = last_use_end[s].max(start + 1);
-            events.push((start, words));
-            events.push((end, -words));
-        }
-    }
-    events.sort_unstable_by_key(|&(t, delta)| (t, delta));
-    let mut resident = 0i64;
-    let mut peak = 0i64;
-    for (_, delta) in events {
-        resident += delta;
-        peak = peak.max(resident);
-    }
-    let peak = peak as u64;
+    let peak = srf_peak(program, &timeline, &streams);
     let capacity = machine.srf_total_words();
     if peak > capacity {
         sim_span.arg("error", "srf_overflow");
@@ -293,6 +253,90 @@ pub fn simulate(
         host_busy,
         timeline,
     })
+}
+
+/// Marks a stream no instruction has produced yet.
+const UNPRODUCED: u32 = u32::MAX;
+
+/// The cycle stream `s` becomes available: its producer's end.
+fn ready(streams: &[[u32; 2]], timeline: &[InstrTiming], s: StreamVar) -> Result<u64, SimError> {
+    match streams.get(s.0 as usize) {
+        Some(&[producer, _]) if producer != UNPRODUCED => Ok(timeline[producer as usize].end),
+        _ => Err(SimError::UseBeforeDef(s)),
+    }
+}
+
+/// Records that instruction `i`, already on the timeline, reads `s`.
+fn used_by(streams: &mut [[u32; 2]], timeline: &[InstrTiming], s: StreamVar, i: u32) {
+    let last = &mut streams[s.0 as usize][1];
+    if timeline[i as usize].end >= timeline[*last as usize].end {
+        *last = i;
+    }
+}
+
+/// Peak SRF residency in words. Each stream occupies its words from its
+/// producer's start to the end of its last user, and for at least one
+/// cycle; at equal times, frees apply before allocations.
+///
+/// The sweep runs over per-instruction totals rather than two events per
+/// stream, laid out class by class in issue order after the few one-cycle
+/// frees: resident declarations (all at time zero), load starts,
+/// memory-transfer ends, then each kernel call's start and end. Memory transfers start and end in non-decreasing
+/// issue order (each starts no earlier than the previous one's start plus
+/// its transfer cycles, and the latency is fixed), and each kernel call
+/// starts at or after the previous call's end, so the list is a few
+/// ascending runs, which the stable sort merges in near-linear time. Only
+/// the speed rests on that order: the sort orders any list correctly.
+fn srf_peak(program: &StreamProgram, timeline: &[InstrTiming], streams: &[[u32; 2]]) -> u64 {
+    let instrs = program.instrs();
+    let mut frees = vec![0u64; instrs.len()];
+    let mut events: Vec<(u64, i64)> = Vec::with_capacity(2 * instrs.len());
+    fn push(events: &mut Vec<(u64, i64)>, t: u64, delta: i64) {
+        if delta != 0 {
+            events.push((t, delta));
+        }
+    }
+    for (s, &[producer, last]) in streams.iter().enumerate() {
+        let words = program.size(StreamVar(s as u32));
+        let start = timeline[producer as usize].start;
+        if timeline[last as usize].end > start {
+            frees[last as usize] += words;
+        } else {
+            // A zero-length interval (say, a resident stream nothing reads)
+            // still holds its words for one cycle.
+            push(&mut events, start + 1, -(words as i64));
+        }
+    }
+    for instr in instrs {
+        if let StreamInstr::Resident { words, .. } = *instr {
+            push(&mut events, 0, words as i64);
+        }
+    }
+    for (instr, t) in instrs.iter().zip(timeline) {
+        if let StreamInstr::Load { words, .. } = *instr {
+            push(&mut events, t.start, words as i64);
+        }
+    }
+    for ((instr, t), &words) in instrs.iter().zip(timeline).zip(&frees) {
+        if let StreamInstr::Load { .. } | StreamInstr::Store { .. } = instr {
+            push(&mut events, t.end, -(words as i64));
+        }
+    }
+    for ((instr, t), &words) in instrs.iter().zip(timeline).zip(&frees) {
+        if let StreamInstr::Kernel(call) = instr {
+            let allocated: u64 = program.outputs(call).map(|s| program.size(s)).sum();
+            push(&mut events, t.start, allocated as i64);
+            push(&mut events, t.end, -(words as i64));
+        }
+    }
+    events.sort();
+    let mut resident = 0i64;
+    let mut peak = 0i64;
+    for (_, delta) in events {
+        resident += delta;
+        peak = peak.max(resident);
+    }
+    peak as u64
 }
 
 /// Bandwidth-occupancy cycles of one transfer: peak bandwidth derated by

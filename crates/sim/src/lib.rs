@@ -25,4 +25,6 @@ mod engine;
 mod program;
 
 pub use engine::{fits_in_srf, simulate, Bottleneck, InstrTiming, SimError, SimReport};
-pub use program::{AccessPattern, ProgramBuilder, StreamInstr, StreamProgram, StreamVar};
+pub use program::{
+    AccessPattern, KernelCall, ProgramBuilder, StreamInstr, StreamProgram, StreamVar,
+};

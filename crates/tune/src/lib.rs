@@ -63,7 +63,7 @@ use std::sync::Once;
 use stream_apps::AppId;
 use stream_machine::{Machine, SystemParams};
 use stream_sched::CompileOptions;
-use stream_sim::{simulate, SimError, StreamInstr, StreamProgram};
+use stream_sim::{simulate, SimError, StreamProgram};
 use stream_trace::Counter;
 
 static SEARCHES: Counter = Counter::new();
@@ -177,13 +177,11 @@ struct SetRecord {
 
 /// The unroll factor the scheduler chose for each kernel of `program`.
 fn unroll_picks(program: &StreamProgram) -> BTreeMap<String, u32> {
-    let mut picks = BTreeMap::new();
-    for instr in program.instrs() {
-        if let StreamInstr::Kernel { kernel, .. } = instr {
-            picks.insert(kernel.name().to_string(), kernel.unroll_factor());
-        }
-    }
-    picks
+    program
+        .kernels()
+        .iter()
+        .map(|kernel| (kernel.name().to_string(), kernel.unroll_factor()))
+        .collect()
 }
 
 fn default_report(
