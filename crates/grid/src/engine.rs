@@ -1,38 +1,31 @@
-//! The work-stealing sweep runner.
+//! The sweep runner.
 //!
-//! Jobs are distributed round-robin across per-worker deques; each worker
-//! pops its own deque from the front and steals from the back of the others
-//! when it runs dry. Results are reduced **in submission order**, so the
-//! rendered output of a sweep is identical no matter how many workers ran
-//! it — the determinism guarantee `repro --jobs N` relies on.
+//! The calling thread and up to `workers - 1` scoped threads pull
+//! `(index, item)` pairs from one shared queue. Results are reduced **in
+//! submission order**, so the rendered output of a sweep is identical no
+//! matter how many workers ran it — the determinism guarantee
+//! `repro --jobs N` relies on.
 
 use crate::cache::{global_cache, CacheScope, KernelCache};
-use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
-use stream_pool::PermitPool;
-use stream_trace::Counter;
 
-/// A boxed sweep job.
-pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
-
-type TaskQueue<'a, T> = Mutex<VecDeque<(usize, Job<'a, T>)>>;
-
-/// The parallel sweep engine: a target worker count, a permit pool of its
-/// own bounding live threads across concurrent runs, and the shared kernel
-/// cache.
+/// The parallel sweep engine: a target worker count, a budget of extra
+/// threads bounding live workers across concurrent runs, and the shared
+/// kernel cache.
 ///
 /// `Engine::new(1)` never spawns a thread — every job runs inline on the
 /// calling thread in submission order, preserving strictly serial behavior.
 /// With more workers, the calling thread always participates, and each
-/// `run` call tries to borrow up to `workers - 1` extra threads from the
-/// engine's permit pool; concurrent runs on one engine (the daemon's
-/// queries) therefore share its worker budget, and a run that finds no
-/// permit left runs its jobs inline.
+/// `map` call tries to borrow up to `workers - 1` extra threads from the
+/// engine's permits; concurrent runs on one engine (the daemon's queries)
+/// therefore share its worker budget, and a run that finds no permit left
+/// runs its jobs inline.
 #[derive(Debug)]
 pub struct Engine {
     workers: usize,
-    permits: PermitPool,
+    /// Extra-thread permits not on loan to a running `map`.
+    free: Mutex<usize>,
     cache: &'static KernelCache,
 }
 
@@ -84,19 +77,34 @@ impl Engine {
         let workers = workers.max(1);
         Self {
             workers,
-            permits: PermitPool::new(workers - 1),
+            free: Mutex::new(workers - 1),
             cache: global_cache(),
         }
     }
 
     /// Creates an engine sized to the host's available parallelism.
     pub fn with_default_parallelism() -> Self {
-        Self::new(default_parallelism())
+        Self::new(
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+        )
     }
 
     /// The configured worker target.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Extra-thread permits free right now (`workers - 1` when idle).
+    pub fn permits_free(&self) -> usize {
+        *self.free.lock().expect("permit count poisoned")
+    }
+
+    /// The engine's extra-thread budget, `workers - 1`: permits free plus
+    /// permits on loan.
+    pub fn permits_capacity(&self) -> usize {
+        self.workers - 1
     }
 
     /// The shared kernel cache this engine compiles through.
@@ -109,19 +117,21 @@ impl Engine {
         self.cache.scoped()
     }
 
-    /// Runs `jobs` and returns their results in submission order.
-    pub fn run<'a, T: Send>(&self, jobs: Vec<Job<'a, T>>) -> Sweep<T> {
-        let n = jobs.len();
+    /// Maps `f` over `items` through the engine; results keep item order.
+    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Sweep<T>
+    where
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
+    {
+        let n = items.len();
         let wall = Instant::now();
-        let mut job_micros = vec![0u64; n];
         if n == 0 {
             return Sweep {
                 results: Vec::new(),
                 stats: SweepStats {
-                    jobs: 0,
                     threads: 1,
-                    job_micros,
-                    wall_micros: 0,
+                    ..SweepStats::default()
                 },
             };
         }
@@ -143,33 +153,59 @@ impl Engine {
         stream_trace::count("grid.permit_shortfall", (want - extra) as u64);
         run_span.arg("threads", extra + 1);
 
-        let results = if extra == 0 {
-            let mut out = Vec::with_capacity(n);
-            for (i, job) in jobs.into_iter().enumerate() {
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let next = queue.lock().expect("sweep queue poisoned").next();
+                let Some((index, item)) = next else {
+                    return done;
+                };
                 let mut job_span = if job_spans {
                     stream_trace::span("grid", "job")
                 } else {
                     stream_trace::Span::inert()
                 };
-                job_span.arg("index", i);
+                job_span.arg("index", index);
                 let t = Instant::now();
-                out.push(job());
-                job_micros[i] = t.elapsed().as_micros() as u64;
+                let value = f(item);
+                done.push((index, value, t.elapsed().as_micros() as u64));
             }
-            out
+        };
+        let done = if extra == 0 {
+            work()
         } else {
-            let steals = Counter::new();
-            let parallel = self.run_stealing(jobs, extra + 1, job_spans, &steals);
+            // Spawned workers inherit the caller's request correlation, so
+            // a serve request's id follows its jobs across the fan-out.
+            let req = stream_trace::request_id();
+            let mut done = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..extra)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let _req = stream_trace::request_scope(req);
+                            work()
+                        })
+                    })
+                    .collect();
+                let mut done = work();
+                for h in handles {
+                    done.extend(h.join().expect("sweep worker panicked"));
+                }
+                done
+            });
             self.give_permits(extra);
-            stream_trace::count("grid.steals", steals.get());
-            let mut out = Vec::with_capacity(n);
-            for (i, value, micros) in parallel {
-                job_micros[i] = micros;
-                out.push(value);
-            }
-            out
+            done.sort_unstable_by_key(|&(i, _, _)| i);
+            done
         };
 
+        let mut job_micros = Vec::with_capacity(n);
+        let results = done
+            .into_iter()
+            .map(|(_, value, micros)| {
+                job_micros.push(micros);
+                value
+            })
+            .collect();
         Sweep {
             results,
             stats: SweepStats {
@@ -181,134 +217,18 @@ impl Engine {
         }
     }
 
-    /// Maps `f` over `items` through the engine; results keep item order.
-    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Sweep<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let f = &f;
-        self.run(
-            items
-                .into_iter()
-                .map(|item| -> Job<'_, T> { Box::new(move || f(item)) })
-                .collect(),
-        )
-    }
-
-    fn run_stealing<'a, T: Send>(
-        &self,
-        jobs: Vec<Job<'a, T>>,
-        threads: usize,
-        job_spans: bool,
-        steals: &Counter,
-    ) -> Vec<(usize, T, u64)> {
-        let queues: Vec<TaskQueue<'a, T>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            queues[i % threads]
-                .lock()
-                .expect("sweep queue poisoned")
-                .push_back((i, job));
-        }
-        // Spawned workers inherit the caller's request correlation, so
-        // a serve request's id follows its jobs across the fan-out.
-        let req = stream_trace::request_id();
-        let mut collected = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (1..threads)
-                .map(|me| {
-                    let queues = &queues;
-                    s.spawn(move || {
-                        let _req = stream_trace::request_scope(req);
-                        drain(me, queues, job_spans, steals)
-                    })
-                })
-                .collect();
-            collected.extend(drain(0, &queues, job_spans, steals));
-            for h in handles {
-                collected.extend(h.join().expect("sweep worker panicked"));
-            }
-        });
-        collected.sort_unstable_by_key(|&(i, _, _)| i);
-        collected
-    }
-
+    /// Takes up to `want` extra-thread permits; returns how many were
+    /// granted (possibly zero). Never blocks.
     fn take_permits(&self, want: usize) -> usize {
-        self.permits.take(want)
+        let mut free = self.free.lock().expect("permit count poisoned");
+        let granted = want.min(*free);
+        *free -= granted;
+        granted
     }
 
     fn give_permits(&self, n: usize) {
-        self.permits.give(n);
+        *self.free.lock().expect("permit count poisoned") += n;
     }
-}
-
-/// One worker: drain the own deque front-first, then steal from the back of
-/// the busiest-looking neighbor (scan order rotated per worker so thieves
-/// spread out).
-fn drain<'a, T: Send>(
-    me: usize,
-    queues: &[TaskQueue<'a, T>],
-    job_spans: bool,
-    steals: &Counter,
-) -> Vec<(usize, T, u64)> {
-    let mut out = Vec::new();
-    // Steals accumulate in a plain local and hit the shared counter once.
-    let mut stolen: u64 = 0;
-    loop {
-        let next = {
-            // Own lock is released before any steal attempt: holding it
-            // while locking a victim's deque could deadlock two thieves.
-            let own = queues[me].lock().expect("sweep queue poisoned").pop_front();
-            match own {
-                Some(job) => Some(job),
-                None => {
-                    let theft = steal(me, queues);
-                    if theft.is_some() {
-                        stolen += 1;
-                    }
-                    theft
-                }
-            }
-        };
-        match next {
-            Some((index, job)) => {
-                let mut job_span = if job_spans {
-                    stream_trace::span("grid", "job")
-                } else {
-                    stream_trace::Span::inert()
-                };
-                job_span.arg("index", index);
-                let t = Instant::now();
-                let value = job();
-                out.push((index, value, t.elapsed().as_micros() as u64));
-            }
-            None => break,
-        }
-    }
-    steals.add(stolen);
-    out
-}
-
-fn steal<'a, T: Send>(me: usize, queues: &[TaskQueue<'a, T>]) -> Option<(usize, Job<'a, T>)> {
-    let n = queues.len();
-    for offset in 1..n {
-        let victim = (me + offset) % n;
-        if let Some(job) = queues[victim]
-            .lock()
-            .expect("sweep queue poisoned")
-            .pop_back()
-        {
-            return Some(job);
-        }
-    }
-    None
-}
-
-/// The host's available parallelism (1 if it cannot be determined).
-pub fn default_parallelism() -> usize {
-    stream_pool::default_parallelism()
 }
 
 #[cfg(test)]
@@ -342,6 +262,19 @@ mod tests {
     }
 
     #[test]
+    fn a_run_without_free_permits_stays_on_the_caller() {
+        let engine = Engine::new(4);
+        assert_eq!(engine.take_permits(3), 3);
+        let caller = std::thread::current().id();
+        let sweep = engine.map(vec![(); 8], |()| std::thread::current().id());
+        assert!(sweep.results.iter().all(|&id| id == caller));
+        assert_eq!(sweep.stats.threads, 1);
+        assert_eq!(engine.permits_free(), 0);
+        engine.give_permits(3);
+        assert_eq!(engine.permits_free(), engine.permits_capacity());
+    }
+
+    #[test]
     fn parallel_and_serial_agree() {
         let serial = Engine::new(1).map((0..100u32).collect(), |i| i.wrapping_mul(2654435761));
         let parallel = Engine::new(8).map((0..100u32).collect(), |i| i.wrapping_mul(2654435761));
@@ -368,12 +301,12 @@ mod tests {
         // jobs over <=3 threads, at most 3 threads run inner jobs at once.
         assert!(peak.load(Ordering::SeqCst) <= 3, "peak {peak:?}");
         // All permits returned.
-        assert_eq!(engine.permits.available(), 2);
+        assert_eq!(engine.permits_free(), 2);
     }
 
     #[test]
     fn empty_job_list_is_fine() {
-        let sweep = Engine::new(4).run(Vec::<Job<'_, u32>>::new());
+        let sweep = Engine::new(4).map(Vec::<u32>::new(), |x| x);
         assert!(sweep.results.is_empty());
         assert_eq!(sweep.stats.jobs, 0);
     }

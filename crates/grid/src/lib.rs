@@ -6,14 +6,15 @@
 //! Figure 15 — and every cell recompiles kernels for its machine. This crate
 //! industrializes that hot path with two pieces:
 //!
-//! * [`Engine`] — a work-stealing parallel job runner built on
-//!   [`std::thread::scope`] (no external dependencies). Jobs are submitted
-//!   as a batch and results come back **in submission order**, so a sweep
-//!   parallelized through the engine renders byte-identically to its serial
-//!   equivalent. Each engine owns a permit pool that bounds its live
-//!   worker threads across concurrent runs on it (e.g. the daemon's
-//!   queries); `repro all` runs its experiments one after another, each
-//!   grid on the whole engine.
+//! * [`Engine`] — a parallel job runner built on [`std::thread::scope`]
+//!   (no external dependencies). [`Engine::map`] hands a batch of items
+//!   out from one shared queue to the calling thread and up to
+//!   `workers - 1` scoped threads, and results come back **in submission
+//!   order**, so a sweep parallelized through the engine renders
+//!   byte-identically to its serial equivalent. Each engine owns a count
+//!   of extra-thread permits that bounds its live worker threads across
+//!   concurrent runs on it (e.g. the daemon's queries); `repro all` runs
+//!   its experiments one after another, each grid on the whole engine.
 //! * [`KernelCache`] — a shared, thread-safe compiled-kernel cache keyed by
 //!   `(kernel identity, MachineConfig, CompileOptions)` so each schedule is
 //!   compiled exactly once per process no matter how many experiments ask
@@ -63,22 +64,21 @@ pub use cache::{
 };
 pub use engine::{Engine, Sweep, SweepStats};
 
-/// Samples current grid/pool state into the trace registry's always-on
+/// Samples current grid state into the trace registry's always-on
 /// gauges: `cache.entries` (per-set schedules resident in memory),
 /// `store.disk_bytes` (bytes held by the global cache's disk tier, 0
-/// without one), and `pool.permits_free` / `pool.permits_capacity` (the
-/// process-wide permit pool). Touching [`global_cache`] here also
+/// without one), and `pool.permits_free` / `pool.permits_capacity`
+/// (`engine`'s extra-thread permits). Touching [`global_cache`] here also
 /// registers the `cache.*` counter series, so one call makes the whole
 /// cache family visible to exporters even before any compile happens.
 /// Intended for scrape/report cadence (it walks the disk tier's
 /// directory), not hot paths.
-pub fn sample_gauges() {
+pub fn sample_gauges(engine: &Engine) {
     let cache = global_cache();
     let stats = cache.stats();
     stream_trace::set_gauge("cache.entries", stats.entries as u64);
     let disk_bytes = cache.disk().map(DiskTier::bytes).unwrap_or(0);
     stream_trace::set_gauge("store.disk_bytes", disk_bytes);
-    let pool = stream_pool::global();
-    stream_trace::set_gauge("pool.permits_free", pool.available() as u64);
-    stream_trace::set_gauge("pool.permits_capacity", pool.capacity() as u64);
+    stream_trace::set_gauge("pool.permits_free", engine.permits_free() as u64);
+    stream_trace::set_gauge("pool.permits_capacity", engine.permits_capacity() as u64);
 }

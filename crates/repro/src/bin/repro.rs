@@ -148,9 +148,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Size the process-global permit pool (reported by the `pool.*`
-    // gauges) to the same worker budget as the sweep engine.
-    stream_pool::configure_global(jobs.unwrap_or_else(stream_pool::default_parallelism));
     let engine = query.engine();
     for report in query.run_on(&engine) {
         println!("{report}");
@@ -203,7 +200,7 @@ fn main() -> ExitCode {
         // The same bytes `stream-serve` answers on GET /metrics: sample the
         // point-in-time gauges, make sure the always-on families are
         // registered, then render the registry.
-        stream_grid::sample_gauges();
+        stream_grid::sample_gauges(&engine);
         let _ = stream_tune::stats();
         if let Err(e) = std::fs::write(&path, stream_trace::render_prometheus()) {
             eprintln!("failed to write metrics to {path}: {e}");

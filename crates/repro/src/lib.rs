@@ -119,11 +119,6 @@ pub fn run_many(ids: &[ExperimentId], engine: &Engine) -> Vec<Report> {
     ids.iter().map(|&id| run_with(id, engine)).collect()
 }
 
-/// Runs every experiment, paper order, on `engine`.
-pub fn run_all(engine: &Engine) -> Vec<Report> {
-    run_many(&ExperimentId::ALL, engine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

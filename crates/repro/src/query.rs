@@ -87,7 +87,7 @@ impl Query {
 
     /// Runs the query on a shared engine. The query's experiments run in
     /// order, each grid on the whole engine; concurrent queries on one
-    /// engine (the daemon's usage) share its permit pool.
+    /// engine (the daemon's usage) share its extra-thread permits.
     pub fn run_on(&self, engine: &Engine) -> Vec<Report> {
         run_many(&self.ids, engine)
     }

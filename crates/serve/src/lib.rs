@@ -7,10 +7,9 @@
 //! design-space queries ("argmin energy/op subject to area ≤ X") — as a
 //! long-running service:
 //!
-//! * **Bounded workers, rate limiting for free** — connections draw
-//!   permits from the shared [`stream_pool`] pool; when permits run out the
-//!   accept thread serves requests itself and new clients queue in the
-//!   listen backlog.
+//! * **Bounded workers, rate limiting for free** — each connection gets a
+//!   thread of its own up to the worker budget; past it the accept thread
+//!   serves requests itself and new clients queue in the listen backlog.
 //! * **Cross-client dedup** — overlapping grid requests coalesce onto one
 //!   computation per `(experiment)` cell ([`Planner`]), so two clients
 //!   sweeping overlapping grids compile each shared cell exactly once and

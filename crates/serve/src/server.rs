@@ -1,16 +1,15 @@
-//! The daemon: a TCP accept loop, permit-bounded dispatch, and the route
+//! The daemon: a TCP accept loop, thread-bounded dispatch, and the route
 //! table mapping HTTP requests onto the [`Planner`] and the typed query
 //! API.
 //!
-//! Worker accounting rides the process-global [`stream_pool`] permit pool,
-//! sized to the daemon's worker budget, so total connection-handling
-//! parallelism is bounded no matter how many clients connect. The
-//! planner's sweep engine owns its own permit pool, so it does not draw
-//! from this one.
-//! A connection that cannot get a permit is handled *inline on the accept
-//! thread*: further accepts queue in the listen backlog until it finishes,
-//! which is the daemon's rate limiting (clients see latency, never dropped
-//! connections or unbounded threads).
+//! The accept thread spawns at most `workers - 1` connection threads at a
+//! time, so total connection-handling parallelism is bounded no matter how
+//! many clients connect. The planner's sweep engine counts its own
+//! permits, so its jobs do not draw from this budget.
+//! A connection that finds the budget spent is handled *inline on the
+//! accept thread*: further accepts queue in the listen backlog until it
+//! finishes, which is the daemon's rate limiting (clients see latency,
+//! never dropped connections or unbounded threads).
 
 use crate::http::{read_request, write_response, Request, RequestError, Response};
 use crate::json::{object, parse, Value};
@@ -18,7 +17,7 @@ use crate::planner::Planner;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -66,8 +65,8 @@ fn latency_series(method: &str, path: &str) -> &'static str {
 pub struct ServerConfig {
     /// Bind address; `None` means loopback on an OS-assigned port.
     pub addr: Option<String>,
-    /// Worker budget for the shared engine and permit pool; `None` means
-    /// host parallelism.
+    /// Worker budget for the shared engine and for connection threads;
+    /// `None` means host parallelism.
     pub workers: Option<usize>,
     /// Cache root for the persistent schedule and tuning tiers; `None`
     /// serves memory-only.
@@ -114,12 +113,11 @@ impl ServerHandle {
 ///
 /// Propagates bind and cache-directory failures.
 pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
-    let workers = config
-        .workers
-        .unwrap_or_else(stream_pool::default_parallelism)
-        .max(1);
+    let engine = match config.workers {
+        Some(n) => stream_grid::Engine::new(n),
+        None => stream_grid::Engine::with_default_parallelism(),
+    };
     ensure_serve_metrics();
-    stream_pool::configure_global(workers);
     if let Some(root) = &config.cache_root {
         // Never fails on an already-attached tier: a second server in the
         // same process simply shares the first one's schedule cache.
@@ -128,7 +126,7 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
         // `/v1/tune` answers warm points with zero searches after a restart.
         stream_tune::attach_global_disk(root)?;
     }
-    let planner = Arc::new(Planner::new(stream_grid::Engine::new(workers)));
+    let planner = Arc::new(Planner::new(engine));
     let listener = TcpListener::bind(config.addr.as_deref().unwrap_or("127.0.0.1:0"))?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -155,6 +153,11 @@ fn accept_loop(
     planner: &Arc<Planner>,
     stop: &Arc<AtomicBool>,
 ) {
+    let max_threads = planner.engine().workers() - 1;
+    // Live connection threads. Only this thread increments it and workers
+    // only decrement it, so checking and then adding cannot overshoot; it
+    // publishes no other data, so relaxed ordering suffices.
+    let live = Arc::new(AtomicUsize::new(0));
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -166,21 +169,23 @@ fn accept_loop(
             return;
         }
         CONNECTIONS.incr();
-        // Permit-bounded dispatch: with a permit, the connection gets its
-        // own thread; without one the accept thread serves it itself, so
+        // Bounded dispatch: under the thread budget, the connection gets
+        // its own thread; over it the accept thread serves it itself, so
         // pending clients wait in the listen backlog — backpressure, not
         // thread growth.
-        if stream_pool::global().take(1) == 1 {
+        if live.load(Ordering::Relaxed) < max_threads {
+            live.fetch_add(1, Ordering::Relaxed);
             let planner = Arc::clone(planner);
             let stop = Arc::clone(stop);
+            let done = Arc::clone(&live);
             let spawned = thread::Builder::new()
                 .name("stream-serve-worker".to_string())
                 .spawn(move || {
                     handle_connection(conn, addr, &planner, &stop);
-                    stream_pool::global().give(1);
+                    done.fetch_sub(1, Ordering::Relaxed);
                 });
             if spawned.is_err() {
-                stream_pool::global().give(1);
+                live.fetch_sub(1, Ordering::Relaxed);
             }
         } else {
             INLINE.incr();
@@ -548,13 +553,13 @@ fn tune_response(request: &Request, planner: &Planner) -> Response {
 }
 
 /// `GET /metrics`: Prometheus text exposition over the whole registry.
-/// Scraping samples current state first — pool occupancy, cache
-/// residency, disk bytes, planner cells — so gauges are fresh as of this
-/// response, and touches the tuner's counter registrations so their
+/// Scraping samples current state first — the sweep engine's permits,
+/// cache residency, disk bytes, planner cells — so gauges are fresh as of
+/// this response, and touches the tuner's counter registrations so their
 /// series exist even on a daemon that has not compiled anything yet.
 fn metrics_response(planner: &Planner) -> Response {
     ensure_serve_metrics();
-    stream_grid::sample_gauges();
+    stream_grid::sample_gauges(planner.engine());
     let _ = stream_tune::stats(); // registers the tune.* series
     let p = planner.stats();
     // Planner counters are per-instance (a process can host several

@@ -47,8 +47,11 @@ fn help_for(name: &str) -> &'static str {
             "cache.",
             "Kernel schedule cache activity (process-global cache).",
         ),
-        ("grid.", "Sweep engine job and work-stealing activity."),
-        ("pool.", "Global thread-permit pool state."),
+        (
+            "grid.",
+            "Sweep engine jobs, permit shortfall and schedule-cache lookups.",
+        ),
+        ("pool.", "Sweep engine extra-thread permits."),
         ("store.", "Persistent on-disk store state."),
         ("serve.", "stream-serve daemon request handling."),
         ("sched.", "Modulo scheduler search effort."),
