@@ -18,7 +18,7 @@ use stream_sim::{fits_in_srf, ProgramBuilder};
 const PACK: u64 = 2;
 
 /// CONV configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Config {
     /// Image width in pixels (one word per pixel).
     pub width: usize,

@@ -20,7 +20,7 @@ use stream_sim::{fits_in_srf, ProgramBuilder};
 const PACK: u64 = 2;
 
 /// DEPTH configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Config {
     /// Image width (output SAD window width).
     pub width: usize,

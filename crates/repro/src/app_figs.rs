@@ -1,24 +1,19 @@
 //! Section 5.3 reproductions: Figure 15 (application performance) and the
 //! abstract's headline claims.
 
+use crate::cells::Cell;
 use crate::kernel_figs::FIG14_CS;
 use crate::sweep::Ctx;
 use crate::{ExperimentId, Report};
 use stream_apps::AppId;
 use stream_kernels::KernelId;
 use stream_machine::{Machine, SystemParams};
-use stream_sim::simulate;
 use stream_vlsi::Shape;
 
-fn cycles(id: AppId, shape: Shape) -> (u64, f64) {
-    let machine = Machine::paper(shape);
-    let report = simulate(
-        &id.program(&machine).program,
-        &machine,
-        &SystemParams::paper_2007(),
-    )
-    .expect("paper-scale programs fit their machines");
-    (report.cycles, report.gops(1.0))
+/// The paper-dataset cell of `id` at `shape` under the paper's system.
+fn paper_cell(ctx: &Ctx, id: AppId, shape: Shape) -> Cell {
+    ctx.cell(id, shape, &SystemParams::paper_2007())
+        .expect("paper-scale programs fit their machines")
 }
 
 fn harmonic_mean(values: &[f64]) -> f64 {
@@ -56,14 +51,15 @@ pub(crate) fn fig15_impl(ctx: &Ctx) -> Report {
         .iter()
         .flat_map(|&id| shapes.iter().map(move |&s| (id, s)))
         .collect();
-    let sims = ctx.map(cells, |(id, shape)| cycles(id, shape));
+    let sims = ctx.map(cells, |(id, shape)| paper_cell(ctx, id, shape));
     let mut big_speedups = Vec::new();
     for (ai, id) in AppId::ALL.iter().enumerate() {
-        let (base_cycles, _base_gops) = sims[ai * shapes.len()];
+        let base_cycles = sims[ai * shapes.len()].cycles;
         let mut row = vec![id.name().to_string()];
         for (si, shape) in shapes.iter().enumerate() {
-            let (cyc, gops) = sims[ai * shapes.len() + si];
-            let speedup = base_cycles as f64 / cyc as f64;
+            let sim = sims[ai * shapes.len() + si];
+            let speedup = base_cycles as f64 / sim.cycles as f64;
+            let gops = sim.gops(1.0);
             if *shape == Shape::new(128, 10) {
                 big_speedups.push(speedup);
             }
@@ -127,7 +123,7 @@ pub(crate) fn headline_impl(ctx: &Ctx) -> Report {
         .iter()
         .flat_map(|&id| shapes.iter().map(move |&s| (id, s)))
         .collect();
-    let app_cycles = ctx.map(app_cells, |(id, shape)| cycles(id, shape).0);
+    let app_cycles = ctx.map(app_cells, |(id, shape)| paper_cell(ctx, id, shape).cycles);
     let app_speedup = |si: usize| -> f64 {
         let vals: Vec<f64> = (0..AppId::ALL.len())
             .map(|ai| {

@@ -4,10 +4,11 @@
 //! crossbars), a software-pipelining ablation, and the dataset-scaling
 //! claim of Section 5.3.
 
+use crate::cells::App;
 use crate::kernel_figs::FIG14_CS;
 use crate::sweep::Ctx;
 use crate::{ExperimentId, Report};
-use stream_apps::{conv, depth, qrd};
+use stream_apps::{conv, depth, AppId};
 use stream_kernels::KernelId;
 use stream_machine::{BandwidthHierarchy, Machine, SystemParams};
 use stream_sched::CompileOptions;
@@ -187,46 +188,35 @@ pub(crate) fn scaled_datasets_impl(ctx: &Ctx) -> Report {
     // Scaling the image *width* lengthens every stream a kernel call
     // consumes — exactly the short-stream remedy Section 5.3 describes
     // (scaling rows would only add more equally-short calls).
-    let sys = &sys;
-    let depth_cycles = |c: u32, width: usize| -> u64 {
-        let cfg = depth::Config {
+    let depth_at = |width: usize| {
+        App::Depth(depth::Config {
             width,
             height: 384,
             disparities: 16,
-        };
-        let m = Machine::paper(Shape::new(c, 5));
-        simulate(&depth::program(&cfg, &m).program, &m, sys)
-            .expect("simulates")
-            .cycles
+        })
     };
-    let conv_cycles = |c: u32, width: usize| -> u64 {
-        let cfg = conv::Config { width, height: 384 };
-        let m = Machine::paper(Shape::new(c, 5));
-        simulate(&conv::program(&cfg, &m).program, &m, sys)
-            .expect("simulates")
-            .cycles
-    };
+    let conv_at = |width: usize| App::Conv(conv::Config { width, height: 384 });
 
     // One job per (machine, app, dataset) simulation; the C=8 fixed cells
-    // double as the baselines (scale there is 1).
-    let cells: Vec<(u32, bool, usize)> = FIG14_CS
+    // double as the baselines (scale there is 1). The fixed cells are
+    // Figure 15 cells, so a `repro all` run reads them from its memo.
+    let cells: Vec<(u32, App)> = FIG14_CS
         .iter()
         .flat_map(|&c| {
             let scale = (c / 8) as usize;
             [
-                (c, false, 512),
-                (c, false, 512 * scale),
-                (c, true, 512),
-                (c, true, 512 * scale),
+                depth_at(512),
+                depth_at(512 * scale),
+                conv_at(512),
+                conv_at(512 * scale),
             ]
+            .map(|app| (c, app))
         })
         .collect();
-    let cycles = ctx.map(cells, |(c, is_conv, width)| {
-        if is_conv {
-            conv_cycles(c, width)
-        } else {
-            depth_cycles(c, width)
-        }
+    let cycles = ctx.map(cells, |(c, app)| {
+        ctx.cell(app, Shape::new(c, 5), &sys)
+            .expect("simulates")
+            .cycles
     });
     let base_depth = cycles[0];
     let base_conv = cycles[2];
@@ -496,24 +486,19 @@ pub(crate) fn multiproc_impl(ctx: &Ctx) -> Report {
     ]);
     let mono = CostModel::paper().evaluate(Shape::new(128, 5));
     let sys = &sys;
-    let bases = ctx.map(vec![false, true], |is_qrd| {
-        let base_machine = Machine::baseline();
-        let program = if is_qrd {
-            qrd::program(&qrd::Config::paper(), &base_machine).program
-        } else {
-            depth::program(&depth::Config::paper(), &base_machine).program
-        };
-        simulate(&program, &base_machine, sys)
-            .expect("simulates")
-            .cycles
+    let app_cycles = |app: App, shape: Shape, sys: &SystemParams| -> u64 {
+        ctx.cell(app, shape, sys).expect("simulates").cycles
+    };
+    // The bases, the QRD column and DEPTH on one processor are Figure 15
+    // cells, so a `repro all` run reads them from its memo.
+    let bases = ctx.map(vec![AppId::Depth, AppId::Qrd], |id| {
+        app_cycles(id.into(), Shape::BASELINE, sys)
     });
     let (base_depth, base_qrd) = (bases[0], bases[1]);
 
     // One job per processor count M.
     let rows = ctx.map(vec![1u32, 2, 4, 8, 16], |m| {
-        let c = 128 / m;
-        let shape = Shape::new(c, 5);
-        let machine = Machine::paper(shape);
+        let shape = Shape::new(128 / m, 5);
         // Shared memory: each processor sees 1/M of the channel.
         let shared = SystemParams {
             memory_words_per_cycle: sys.memory_words_per_cycle / f64::from(m),
@@ -526,17 +511,9 @@ pub(crate) fn multiproc_impl(ctx: &Ctx) -> Report {
             height: rows.max(8),
             disparities: 16,
         };
-        let part = simulate(&depth::program(&cfg, &machine).program, &machine, &shared)
-            .expect("simulates")
-            .cycles;
+        let part = app_cycles(App::Depth(cfg), shape, &shared);
         // QRD stays on one processor (full memory bandwidth, smaller array).
-        let q = simulate(
-            &qrd::program(&qrd::Config::paper(), &machine).program,
-            &machine,
-            sys,
-        )
-        .expect("simulates")
-        .cycles;
+        let q = app_cycles(App::Qrd, shape, sys);
         (m, part, q)
     });
     for (m, part, q) in rows {

@@ -8,8 +8,9 @@
 //! [`stream_grid::Engine`], so they parallelize across worker threads while
 //! rendering **byte-identically** to a serial run (ordered reduction +
 //! deterministic cache counters), and all schedule compilation goes through
-//! the process-wide compiled-kernel cache. The `repro` binary prints any
-//! subset:
+//! the process-wide compiled-kernel cache. Application simulations go
+//! through a memo of cells scoped to one run, so experiments that read the
+//! same cell simulate it once. The `repro` binary prints any subset:
 //!
 //! ```text
 //! cargo run -p stream-repro --bin repro -- all
@@ -29,6 +30,7 @@
 //! ```
 
 mod app_figs;
+mod cells;
 mod cost_figs;
 mod experiment;
 mod extras;
@@ -52,6 +54,7 @@ pub use report::Report;
 pub use tune_figs::tune;
 pub use verify_figs::verify;
 
+use cells::Cells;
 use stream_grid::Engine;
 use sweep::Ctx;
 
@@ -69,9 +72,15 @@ pub const EXPERIMENTS: [&str; ExperimentId::ALL.len()] = {
 
 /// Runs one experiment on `engine`: its grid cells become engine jobs and
 /// its kernels compile through the engine's shared cache. The rendered
-/// report is identical for every worker count.
+/// report is identical for every worker count. The experiment's
+/// application cells are simulated once each and shared within it only.
 pub fn run_with(id: ExperimentId, engine: &Engine) -> Report {
-    let ctx = Ctx::new(engine);
+    run_in(id, engine, &Cells::default())
+}
+
+/// Runs one experiment with `cells` as its application-cell memo.
+fn run_in(id: ExperimentId, engine: &Engine, cells: &Cells) -> Report {
+    let ctx = Ctx::new(engine, cells);
     let mut r = match id {
         ExperimentId::Table1 => table1(),
         ExperimentId::Table2 => table2(),
@@ -114,9 +123,13 @@ pub fn run(id: ExperimentId) -> Report {
 }
 
 /// Runs several experiments on `engine`, one after another in `ids` order,
-/// so each experiment's grid gets every worker the engine has.
+/// so each experiment's grid gets every worker the engine has. The
+/// experiments share one application-cell memo, so a cell one of them
+/// simulated is read, not simulated again, by the later ones; the memo is
+/// dropped when the call returns.
 pub fn run_many(ids: &[ExperimentId], engine: &Engine) -> Vec<Report> {
-    ids.iter().map(|&id| run_with(id, engine)).collect()
+    let cells = Cells::default();
+    ids.iter().map(|&id| run_in(id, engine, &cells)).collect()
 }
 
 #[cfg(test)]

@@ -1,27 +1,56 @@
 //! The per-experiment sweep context: one [`Ctx`] wraps the engine an
-//! experiment runs on, a deterministic cache-counting scope, and the
-//! accumulated timing stats for its sweeps. [`Ctx::finish`] writes the
-//! deterministic cache counters into the report's notes and the (run-to-run
-//! variable) wall-clock numbers into [`Report::perf`], which `Display`
-//! never renders — keeping `--jobs 1` and `--jobs N` output byte-identical.
+//! experiment runs on, a deterministic cache-counting scope, the run's
+//! application-cell memo, and the accumulated timing stats for its sweeps.
+//! [`Ctx::finish`] writes the deterministic cache counters into the
+//! report's notes and the (run-to-run variable) wall-clock numbers and
+//! cell counts into [`Report::perf`], which `Display` never renders —
+//! keeping `--jobs 1` and `--jobs N` output byte-identical.
 
+use crate::cells::{App, Cell, Cells};
 use crate::Report;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use stream_grid::{CacheScope, Engine, SweepStats};
+use stream_machine::SystemParams;
+use stream_sim::SimError;
+use stream_vlsi::Shape;
 
 pub(crate) struct Ctx<'e> {
     engine: &'e Engine,
     pub(crate) scope: CacheScope<'static>,
+    cells: &'e Cells,
+    cell_lookups: AtomicU64,
+    cells_simulated: AtomicU64,
     stats: Mutex<SweepStats>,
 }
 
 impl<'e> Ctx<'e> {
-    pub(crate) fn new(engine: &'e Engine) -> Self {
+    pub(crate) fn new(engine: &'e Engine, cells: &'e Cells) -> Self {
         Self {
             engine,
             scope: engine.scope(),
+            cells,
+            cell_lookups: AtomicU64::new(0),
+            cells_simulated: AtomicU64::new(0),
             stats: Mutex::new(SweepStats::default()),
         }
+    }
+
+    /// The application cell of `app` on `Machine::paper(shape)` under
+    /// `sys`, from the run's memo: the first lookup of a cell builds and
+    /// simulates it, later ones read its result.
+    pub(crate) fn cell(
+        &self,
+        app: impl Into<App>,
+        shape: Shape,
+        sys: &SystemParams,
+    ) -> Result<Cell, SimError> {
+        let (cell, simulated) = self.cells.get(app.into(), shape, sys);
+        self.cell_lookups.fetch_add(1, Ordering::Relaxed);
+        if simulated {
+            self.cells_simulated.fetch_add(1, Ordering::Relaxed);
+        }
+        cell
     }
 
     /// Maps `f` over `items` through the engine (results keep item order)
@@ -41,8 +70,8 @@ impl<'e> Ctx<'e> {
     }
 
     /// Writes this context's counters into `r`: cache counters (exact and
-    /// scheduling-independent) as a rendered note, timings as unrendered
-    /// perf lines.
+    /// scheduling-independent) as a rendered note, timings and cell counts
+    /// as unrendered perf lines.
     pub(crate) fn finish(self, r: &mut Report) {
         let c = self.scope.counters();
         if c.lookups > 0 {
@@ -59,6 +88,13 @@ impl<'e> Ctx<'e> {
                 stats.threads,
                 stats.busy_micros(),
                 stats.wall_micros
+            ));
+        }
+        let lookups = self.cell_lookups.into_inner();
+        if lookups > 0 {
+            r.perf.push(format!(
+                "application cells: {lookups} lookups, {} simulated",
+                self.cells_simulated.into_inner()
             ));
         }
     }

@@ -198,7 +198,9 @@ fn default_report(
 
 /// Validates a stored winner: it must be one of `space`'s candidates, and
 /// both the default and the winning program must rebuild and re-simulate
-/// to exactly the stored cycle counts.
+/// to exactly the stored cycle counts. A winner at the default point is
+/// the default program, so its stored cycles are checked against the
+/// default's re-simulation rather than a second build of the same program.
 fn revalidate(
     id: AppId,
     machine: &Machine,
@@ -211,6 +213,9 @@ fn revalidate(
     }
     if !matches!(default_report(id, machine, sys), Ok((_, c)) if c == stored.default_cycles) {
         return false;
+    }
+    if stored.winner.is_default() {
+        return stored.tuned_cycles == stored.default_cycles;
     }
     let app = id.program_with(
         machine,
@@ -469,6 +474,27 @@ mod tests {
             };
             assert!(
                 !revalidate(AppId::Conv, &m, &sys(), &space, &stored),
+                "{stored:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn revalidate_checks_a_default_point_winner_against_the_default() {
+        // A default-point winner is not rebuilt: its stored tuned cycles
+        // must equal the default cycles just re-simulated.
+        let m = Machine::baseline();
+        let space = TuneSpace::default();
+        let (_, default_cycles) = default_report(AppId::Fft1k, &m, &sys()).unwrap();
+        for (tuned_cycles, accepted) in [(default_cycles, true), (default_cycles - 1, false)] {
+            let stored = persist::StoredTuned {
+                winner: Candidate::default_point(),
+                default_cycles,
+                tuned_cycles,
+            };
+            assert_eq!(
+                revalidate(AppId::Fft1k, &m, &sys(), &space, &stored),
+                accepted,
                 "{stored:?}"
             );
         }
