@@ -136,15 +136,10 @@ impl Engine {
             };
         }
 
-        // Flag reads happen once per run, never per job; job spans are
-        // gated on the bool captured here. `active` also covers the flight
-        // recorder, so it keeps seeing job spans while tracing is off.
-        let job_spans = stream_trace::active();
-        let mut run_span = if job_spans {
-            stream_trace::span("grid", "run")
-        } else {
-            stream_trace::Span::inert()
-        };
+        // The tracing flag is read once per run, never per job: job spans
+        // are recorded exactly when the run span is.
+        let mut run_span = stream_trace::span("grid", "run");
+        let job_spans = run_span.is_active();
         run_span.arg("jobs", n);
 
         let want = self.workers.min(n) - 1;

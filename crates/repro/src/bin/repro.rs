@@ -45,10 +45,6 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Flight recorder: on by default (STREAM_FLIGHT_RECORDER=off disables;
-    // STREAM_FLIGHT_DUMP=path arms the panic dump). Never touches stdout,
-    // so reproduction output stays byte-identical either way.
-    stream_trace::init_flight_from_env();
     let mut jobs: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;

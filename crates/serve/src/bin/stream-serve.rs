@@ -23,11 +23,7 @@ options:
                      (default: $STREAM_CACHE_DIR if set)
 
 endpoints: /health /metrics /v1/experiments /v1/run/<id> /v1/sweep /v1/query /v1/tune
-           /v1/stats /v1/shutdown
-
-environment:
-  STREAM_FLIGHT_RECORDER   off/0/false disables the always-on flight recorder
-  STREAM_FLIGHT_DUMP       path to dump the flight recorder to on panic";
+           /v1/stats /v1/shutdown";
 
 fn main() -> ExitCode {
     let mut addr: Option<String> = Some("127.0.0.1:7878".to_string());
@@ -76,10 +72,6 @@ fn main() -> ExitCode {
             return code;
         }
     }
-
-    // Flight recorder: on by default in the daemon (STREAM_FLIGHT_RECORDER
-    // =off disables; STREAM_FLIGHT_DUMP=path arms the panic dump).
-    stream_trace::init_flight_from_env();
 
     let config = ServerConfig {
         addr,

@@ -86,44 +86,6 @@ impl SimReport {
         }
         self.kernel_busy as f64 / self.cycles as f64
     }
-
-    /// Which resource dominated this run.
-    pub fn bottleneck(&self) -> Bottleneck {
-        let k = self.kernel_busy;
-        let m = self.memory_busy;
-        let h = self.host_busy;
-        if k >= m && k >= h {
-            Bottleneck::Clusters
-        } else if m >= h {
-            Bottleneck::Memory
-        } else {
-            Bottleneck::Host
-        }
-    }
-
-    /// A one-line summary of where the time went.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} cycles ({:?}-bound): clusters {:.0}%, memory {:.0}%, host {:.0}%; peak SRF {} words",
-            self.cycles,
-            self.bottleneck(),
-            100.0 * self.kernel_busy as f64 / self.cycles.max(1) as f64,
-            100.0 * self.memory_busy as f64 / self.cycles.max(1) as f64,
-            100.0 * self.host_busy as f64 / self.cycles.max(1) as f64,
-            self.peak_srf_words
-        )
-    }
-}
-
-/// The resource that bounded a simulation (largest busy time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bottleneck {
-    /// Kernel execution on the cluster array.
-    Clusters,
-    /// External memory bandwidth.
-    Memory,
-    /// Host stream-instruction issue.
-    Host,
 }
 
 /// Simulates `program` on `machine` under `system` parameters.
@@ -139,12 +101,9 @@ pub fn simulate(
     system: &SystemParams,
 ) -> Result<SimReport, SimError> {
     // This engine is analytic (one scoreboard pass over the instruction
-    // list, not a per-cycle loop), so one span covers the whole call; stall
-    // causes accumulate in plain locals and reach the trace registry once,
-    // at the end.
+    // list, not a per-cycle loop), so one span covers the whole call.
     let mut sim_span = stream_trace::span("sim", "simulate");
     sim_span.arg("instrs", program.instrs().len());
-    let mut stalls = [0u64; 4]; // host, data, memory, clusters
 
     // Per stream: the instruction that produced it and the one that uses it
     // last (the latest end; the producer until something reads it), both
@@ -173,7 +132,6 @@ pub fn simulate(
                 pattern,
             } => {
                 let start = issue_done.max(mem_bw_free);
-                stalls[if start == issue_done { 0 } else { 2 }] += 1;
                 let bw = transfer_cycles(words, pattern, system);
                 let end = start + u64::from(system.memory_latency_cycles) + bw;
                 mem_bw_free = start + bw;
@@ -184,13 +142,6 @@ pub fn simulate(
             StreamInstr::Store { src, pattern } => {
                 let data = ready(&streams, &timeline, src)?;
                 let start = issue_done.max(data).max(mem_bw_free);
-                stalls[if start == issue_done {
-                    0
-                } else if start == data {
-                    1
-                } else {
-                    2
-                }] += 1;
                 let bw = transfer_cycles(program.size(src), pattern, system);
                 let end = start + u64::from(system.memory_latency_cycles) + bw;
                 mem_bw_free = start + bw;
@@ -205,13 +156,6 @@ pub fn simulate(
                     data_ready = data_ready.max(ready(&streams, &timeline, s)?);
                 }
                 let start = issue_done.max(data_ready).max(clusters_free);
-                stalls[if start == issue_done {
-                    0
-                } else if start == data_ready {
-                    1
-                } else {
-                    3
-                }] += 1;
                 let dur = program.kernel(&call).call_cycles(call.records());
                 let end = start + dur;
                 clusters_free = end;
@@ -238,10 +182,6 @@ pub fn simulate(
     }
 
     sim_span.arg("cycles", cycles);
-    stream_trace::count("sim.stall.host", stalls[0]);
-    stream_trace::count("sim.stall.data", stalls[1]);
-    stream_trace::count("sim.stall.memory", stalls[2]);
-    stream_trace::count("sim.stall.clusters", stalls[3]);
     stream_trace::record("sim.cycles", cycles);
 
     Ok(SimReport {
@@ -475,21 +415,6 @@ mod tests {
         let r = simulate(&p.finish(), &m, &SystemParams::paper_2007()).unwrap();
         // Second load starts while the first kernel runs.
         assert!(r.timeline[2].start < r.timeline[1].end);
-    }
-
-    #[test]
-    fn bottleneck_identifies_the_busiest_resource() {
-        let m = Machine::baseline();
-        // Compute-bound: long kernel over resident-ish data.
-        let compute = simple_program(&m, 1 << 12, 200);
-        let r = simulate(&compute, &m, &SystemParams::paper_2007()).unwrap();
-        assert_eq!(r.bottleneck(), Bottleneck::Clusters);
-        assert!(r.summary().contains("Clusters"));
-        // Memory-bound: trivial kernel over a big transfer.
-        let memory = simple_program(&m, 1 << 12, 1);
-        let r = simulate(&memory, &m, &SystemParams::paper_2007()).unwrap();
-        assert_eq!(r.bottleneck(), Bottleneck::Memory);
-        assert!(r.host_busy > 0);
     }
 
     #[test]

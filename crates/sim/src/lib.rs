@@ -24,7 +24,7 @@
 mod engine;
 mod program;
 
-pub use engine::{fits_in_srf, simulate, Bottleneck, InstrTiming, SimError, SimReport};
+pub use engine::{fits_in_srf, simulate, InstrTiming, SimError, SimReport};
 pub use program::{
     AccessPattern, KernelCall, ProgramBuilder, StreamInstr, StreamProgram, StreamVar,
 };

@@ -1,14 +1,14 @@
 //! Chrome trace-event JSON exporter.
 //!
 //! Produces the [Trace Event Format] object form — a `traceEvents` array of
-//! `"X"` (complete span), `"i"` (instant), `"C"` (counter), and `"M"`
-//! (metadata) events — loadable directly in `chrome://tracing` or
+//! `"X"` (complete span), `"C"` (counter), and `"M"` (metadata) events —
+//! loadable directly in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev) (open the file with *Open trace
 //! file*; no conversion needed).
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::span::{Phase, SpanEvent};
+use crate::span::SpanEvent;
 use crate::{counters, histograms};
 use std::fmt::Write as _;
 
@@ -40,11 +40,11 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
 /// Renders `events` plus every registered counter and histogram as one
 /// Chrome trace-event JSON document.
 ///
-/// Spans become `"X"` events and instants `"i"` events on their recording
-/// thread's track. Counters become one `"C"` event each (their final
-/// value, on a synthetic `tid 0` track); histograms are attached to the
-/// process metadata as `name: [count, mean, p99-bound]` args so they
-/// survive the round trip without inventing per-sample events.
+/// Spans become `"X"` events on their recording thread's track. Counters
+/// become one `"C"` event each (their final value, on a synthetic `tid 0`
+/// track); histograms are attached to the process metadata as
+/// `name: [count, mean, p99-bound]` args so they survive the round trip
+/// without inventing per-sample events.
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 128 + 1024);
     out.push_str("{\"traceEvents\":[\n");
@@ -57,22 +57,11 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
 
     for e in events {
         out.push_str(",\n{");
-        match e.ph {
-            Phase::Complete => {
-                let _ = write!(
-                    out,
-                    "\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},",
-                    e.tid, e.start_us, e.dur_us
-                );
-            }
-            Phase::Instant => {
-                let _ = write!(
-                    out,
-                    "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},",
-                    e.tid, e.start_us
-                );
-            }
-        }
+        let _ = write!(
+            out,
+            "\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},",
+            e.tid, e.start_us, e.dur_us
+        );
         push_str_field(&mut out, "cat", e.cat);
         out.push(',');
         push_str_field(&mut out, "name", &e.name);
@@ -145,7 +134,6 @@ mod tests {
             let mut s = crate::span("chrome-test", "unit \"quoted\"");
             s.arg("shape", "8x5");
         }
-        crate::instant("chrome-test", "mark");
         crate::count("chrome.test.counter", 3);
         crate::record("chrome.test.hist", 17);
         crate::disable();
@@ -154,7 +142,6 @@ mod tests {
         for key in [
             "\"traceEvents\"",
             "\"ph\":\"X\"",
-            "\"ph\":\"i\"",
             "\"ph\":\"C\"",
             "\"ph\":\"M\"",
             "\"ts\":",

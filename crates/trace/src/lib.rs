@@ -39,7 +39,6 @@
 mod chrome;
 mod metrics;
 mod prom;
-mod ring;
 mod span;
 mod summary;
 
@@ -50,52 +49,28 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use prom::render_prometheus;
-pub use ring::{
-    disable_flight_recorder, dump_flight_recorder, enable_flight_recorder, flight_events,
-    flight_recorder_enabled, init_flight_from_env, install_panic_dump, set_flight_capacity,
-};
 pub use span::{
-    flush_thread, instant, request_id, request_scope, span, take_events, Phase, RequestScope, Span,
-    SpanEvent,
+    flush_thread, request_id, request_scope, span, take_events, RequestScope, Span, SpanEvent,
 };
 pub use summary::summary;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Bit in [`STATE`]: full tracing (collector + registry) is on.
-pub(crate) const STATE_TRACE: u8 = 1 << 0;
-/// Bit in [`STATE`]: the flight recorder is on.
-pub(crate) const STATE_FLIGHT: u8 = 1 << 1;
-
-/// One byte holding both the tracing flag and the flight-recorder flag, so
-/// every instrumentation site pays exactly one relaxed load no matter how
-/// many consumers are interested.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-pub(crate) fn set_state_bit(bit: u8, on: bool) {
-    if on {
-        STATE.fetch_or(bit, Ordering::Release);
-    } else {
-        STATE.fetch_and(!bit, Ordering::Release);
-    }
-}
-
-#[inline(always)]
-pub(crate) fn state() -> u8 {
-    STATE.load(Ordering::Relaxed)
-}
+/// Whether tracing is on; every instrumentation site pays one relaxed load
+/// of it.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Turns tracing on process-wide. Also pins the trace epoch, so timestamps
 /// count from (at latest) the first `enable` call.
 pub fn enable() {
     span::init_epoch();
-    set_state_bit(STATE_TRACE, true);
+    ENABLED.store(true, Ordering::Release);
 }
 
 /// Turns tracing off process-wide. Already-collected events and counter
 /// values are kept until drained/reset.
 pub fn disable() {
-    set_state_bit(STATE_TRACE, false);
+    ENABLED.store(false, Ordering::Release);
 }
 
 /// Whether tracing is on. One relaxed atomic load; instrumentation sites
@@ -103,17 +78,7 @@ pub fn disable() {
 /// never once per inner-loop iteration.
 #[inline(always)]
 pub fn enabled() -> bool {
-    state() & STATE_TRACE != 0
-}
-
-/// Whether *any* span consumer is on — full tracing or the flight
-/// recorder. Span sites that pre-gate (to hoist the check out of a loop)
-/// should gate on this, not [`enabled`], so the flight recorder keeps
-/// seeing spans while tracing proper is off. Same cost as [`enabled`]:
-/// one relaxed load.
-#[inline(always)]
-pub fn active() -> bool {
-    state() != 0
+    ENABLED.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -142,7 +107,6 @@ mod tests {
         {
             let mut s = span("t", "never");
             s.arg("k", 1);
-            instant("t", "nor-this");
             count("t.never", 5);
         }
         assert_eq!(take_events().len(), before.saturating_sub(before));

@@ -1,4 +1,4 @@
-//! Spans and structured instant events, buffered per thread.
+//! Spans, buffered per thread.
 //!
 //! A [`Span`] is an RAII guard: created by [`span`], finished on drop. The
 //! finished event goes into a **thread-local** buffer; the buffer drains
@@ -10,7 +10,6 @@
 //! While tracing is disabled, [`span`] returns an inert guard without
 //! reading the clock or allocating, and drop does nothing.
 
-use crate::{state, STATE_FLIGHT, STATE_TRACE};
 use std::cell::{Cell, RefCell};
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,16 +19,7 @@ use std::time::Instant;
 /// Thread-local buffer capacity before a flush to the global collector.
 const FLUSH_AT: usize = 256;
 
-/// Chrome trace-event phase of a [`SpanEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// A complete span (`"ph": "X"`): start + duration.
-    Complete,
-    /// An instant event (`"ph": "i"`): a point in time.
-    Instant,
-}
-
-/// One finished span or instant event.
+/// One finished span.
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Category (the instrumented layer: `"sched"`, `"grid"`, `"sim"`,
@@ -37,11 +27,9 @@ pub struct SpanEvent {
     pub cat: &'static str,
     /// Event name.
     pub name: String,
-    /// Chrome phase.
-    pub ph: Phase,
     /// Microseconds since the trace epoch.
     pub start_us: u64,
-    /// Duration in microseconds (0 for instants).
+    /// Duration in microseconds.
     pub dur_us: u64,
     /// Small dense thread id (assigned per thread at first use).
     pub tid: u64,
@@ -99,32 +87,6 @@ thread_local! {
     });
 }
 
-/// Routes a finished event to the consumers named in `to` (a [`state`]
-/// byte captured when the event began): the trace collector, the flight
-/// ring, or both. The event is built at most once; when both consumers
-/// want it, the flight ring takes a clone.
-fn push_event(to: u8, make: impl FnOnce(u64) -> SpanEvent) {
-    // During thread teardown the TLS slot may already be gone; drop the
-    // event rather than panic (`try_with`).
-    let _ = BUF.try_with(move |buf| {
-        let mut buf = buf.borrow_mut();
-        let tid = buf.tid;
-        let event = make(tid);
-        if to & STATE_FLIGHT != 0 {
-            if to & STATE_TRACE != 0 {
-                crate::ring::push(event.clone());
-            } else {
-                crate::ring::push(event);
-                return;
-            }
-        }
-        buf.events.push(event);
-        if buf.events.len() >= FLUSH_AT {
-            buf.flush();
-        }
-    });
-}
-
 thread_local! {
     /// The request id correlated with work on this thread, if any.
     static REQUEST: Cell<Option<u64>> = const { Cell::new(None) };
@@ -174,9 +136,6 @@ struct ActiveSpan {
     name: String,
     start: Instant,
     args: Vec<(&'static str, String)>,
-    /// The [`state`] byte captured at creation: which consumers (trace
-    /// collector, flight ring) get the finished event.
-    to: u8,
 }
 
 impl Span {
@@ -204,26 +163,32 @@ impl Drop for Span {
         if let Some(s) = self.0.take() {
             let start_us = s.start.duration_since(epoch()).as_micros() as u64;
             let dur_us = s.start.elapsed().as_micros() as u64;
-            push_event(s.to, move |tid| SpanEvent {
-                cat: s.cat,
-                name: s.name,
-                ph: Phase::Complete,
-                start_us,
-                dur_us,
-                tid,
-                args: s.args,
+            // During thread teardown the TLS slot may already be gone; drop
+            // the event rather than panic (`try_with`).
+            let _ = BUF.try_with(move |buf| {
+                let mut buf = buf.borrow_mut();
+                let tid = buf.tid;
+                buf.events.push(SpanEvent {
+                    cat: s.cat,
+                    name: s.name,
+                    start_us,
+                    dur_us,
+                    tid,
+                    args: s.args,
+                });
+                if buf.events.len() >= FLUSH_AT {
+                    buf.flush();
+                }
             });
         }
     }
 }
 
 /// Opens a span in category `cat` named `name`. Returns an inert guard
-/// (no clock read, no allocation) while both tracing and the flight
-/// recorder are off. Active spans carry the thread's request id (see
-/// [`request_scope`]) as a `req` annotation.
+/// (no clock read, no allocation) while tracing is off. Active spans carry
+/// the thread's request id (see [`request_scope`]) as a `req` annotation.
 pub fn span(cat: &'static str, name: &str) -> Span {
-    let to = state();
-    if to == 0 {
+    if !crate::enabled() {
         return Span(None);
     }
     let mut args = Vec::new();
@@ -235,31 +200,7 @@ pub fn span(cat: &'static str, name: &str) -> Span {
         name: name.to_owned(),
         start: Instant::now(),
         args,
-        to,
     }))
-}
-
-/// Records a structured instant event (a point in time, no duration).
-pub fn instant(cat: &'static str, name: &str) {
-    let to = state();
-    if to == 0 {
-        return;
-    }
-    let start_us = Instant::now().duration_since(epoch()).as_micros() as u64;
-    let name = name.to_owned();
-    let mut args = Vec::new();
-    if let Some(id) = request_id() {
-        args.push(("req", id.to_string()));
-    }
-    push_event(to, move |tid| SpanEvent {
-        cat,
-        name,
-        ph: Phase::Instant,
-        start_us,
-        dur_us: 0,
-        tid,
-        args,
-    });
 }
 
 /// Flushes the calling thread's span buffer into the global collector.
@@ -294,7 +235,6 @@ mod tests {
             s.arg("k", "v");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        instant("test", "tick");
         crate::disable();
         let events = take_events();
         let outer = events
@@ -302,12 +242,8 @@ mod tests {
             .find(|e| e.name == "outer")
             .expect("span recorded");
         assert_eq!(outer.cat, "test");
-        assert_eq!(outer.ph, Phase::Complete);
         assert!(outer.dur_us >= 1_000, "dur {}", outer.dur_us);
         assert_eq!(outer.args, vec![("k", "v".to_string())]);
-        assert!(events
-            .iter()
-            .any(|e| e.name == "tick" && e.ph == Phase::Instant));
     }
 
     #[test]
@@ -355,5 +291,29 @@ mod tests {
             s.arg("ignored", 1);
         }
         assert!(take_events().is_empty());
+    }
+
+    #[test]
+    fn request_scope_annotates_spans_and_restores() {
+        let _g = test_lock::hold();
+        crate::enable();
+        let _ = take_events();
+        {
+            let _outer = request_scope(Some(41));
+            {
+                let _inner = request_scope(Some(42));
+                assert_eq!(request_id(), Some(42));
+                let _s = span("test", "req-tagged");
+            }
+            assert_eq!(request_id(), Some(41));
+        }
+        assert_eq!(request_id(), None);
+        crate::disable();
+        let events = take_events();
+        let tagged = events
+            .iter()
+            .find(|e| e.name == "req-tagged")
+            .expect("span recorded");
+        assert_eq!(tagged.args, vec![("req", "42".to_string())]);
     }
 }

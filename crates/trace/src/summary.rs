@@ -2,7 +2,7 @@
 //! appends every registered counter and histogram. Output is meant for
 //! stderr or a log file — never stdout, per the determinism contract.
 
-use crate::span::{Phase, SpanEvent};
+use crate::span::SpanEvent;
 use crate::{counters, histograms};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -16,8 +16,8 @@ struct SpanAgg {
     max_us: u64,
 }
 
-/// Self time per event: a complete span's duration minus the part of it
-/// that its child spans on the same thread cover (instants last 0 µs).
+/// Self time per span: its duration minus the part of it that its child
+/// spans on the same thread cover.
 ///
 /// Spans on one thread nest (they are RAII guards), so each thread's spans
 /// are walked in start order with a stack of the open ones; a span's
@@ -26,9 +26,7 @@ struct SpanAgg {
 fn self_times(events: &[SpanEvent]) -> Vec<u64> {
     let end = |i: usize| events[i].start_us + events[i].dur_us;
     let mut own: Vec<u64> = events.iter().map(|e| e.dur_us).collect();
-    let mut order: Vec<usize> = (0..events.len())
-        .filter(|&i| events[i].ph == Phase::Complete)
-        .collect();
+    let mut order: Vec<usize> = (0..events.len()).collect();
     order.sort_by_key(|&i| (events[i].tid, events[i].start_us, Reverse(events[i].dur_us)));
     let mut open: Vec<usize> = Vec::new();
     for i in order {
@@ -56,20 +54,12 @@ fn self_times(events: &[SpanEvent]) -> Vec<u64> {
 /// thread cover.
 pub fn summary(events: &[SpanEvent]) -> String {
     let mut spans: BTreeMap<(&'static str, &str), SpanAgg> = BTreeMap::new();
-    let mut instants: BTreeMap<(&'static str, &str), u64> = BTreeMap::new();
     for (e, self_us) in events.iter().zip(self_times(events)) {
-        match e.ph {
-            Phase::Complete => {
-                let agg = spans.entry((e.cat, e.name.as_str())).or_default();
-                agg.count += 1;
-                agg.total_us += e.dur_us;
-                agg.self_us += self_us;
-                agg.max_us = agg.max_us.max(e.dur_us);
-            }
-            Phase::Instant => {
-                *instants.entry((e.cat, e.name.as_str())).or_default() += 1;
-            }
-        }
+        let agg = spans.entry((e.cat, e.name.as_str())).or_default();
+        agg.count += 1;
+        agg.total_us += e.dur_us;
+        agg.self_us += self_us;
+        agg.max_us = agg.max_us.max(e.dur_us);
     }
 
     let mut out = String::new();
@@ -89,13 +79,6 @@ pub fn summary(events: &[SpanEvent]) -> String {
                 "  {label:<width$}  {:>8}  {:>10}  {:>10}  {:>10}",
                 agg.count, agg.total_us, agg.self_us, agg.max_us
             );
-        }
-    }
-
-    if !instants.is_empty() {
-        out.push_str("instants (cat/name: count)\n");
-        for ((cat, name), n) in &instants {
-            let _ = writeln!(out, "  {cat}/{name}  {n}");
         }
     }
 
@@ -139,7 +122,6 @@ mod tests {
         for _ in 0..3 {
             let _s = crate::span("sum-test", "job");
         }
-        crate::instant("sum-test", "tick");
         crate::count("summary.test.counter", 2);
         crate::record("summary.test.hist", 100);
         crate::disable();
@@ -147,7 +129,6 @@ mod tests {
         let text = summary(&events);
         assert!(text.contains("== trace summary =="), "{text}");
         assert!(text.contains("sum-test/job"), "{text}");
-        assert!(text.contains("sum-test/tick"), "{text}");
         assert!(text.contains("summary.test.counter"), "{text}");
         assert!(text.contains("summary.test.hist"), "{text}");
         // The span row reports count 3.
@@ -162,7 +143,6 @@ mod tests {
         SpanEvent {
             cat: "self-test",
             name: name.to_string(),
-            ph: Phase::Complete,
             start_us,
             dur_us,
             tid,

@@ -6,7 +6,9 @@
 //!    `workers - 1` jobs run on spawned threads across all calls, and every
 //!    permit is free again afterwards;
 //! 2. a daemon with a worker budget of one spawns no connection thread:
-//!    the accept thread serves every connection itself.
+//!    the accept thread serves every connection itself;
+//! 3. a traced `map` records one `grid/run` span and a `grid/job` span per
+//!    item, and its spawned worker carries the caller's request id.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -105,4 +107,47 @@ fn a_one_worker_daemon_serves_every_connection_inline() {
     assert_eq!(counter("serve.connection") - connections, CONNECTIONS);
     assert_eq!(counter("serve.inline") - inline, CONNECTIONS);
     handle.stop();
+}
+
+#[test]
+fn a_traced_map_carries_the_request_id_to_its_workers() {
+    // Daemon ids count up from 1, so no other span of this process
+    // carries this one.
+    const REQ: u64 = u64::MAX;
+    let req = ("req", REQ.to_string());
+    for workers in [1, 2] {
+        let engine = Engine::new(workers);
+        let meet = Barrier::new(2);
+        stream_trace::enable();
+        {
+            let _scope = stream_trace::request_scope(Some(REQ));
+            engine.map((0..8u64).collect(), |j| {
+                // The thread that takes one of jobs 0 and 1 waits here
+                // until the other thread takes the other.
+                if workers == 2 && j < 2 {
+                    meet.wait();
+                }
+            });
+        }
+        stream_trace::disable();
+        let spans: Vec<_> = stream_trace::take_events()
+            .into_iter()
+            .filter(|e| e.cat == "grid" && e.args.contains(&req))
+            .collect();
+        let runs: Vec<_> = spans.iter().filter(|e| e.name == "run").collect();
+        assert_eq!(runs.len(), 1, "workers={workers}: {spans:?}");
+        assert!(
+            runs[0].args.contains(&("jobs", "8".to_string())),
+            "{runs:?}"
+        );
+        let mut tids: Vec<u64> = spans
+            .iter()
+            .filter(|e| e.name == "job")
+            .map(|e| e.tid)
+            .collect();
+        assert_eq!(tids.len(), 8, "workers={workers}: {spans:?}");
+        tids.sort_unstable();
+        tids.dedup();
+        assert_eq!(tids.len(), workers, "workers={workers}: {spans:?}");
+    }
 }
