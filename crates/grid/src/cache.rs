@@ -778,8 +778,8 @@ mod tests {
         assert_eq!((s.compiles, s.disk_hits, s.disk_misses), (1, 0, 1));
     }
 
-    /// The tuner's seven unroll-factor sets (`stream_tune::TuneSpace`'s
-    /// default), over eight distinct factors.
+    /// The tuner's seven unroll-factor sets (`stream_tune::UNROLL_SETS`),
+    /// over eight distinct factors.
     const TUNER_SETS: [&[u32]; 7] = [
         &[1, 2, 4, 8],
         &[1],

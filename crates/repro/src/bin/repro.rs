@@ -27,13 +27,14 @@
 //! every worker count, traced or not, cache warm or cold; per-experiment
 //! timings and cache statistics go to stderr.
 //!
-//! The binary is a thin shim: it parses argv into a
-//! [`stream_repro::Query`] and prints what the query returns, so the CLI
-//! can never drift from the library or the `stream-serve` daemon.
+//! The binary is a thin shim over [`stream_repro::run_many`]: it parses
+//! argv into experiment ids and an engine of `--jobs` workers, and prints
+//! the reports the library returns.
 
 use std::io::Write as _;
 use std::process::ExitCode;
-use stream_repro::{ExperimentId, Query};
+use stream_grid::Engine;
+use stream_repro::ExperimentId;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -110,8 +111,8 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let mut query = if names[0] == "all" {
-        Query::all()
+    let ids = if names[0] == "all" {
+        ExperimentId::ALL.to_vec()
     } else {
         let mut ids = Vec::with_capacity(names.len());
         for name in &names {
@@ -123,11 +124,8 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Query::new().experiments(ids)
+        ids
     };
-    if let Some(n) = jobs {
-        query = query.jobs(n);
-    }
     if trace_path.is_some() {
         stream_trace::enable();
     }
@@ -144,8 +142,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let engine = query.engine();
-    for report in query.run_on(&engine) {
+    let engine = match jobs {
+        Some(n) => Engine::new(n),
+        None => Engine::with_default_parallelism(),
+    };
+    for report in stream_repro::run_many(&ids, &engine) {
         println!("{report}");
         // All of an experiment's perf lines go out in one locked, flushed
         // write, so concurrent stderr writers can never interleave inside

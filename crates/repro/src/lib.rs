@@ -20,12 +20,13 @@
 //! Library use:
 //!
 //! ```
-//! use stream_repro::{run, ExperimentId, Query};
+//! use stream_grid::Engine;
+//! use stream_repro::{run, run_many, ExperimentId};
 //!
 //! let report = run(ExperimentId::Table4);
 //! assert_eq!(report.id(), "table4");
 //! assert!("fig99".parse::<ExperimentId>().is_err());
-//! let reports = Query::new().experiment(ExperimentId::Table1).jobs(1).run();
+//! let reports = run_many(&[ExperimentId::Table1], &Engine::new(1));
 //! assert_eq!(reports[0].id(), "table1");
 //! ```
 
@@ -49,7 +50,7 @@ pub use extras::{
     multiproc, projection, register_org, scaled_datasets, short_streams,
 };
 pub use kernel_figs::{fig13, fig14, table2, table4, table5, FIG13_NS, FIG14_CS};
-pub use query::{Constraint, Metric, Query, SpaceAnswer, SpaceQuery, UnknownMetric};
+pub use query::{Constraint, Metric, SpaceAnswer, SpaceQuery, UnknownMetric};
 pub use report::Report;
 pub use tune_figs::tune;
 pub use verify_figs::verify;

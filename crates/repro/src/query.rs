@@ -1,97 +1,13 @@
-//! The typed query API: the one public way to describe work.
+//! Constrained design-space questions over the paper's `(C, N)` grid.
 //!
-//! [`Query`] describes *which experiments to run, how parallel* — the CLI,
-//! the library facade, and the `stream-serve` daemon all construct the same
-//! `Query` and get the same byte-deterministic reports, so the three entry
-//! points can never drift. [`SpaceQuery`] describes a *constrained
-//! design-space question* over the paper's `(C, N)` grid ("argmin energy/op
-//! subject to area/ALU ≤ X"), the interactive loop the paper runs by hand
-//! across Figures 13–15.
-//!
-//! ```
-//! use stream_repro::{ExperimentId, Query};
-//!
-//! let reports = Query::new().experiment(ExperimentId::Table4).jobs(1).run();
-//! assert_eq!(reports.len(), 1);
-//! assert_eq!(reports[0].id(), "table4");
-//! ```
+//! A [`SpaceQuery`] asks "argmin energy/op subject to area/ALU ≤ X" and
+//! the like: the interactive loop the paper runs by hand across Figures
+//! 13–15. The `stream-serve` daemon answers it on `POST /v1/query`.
 
-use crate::{run_many, ExperimentId, Report, FIG13_NS, FIG14_CS};
+use crate::{FIG13_NS, FIG14_CS};
 use std::fmt;
 use std::str::FromStr;
-use stream_grid::Engine;
 use stream_vlsi::{CostModel, CostReport, Shape};
-
-/// A description of experiment work: which experiments, on how many worker
-/// threads. Construct with the builder methods, execute with [`Query::run`]
-/// (or [`Query::run_on`] to share an engine). Reports come back in the
-/// order the experiments were added and render byte-identically for every
-/// worker count.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Query {
-    ids: Vec<ExperimentId>,
-    jobs: Option<usize>,
-}
-
-impl Query {
-    /// An empty query; add experiments with [`Query::experiment`] /
-    /// [`Query::experiments`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Every experiment, paper order — what `repro all` runs.
-    pub fn all() -> Self {
-        Self::new().experiments(ExperimentId::ALL)
-    }
-
-    /// Adds one experiment.
-    #[must_use]
-    pub fn experiment(mut self, id: ExperimentId) -> Self {
-        self.ids.push(id);
-        self
-    }
-
-    /// Adds several experiments, preserving order.
-    #[must_use]
-    pub fn experiments(mut self, ids: impl IntoIterator<Item = ExperimentId>) -> Self {
-        self.ids.extend(ids);
-        self
-    }
-
-    /// Sets the worker-thread count (`--jobs N`); default is the host's
-    /// available parallelism, and `1` is strictly serial.
-    #[must_use]
-    pub fn jobs(mut self, n: usize) -> Self {
-        self.jobs = Some(n.max(1));
-        self
-    }
-
-    /// The experiments this query will run, in order.
-    pub fn ids(&self) -> &[ExperimentId] {
-        &self.ids
-    }
-
-    /// An engine sized for this query.
-    pub fn engine(&self) -> Engine {
-        match self.jobs {
-            Some(n) => Engine::new(n),
-            None => Engine::with_default_parallelism(),
-        }
-    }
-
-    /// Runs the query on its own engine; reports come back in query order.
-    pub fn run(&self) -> Vec<Report> {
-        self.run_on(&self.engine())
-    }
-
-    /// Runs the query on a shared engine. The query's experiments run in
-    /// order, each grid on the whole engine; concurrent queries on one
-    /// engine (the daemon's usage) share its extra-thread permits.
-    pub fn run_on(&self, engine: &Engine) -> Vec<Report> {
-        run_many(&self.ids, engine)
-    }
-}
 
 /// A scalar the VLSI cost model can score a shape by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -312,32 +228,6 @@ pub struct SpaceAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn query_runs_in_order_and_matches_run_many() {
-        let q = Query::new()
-            .experiments([ExperimentId::Table4, ExperimentId::Table1])
-            .jobs(1);
-        let reports = q.run();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].id(), "table4");
-        assert_eq!(reports[1].id(), "table1");
-        let direct = crate::run_many(
-            &[ExperimentId::Table4, ExperimentId::Table1],
-            &Engine::new(1),
-        );
-        assert_eq!(
-            reports.iter().map(Report::to_string).collect::<Vec<_>>(),
-            direct.iter().map(Report::to_string).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn all_covers_every_experiment() {
-        assert_eq!(Query::all().ids(), &ExperimentId::ALL[..]);
-        assert!(Query::new().ids().is_empty());
-        assert!(Query::new().run().is_empty());
-    }
 
     #[test]
     fn metric_names_roundtrip() {

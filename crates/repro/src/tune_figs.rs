@@ -63,7 +63,7 @@ pub(crate) fn tune_impl(ctx: &Ctx) -> Report {
     r.note("objective: analytic simulated cycles; default config always evaluated first, so speedup >= 1.0 by construction");
     r.note("winner axes: scheduler unroll-factor set, strips batched per kernel call");
     r.perf.push(format!(
-        "search: {evaluated} candidates evaluated, {pruned} pruned, {compiles} scheduler compiles, {rehydrated} rehydrated over {} cells",
+        "search: {evaluated} candidates evaluated, {pruned} pruned, {compiles} set compiles, {rehydrated} rehydrated over {} cells",
         cells.len()
     ));
     r

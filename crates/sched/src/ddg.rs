@@ -12,50 +12,17 @@
 
 use std::collections::HashMap;
 use stream_ir::{Kernel, Opcode, ValueId};
-use stream_machine::{FuKind, Machine, OpClass};
+use stream_machine::{FuKind, Machine};
+use stream_verify::{DepEdge, DepGraph, DepKind, SchedNode};
 
-/// One schedulable operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Node {
-    /// The kernel value this node schedules.
-    pub value: ValueId,
-    /// Its scheduling class.
-    pub class: OpClass,
-    /// Result latency in cycles on the target machine.
-    pub latency: u32,
-}
-
-/// Whether an edge carries a value (occupying a register for its lifetime)
-/// or only orders two operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// True data dependence: the destination consumes the source's result.
-    Data,
-    /// Ordering constraint (stream pop order, scratchpad memory order).
-    Order,
-}
-
-/// A dependence edge: `to` may start no earlier than
-/// `t(from) + latency - ii * distance`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edge {
-    /// Source node index.
-    pub from: usize,
-    /// Destination node index.
-    pub to: usize,
-    /// Minimum separation in cycles.
-    pub latency: u32,
-    /// Iteration distance (0 = same iteration).
-    pub distance: u32,
-    /// Data or ordering edge.
-    pub kind: EdgeKind,
-}
-
-/// The dependence graph of one kernel on one machine.
+/// The dependence graph of one kernel on one machine: the independent
+/// verifier's [`DepGraph`], the kernel value each node schedules, and the
+/// edges indexed by endpoint.
 #[derive(Debug, Clone)]
 pub struct Ddg {
-    nodes: Vec<Node>,
-    edges: Vec<Edge>,
+    graph: DepGraph,
+    /// The kernel value node `i` schedules.
+    values: Vec<ValueId>,
     /// Outgoing edge indices per node.
     succs: Adjacency,
     /// Incoming edge indices per node.
@@ -99,30 +66,30 @@ impl Ddg {
     pub fn build(kernel: &Kernel, machine: &Machine) -> Self {
         let _span = stream_trace::span("sched", "ddg");
         let mut nodes = Vec::new();
+        let mut values = Vec::new();
         let mut node_of: HashMap<ValueId, usize> = HashMap::new();
         for (i, _op) in kernel.ops().iter().enumerate() {
             let v = ValueId(i as u32);
             if let Some(class) = kernel.class_of(v) {
                 node_of.insert(v, nodes.len());
-                nodes.push(Node {
-                    value: v,
+                values.push(v);
+                nodes.push(SchedNode {
                     class,
                     latency: machine.latency(class),
                 });
             }
         }
 
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut push_edge =
-            |from: usize, to: usize, latency: u32, distance: u32, kind: EdgeKind| {
-                edges.push(Edge {
-                    from,
-                    to,
-                    latency,
-                    distance,
-                    kind,
-                });
-            };
+        let mut edges: Vec<DepEdge> = Vec::new();
+        let mut push_edge = |from: usize, to: usize, latency: u32, distance: u32, kind: DepKind| {
+            edges.push(DepEdge {
+                from,
+                to,
+                latency,
+                distance,
+                kind,
+            });
+        };
 
         // True data dependences, resolving through free ops (recurrences add
         // iteration distance).
@@ -132,7 +99,7 @@ impl Ddg {
             for &arg in &op.args {
                 if let Some((producer, distance)) = resolve_producer(kernel, arg) {
                     if let Some(&from) = node_of.get(&producer) {
-                        push_edge(from, to, nodes[from].latency, distance, EdgeKind::Data);
+                        push_edge(from, to, nodes[from].latency, distance, DepKind::Data);
                     }
                 }
             }
@@ -144,10 +111,10 @@ impl Ddg {
         for chain in ins.iter().chain(outs.iter()) {
             let chain_nodes: Vec<usize> = chain.iter().map(|v| node_of[v]).collect();
             for w in chain_nodes.windows(2) {
-                push_edge(w[0], w[1], 1, 0, EdgeKind::Order);
+                push_edge(w[0], w[1], 1, 0, DepKind::Order);
             }
             if let (Some(&first), Some(&last)) = (chain_nodes.first(), chain_nodes.last()) {
-                push_edge(last, first, 1, 1, EdgeKind::Order);
+                push_edge(last, first, 1, 1, DepKind::Order);
             }
         }
 
@@ -165,7 +132,7 @@ impl Ddg {
         for (i, &(a, a_write)) in sp_ops.iter().enumerate() {
             for &(b, b_write) in &sp_ops[i + 1..] {
                 if a_write || b_write {
-                    push_edge(a, b, 1, 0, EdgeKind::Order);
+                    push_edge(a, b, 1, 0, DepKind::Order);
                 }
             }
         }
@@ -173,56 +140,69 @@ impl Ddg {
         // against accesses in the next.
         if let Some(&(last_write, _)) = sp_ops.iter().rev().find(|&&(_, w)| w) {
             if let Some(&(first, _)) = sp_ops.first() {
-                push_edge(last_write, first, 1, 1, EdgeKind::Order);
+                push_edge(last_write, first, 1, 1, DepKind::Order);
             }
         }
 
-        Self::from_parts(nodes, edges)
+        Self::from_parts(values, DepGraph { nodes, edges })
     }
 
-    /// Assembles a graph from its nodes and edges, indexing the edges by
-    /// endpoint.
-    pub(crate) fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Self {
-        let succs = Adjacency::new(nodes.len(), edges.iter().map(|e| e.from));
-        let preds = Adjacency::new(nodes.len(), edges.iter().map(|e| e.to));
+    /// Assembles a graph whose node `i` schedules `values[i]`, indexing its
+    /// edges by endpoint.
+    pub(crate) fn from_parts(values: Vec<ValueId>, graph: DepGraph) -> Self {
+        debug_assert_eq!(values.len(), graph.nodes.len());
+        let n = graph.nodes.len();
+        let succs = Adjacency::new(n, graph.edges.iter().map(|e| e.from));
+        let preds = Adjacency::new(n, graph.edges.iter().map(|e| e.to));
         Self {
-            nodes,
-            edges,
+            graph,
+            values,
             succs,
             preds,
         }
     }
 
+    /// The graph in the independent verifier's vocabulary, as
+    /// [`crate::check_schedule`] hands it to `stream-verify`.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
+    }
+
     /// The schedulable nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+    pub fn nodes(&self) -> &[SchedNode] {
+        &self.graph.nodes
     }
 
     /// All dependence edges.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    pub fn edges(&self) -> &[DepEdge] {
+        &self.graph.edges
+    }
+
+    /// The kernel value each node schedules, in node order.
+    pub fn values(&self) -> &[ValueId] {
+        &self.values
     }
 
     /// Indices of edges leaving `node`.
-    pub fn succ_edges(&self, node: usize) -> impl Iterator<Item = &Edge> + '_ {
+    pub fn succ_edges(&self, node: usize) -> impl Iterator<Item = &DepEdge> + '_ {
         self.succs
             .row(node)
             .iter()
-            .map(|&i| &self.edges[i as usize])
+            .map(|&i| &self.graph.edges[i as usize])
     }
 
     /// Indices of edges entering `node`.
-    pub fn pred_edges(&self, node: usize) -> impl Iterator<Item = &Edge> + '_ {
+    pub fn pred_edges(&self, node: usize) -> impl Iterator<Item = &DepEdge> + '_ {
         self.preds
             .row(node)
             .iter()
-            .map(|&i| &self.edges[i as usize])
+            .map(|&i| &self.graph.edges[i as usize])
     }
 
     /// Number of nodes using each functional-unit kind.
     pub fn fu_demand(&self) -> HashMap<FuKind, u32> {
         let mut demand = HashMap::new();
-        for n in &self.nodes {
+        for n in &self.graph.nodes {
             *demand.entry(n.class.fu_kind()).or_insert(0) += 1;
         }
         demand
@@ -260,6 +240,7 @@ fn resolve_producer(kernel: &Kernel, mut v: ValueId) -> Option<(ValueId, u32)> {
 mod tests {
     use super::*;
     use stream_ir::{KernelBuilder, Scalar, Ty};
+    use stream_machine::OpClass;
     use stream_vlsi::Shape;
 
     fn machine() -> Machine {

@@ -12,13 +12,19 @@
 //!
 //! 1. [`Ddg::build`] — dependence graph with latencies from the machine's
 //!    delay model (including the extra pipeline stages large intracluster
-//!    switches impose, and the pipelined intercluster COMM latency),
+//!    switches impose, and the pipelined intercluster COMM latency), held
+//!    in the independent verifier's graph types (`stream_verify::DepGraph`),
 //! 2. [`MiiBounds::compute`] — ResMII / RecMII lower bounds,
-//! 3. [`modulo_schedule`] — Rau-style iterative modulo scheduling,
+//! 3. [`modulo_schedule`] — Rau-style iterative modulo scheduling, the one
+//!    II search (upward from MII),
 //! 4. [`CompiledKernel::compile_factor`] — one unroll factor's schedule
-//!    under LRF register capacity and microcode-size constraints,
+//!    under LRF register capacity and microcode-size constraints, proved by
+//!    the independent verifier ([`check_schedule`]),
 //! 5. [`CompiledKernel::pick`] — the fastest of the offered factors;
 //!    [`CompiledKernel::compile`] runs steps 4 and 5 over a factor list.
+//!
+//! [`CompiledKernel::rehydrate`] skips steps 2–5 for a persisted
+//! [`ScheduleRecipe`]: it rebuilds the graph and re-runs the verifier.
 //!
 //! # Examples
 //!
@@ -48,8 +54,8 @@ mod modulo;
 mod perf;
 mod persist;
 
-pub use check::{check_schedule, dep_graph};
-pub use ddg::{Ddg, Edge, EdgeKind, Node};
+pub use check::check_schedule;
+pub use ddg::Ddg;
 pub use mii::{rec_mii, res_mii, res_mii_for, MiiBounds};
 pub use modulo::{modulo_schedule, ModuloSchedule};
 pub use perf::{CompileOptions, CompiledKernel, ScheduleError};

@@ -1,10 +1,11 @@
 //! Iterative modulo scheduling (software pipelining), after Rau (MICRO-27,
 //! 1994) — the algorithm family behind the Imagine kernel scheduler.
 
-use crate::{Ddg, EdgeKind, MiiBounds};
+use crate::{Ddg, MiiBounds};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use stream_machine::{FuKind, Machine};
+use stream_verify::DepKind;
 
 /// A legal modulo schedule: every node has an absolute start time; the loop
 /// kernel repeats every [`ModuloSchedule::ii`] cycles.
@@ -25,22 +26,26 @@ impl ModuloSchedule {
         }
     }
 
-    /// Flat schedule length in cycles (prologue + one kernel iteration).
+    /// Flat schedule length in cycles (prologue + one kernel iteration),
+    /// saturating at `u32::MAX`.
     pub fn length(&self, ddg: &Ddg) -> u32 {
         ddg.nodes()
             .iter()
             .zip(&self.times)
-            .map(|(n, &t)| t + n.latency)
+            .map(|(n, &t)| t.saturating_add(n.latency))
             .max()
             .unwrap_or(0)
     }
 
-    /// Verifies dependence and resource legality against `ddg`/`machine`.
+    /// Verifies dependence and resource legality against `ddg`/`machine`:
+    /// the end-of-attempt self-check that decides whether the II search
+    /// moves on. Compiled and rehydrated schedules are proved by the
+    /// independent verifier instead ([`crate::check_schedule`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn verify(&self, ddg: &Ddg, machine: &Machine) -> Result<(), String> {
+    pub(crate) fn verify(&self, ddg: &Ddg, machine: &Machine) -> Result<(), String> {
         for e in ddg.edges() {
             let lhs = i64::from(self.times[e.from]) + i64::from(e.latency);
             let rhs = i64::from(self.times[e.to]) + i64::from(self.ii) * i64::from(e.distance);
@@ -97,7 +102,7 @@ impl ModuloSchedule {
             let def = i64::from(t);
             let mut last = def + 1;
             for e in ddg.succ_edges(i) {
-                if e.kind == EdgeKind::Data {
+                if e.kind == DepKind::Data {
                     last = last.max(i64::from(self.times[e.to]) + ii * i64::from(e.distance));
                 }
             }
@@ -299,8 +304,10 @@ fn unschedule(
     true
 }
 
-/// Schedules `ddg`, searching IIs upward from the MII. Returns the schedule
-/// and the bounds that constrained it.
+/// Schedules `ddg`: the scheduler's one II search, upward from the MII to
+/// `2·MII + 32`, sharing priority heights across attempts. Returns the
+/// first attempt's schedule that passes its self-check, and the bounds the
+/// search started from.
 pub fn modulo_schedule(ddg: &Ddg, machine: &Machine) -> Option<(ModuloSchedule, MiiBounds)> {
     let bounds = MiiBounds::compute(ddg, machine);
     let mii = bounds.mii();
@@ -485,19 +492,22 @@ mod tests {
     /// Node 0 defines a value that node 1 consumes `distance` iterations
     /// later; both are 1-cycle ops.
     fn def_use(distance: u32) -> Ddg {
-        let node = |i| crate::Node {
-            value: stream_ir::ValueId(i),
+        let node = stream_verify::SchedNode {
             class: stream_machine::OpClass::FloatAdd,
             latency: 1,
         };
-        let edge = crate::Edge {
+        let edge = stream_verify::DepEdge {
             from: 0,
             to: 1,
             latency: 1,
             distance,
-            kind: EdgeKind::Data,
+            kind: DepKind::Data,
         };
-        Ddg::from_parts(vec![node(0), node(1)], vec![edge])
+        let graph = stream_verify::DepGraph {
+            nodes: vec![node; 2],
+            edges: vec![edge],
+        };
+        Ddg::from_parts(vec![stream_ir::ValueId(0), stream_ir::ValueId(1)], graph)
     }
 
     /// MaxLive by enumeration: every cycle of every lifetime, folded onto
@@ -509,7 +519,7 @@ mod tests {
             let def = u64::from(t);
             let last = ddg
                 .succ_edges(i)
-                .filter(|e| e.kind == EdgeKind::Data)
+                .filter(|e| e.kind == DepKind::Data)
                 .map(|e| u64::from(s.times[e.to]) + ii * u64::from(e.distance))
                 .fold(def + 1, u64::max);
             for cycle in def..=last {

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use stream_machine::Machine;
 use stream_store::{DiskStore, Key};
 
-use crate::space::{Candidate, TuneSpace};
+use crate::space::{fingerprint, Candidate, STRIP_SCALES, UNROLL_SETS};
 
 /// Bump when the payload layout or its semantics change; stale versions
 /// land in a different namespace directory and are simply never read.
@@ -57,10 +57,10 @@ pub(crate) struct StoredTuned {
 
 /// The key material ties a result to everything that could change it:
 /// the app, the machine's shape *and* technology fingerprint, the search
-/// space (a different space → a different key), and the format
-/// version. Sections are u32-le length-framed so no field can bleed into
-/// its neighbor.
-fn key_material(app: &str, machine: &Machine, space: &TuneSpace) -> Vec<u8> {
+/// space's fingerprint `space` (a different space → a different key), and
+/// the format version. Sections are u32-le length-framed so no field can
+/// bleed into its neighbor.
+fn key_material(app: &str, machine: &Machine, space: u64) -> Vec<u8> {
     let cfg = machine.config();
     let mut blob = Vec::with_capacity(64);
     let section = |bytes: &[u8], out: &mut Vec<u8>| {
@@ -72,7 +72,7 @@ fn key_material(app: &str, machine: &Machine, space: &TuneSpace) -> Vec<u8> {
     section(&cfg.shape.clusters.to_le_bytes(), &mut blob);
     section(&cfg.shape.alus_per_cluster.to_le_bytes(), &mut blob);
     section(&cfg.params_fingerprint.to_le_bytes(), &mut blob);
-    section(&space.fingerprint().to_le_bytes(), &mut blob);
+    section(&space.to_le_bytes(), &mut blob);
     section(&FORMAT_VERSION.to_le_bytes(), &mut blob);
     blob
 }
@@ -113,12 +113,17 @@ fn decode(payload: &[u8], material: &[u8]) -> Option<StoredTuned> {
     })
 }
 
-/// Loads the stored result for `(app, machine, space)`, if a disk tier is
+/// The key material of `(app, machine)` in the search's space.
+fn key(app: &str, machine: &Machine) -> Vec<u8> {
+    key_material(app, machine, fingerprint(&UNROLL_SETS, &STRIP_SCALES))
+}
+
+/// Loads the stored result for `(app, machine)`, if a disk tier is
 /// attached and holds a structurally valid entry. The caller still
 /// re-validates cycle counts before honoring it.
-pub(crate) fn load(app: &str, machine: &Machine, space: &TuneSpace) -> Option<StoredTuned> {
+pub(crate) fn load(app: &str, machine: &Machine) -> Option<StoredTuned> {
     let disk = DISK.get()?;
-    let material = key_material(app, machine, space);
+    let material = key(app, machine);
     let payload = disk.get(Key::of(&material))?;
     decode(&payload, &material)
 }
@@ -126,9 +131,9 @@ pub(crate) fn load(app: &str, machine: &Machine, space: &TuneSpace) -> Option<St
 /// Writes `stored` through to the disk tier, if one is attached. Write
 /// failures are swallowed: persistence is an accelerator, never a
 /// correctness dependency.
-pub(crate) fn save(app: &str, machine: &Machine, space: &TuneSpace, stored: &StoredTuned) {
+pub(crate) fn save(app: &str, machine: &Machine, stored: &StoredTuned) {
     if let Some(disk) = DISK.get() {
-        let material = key_material(app, machine, space);
+        let material = key(app, machine);
         let _ = disk.put(Key::of(&material), &encode(&material, stored));
     }
 }
@@ -152,7 +157,7 @@ mod tests {
     #[test]
     fn payload_roundtrips() {
         let m = Machine::baseline();
-        let material = key_material("CONV", &m, &TuneSpace::default());
+        let material = key("CONV", &m);
         let stored = sample();
         let payload = encode(&material, &stored);
         assert_eq!(decode(&payload, &material), Some(stored));
@@ -161,7 +166,7 @@ mod tests {
     #[test]
     fn truncated_or_padded_payloads_are_misses() {
         let m = Machine::baseline();
-        let material = key_material("CONV", &m, &TuneSpace::default());
+        let material = key("CONV", &m);
         let payload = encode(&material, &sample());
         for cut in [0, 1, payload.len() / 2, payload.len() - 1] {
             assert_eq!(decode(&payload[..cut], &material), None, "cut at {cut}");
@@ -173,16 +178,12 @@ mod tests {
 
     #[test]
     fn key_material_separates_machines_spaces_and_apps() {
-        let space = TuneSpace::default();
-        let base = key_material("CONV", &Machine::baseline(), &space);
+        let base = key("CONV", &Machine::baseline());
         let big = Machine::paper(stream_vlsi::Shape::new(64, 8));
-        assert_ne!(base, key_material("CONV", &big, &space));
-        assert_ne!(base, key_material("QRD", &Machine::baseline(), &space));
-        let narrowed = TuneSpace {
-            strip_scales: vec![1],
-            ..TuneSpace::default()
-        };
-        assert_ne!(base, key_material("CONV", &Machine::baseline(), &narrowed));
+        assert_ne!(base, key("CONV", &big));
+        assert_ne!(base, key("QRD", &Machine::baseline()));
+        let narrowed = fingerprint(&UNROLL_SETS, &[1]);
+        assert_ne!(base, key_material("CONV", &Machine::baseline(), narrowed));
     }
 
     /// A payload header carrying `material`, so fuzzed tails reach the
@@ -201,7 +202,7 @@ mod tests {
         fn decode_never_panics_on_arbitrary_bytes(
             bytes in proptest::collection::vec(any::<u8>(), 0..96),
         ) {
-            let material = key_material("CONV", &Machine::baseline(), &TuneSpace::default());
+            let material = key("CONV", &Machine::baseline());
             // Whole payload arbitrary, including its length prefix.
             let _ = decode(&bytes, &material);
             // Valid header, arbitrary candidate and cycle bytes.
@@ -215,7 +216,7 @@ mod tests {
             default_cycles in any::<u64>(),
             tuned_cycles in any::<u64>(),
         ) {
-            let material = key_material("QRD", &Machine::baseline(), &TuneSpace::default());
+            let material = key("QRD", &Machine::baseline());
             let stored = StoredTuned {
                 winner: Candidate { unroll_factors, strip_scale },
                 default_cycles,

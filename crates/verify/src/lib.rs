@@ -16,9 +16,10 @@
 //! All checkers return a [`Report`] of [`Diagnostic`]s with stable
 //! [`Code`]s cataloged in `docs/lint_codes.md`. The crate deliberately
 //! depends only on `stream-ir` and `stream-machine` — never on the
-//! scheduler it checks — and keeps its own [`LatencyTable`] so latency
-//! drift between the scheduler and the machine model is *caught* (`E106`)
-//! rather than inherited.
+//! scheduler it checks, which builds its dependence graphs in this
+//! crate's [`DepGraph`] types — and keeps its own [`LatencyTable`] so
+//! latency drift between the scheduler and the machine model is *caught*
+//! (`E106`) rather than inherited.
 
 #![warn(missing_docs)]
 

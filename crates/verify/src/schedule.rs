@@ -44,9 +44,9 @@ pub struct DepEdge {
     pub kind: DepKind,
 }
 
-/// The dependence graph a schedule is checked against. The scheduler
-/// converts its own graph into this mirror form, keeping the verifier free
-/// of any dependence on the scheduler crate.
+/// The dependence graph a schedule is checked against. This crate owns the
+/// vocabulary: the scheduler builds its graph in these types and lends it
+/// to the verifier, which still depends on nothing in the scheduler.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepGraph {
     /// Schedulable operations.

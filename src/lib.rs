@@ -24,9 +24,10 @@
 //! * [`serve`] — the `stream-serve` query daemon and its planner,
 //! * [`tune`] — cost-guided per-application auto-tuning.
 //!
-//! The typed query API ([`Query`], [`SpaceQuery`], [`Metric`]) is the one
-//! public way to describe work; the `repro` CLI and the `stream-serve`
-//! daemon are both thin shims over it.
+//! Experiments run through [`repro::run_many`] (the `repro` CLI's path)
+//! or [`repro::run_with`] (the `stream-serve` planner's, one experiment per
+//! call); [`SpaceQuery`] and [`Metric`] ask constrained design-space
+//! questions over the paper's `(C, N)` grid.
 //!
 //! # Examples
 //!
@@ -55,4 +56,4 @@ pub use stream_tune as tune;
 pub use stream_verify as verify;
 pub use stream_vlsi as vlsi;
 
-pub use stream_repro::{Constraint, Metric, Query, SpaceAnswer, SpaceQuery};
+pub use stream_repro::{Constraint, Metric, SpaceAnswer, SpaceQuery};

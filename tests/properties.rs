@@ -345,9 +345,9 @@ proptest! {
         prop_assert_eq!(base, got);
     }
 
-    /// Every modulo schedule the scheduler produces is legal: dependences
-    /// respected and no resource oversubscribed, and II >= max(ResMII,
-    /// RecMII).
+    /// Every modulo schedule the scheduler produces passes the independent
+    /// verifier: dependences respected, no resource oversubscribed, and
+    /// II >= max(ResMII, RecMII).
     #[test]
     fn modulo_schedules_are_legal(
         script in proptest::collection::vec(any::<u8>(), 1..40),
@@ -357,7 +357,8 @@ proptest! {
         let k = structured_kernel(&script, 8);
         let ddg = Ddg::build(&k, &machine);
         let (sched, bounds) = modulo_schedule(&ddg, &machine).expect("schedulable");
-        prop_assert_eq!(sched.verify(&ddg, &machine), Ok(()));
+        let report = check_schedule(&ddg, &sched, &machine);
+        prop_assert!(!report.has_errors(), "{}", report);
         prop_assert!(sched.ii >= MiiBounds::compute(&ddg, &machine).mii());
         prop_assert!(sched.ii >= bounds.res_mii && sched.ii >= bounds.rec_mii);
     }
@@ -559,7 +560,7 @@ fn rec_mii_matches_the_verifier_oracle() {
     use stream_scaling::apps::AppId;
     use stream_scaling::kernels::KernelId;
     use stream_scaling::repro::{FIG13_NS, FIG14_CS};
-    use stream_scaling::sched::{dep_graph, rec_mii};
+    use stream_scaling::sched::rec_mii;
     let mut oracle: HashMap<Vec<(usize, usize, u32, u32)>, u32> = HashMap::new();
     for c in FIG14_CS {
         for n in FIG13_NS {
@@ -583,7 +584,7 @@ fn rec_mii_matches_the_verifier_oracle() {
                         .collect();
                     let want = *oracle
                         .entry(key)
-                        .or_insert_with(|| stream_scaling::verify::rec_mii(&dep_graph(&ddg)));
+                        .or_insert_with(|| stream_scaling::verify::rec_mii(ddg.graph()));
                     assert_eq!(rec_mii(&ddg), want, "{} x{u} at C={c} N={n}", k.name());
                 }
             }
@@ -600,7 +601,6 @@ fn register_estimate_matches_the_verifier_oracle() {
     use stream_scaling::apps::AppId;
     use stream_scaling::kernels::KernelId;
     use stream_scaling::repro::{FIG13_NS, FIG14_CS};
-    use stream_scaling::sched::dep_graph;
     for c in FIG14_CS {
         for n in FIG13_NS {
             let machine = Machine::paper(Shape::new(c, n));
@@ -617,7 +617,7 @@ fn register_estimate_matches_the_verifier_oracle() {
                 for u in [1u32, 2, 3, 4, 6, 8, 12, 16] {
                     let ddg = Ddg::build(&unroll(k, u).unwrap(), &machine);
                     let (s, _) = modulo_schedule(&ddg, &machine).expect("schedulable");
-                    let want = stream_scaling::verify::max_live(&dep_graph(&ddg), s.ii, &s.times);
+                    let want = stream_scaling::verify::max_live(ddg.graph(), s.ii, &s.times);
                     assert_eq!(
                         s.register_estimate(&ddg),
                         want,
@@ -666,8 +666,7 @@ fn tuner_schedules_match_the_pinned_digest() {
     use std::collections::HashSet;
     use stream_scaling::apps::AppId;
     use stream_scaling::kernels::KernelId;
-    use stream_scaling::tune::TuneSpace;
-    let sets = TuneSpace::default().unroll_sets;
+    use stream_scaling::tune::UNROLL_SETS;
     let cache = KernelCache::new();
     let mut bytes = Vec::new();
     for (c, n) in [(8, 5), (64, 8), (128, 10)] {
@@ -679,8 +678,8 @@ fn tuner_schedules_match_the_pinned_digest() {
             .chain(AppId::ALL.iter().flat_map(|app| app.kernels(&machine)))
             .filter(|k| seen.insert(k.fingerprint()));
         for k in kernels {
-            for set in &sets {
-                let opts = CompileOptions::default().unroll_factors(set.clone());
+            for set in UNROLL_SETS {
+                let opts = CompileOptions::default().unroll_factors(set);
                 let compiled = cache
                     .get_or_compile(&k, &machine, &opts)
                     .unwrap_or_else(|e| panic!("{e}"));

@@ -8,7 +8,7 @@
 use stream_scaling::apps::AppId;
 use stream_scaling::machine::{Machine, SystemParams};
 use stream_scaling::sim::simulate;
-use stream_scaling::tune::{try_tune_app, Candidate, TuneSpace};
+use stream_scaling::tune::{candidates, try_tune_app, Candidate};
 use stream_scaling::vlsi::Shape;
 
 /// The best candidate by simulated cycles, in evaluation order: a later
@@ -16,7 +16,7 @@ use stream_scaling::vlsi::Shape;
 /// Candidates whose program does not simulate lose.
 fn exhaustive_best(id: AppId, machine: &Machine, sys: &SystemParams) -> (Candidate, u64) {
     let mut best: Option<(Candidate, u64)> = None;
-    for cand in TuneSpace::default().candidates() {
+    for cand in candidates() {
         let app = id.program_with(machine, &cand.compile_options(), cand.strip_scale);
         let Ok(report) = simulate(&app.program, machine, sys) else {
             continue;

@@ -5,7 +5,7 @@
 //! for byte.
 //!
 //! This file is a test binary of its own, so its process-wide kernel cache
-//! starts empty and the count of scheduler compiles is deterministic.
+//! starts empty and the count of set compiles is deterministic.
 
 use stream_scaling::apps::AppId;
 use stream_scaling::machine::{Machine, SystemParams};
@@ -30,9 +30,9 @@ fn tuner_never_loses_and_wins_somewhere_at_c64_n8() {
     // improve (DEPTH's tuned program is ~1.5x faster).
     let best = tuned.iter().map(Tuned::speedup).fold(0.0, f64::max);
     assert!(best > 1.05, "best tuned-over-default speedup {best:.4}x");
-    // Pruning fired and the searches' own scheduler runs were counted.
+    // Pruning fired and the searches' own set compiles were counted.
     let pruned: u64 = tuned.iter().map(|t| t.pruned).sum();
     let compiles: u64 = tuned.iter().map(|t| t.sched_compiles).sum();
     assert!(pruned > 0, "no candidate was pruned");
-    assert!(compiles > 0, "no scheduler compile was attributed");
+    assert!(compiles > 0, "no set compile was attributed");
 }
